@@ -23,6 +23,7 @@ from fractions import Fraction
 from math import isqrt
 
 from . import __version__
+from .exactpoly import RatPoly
 from .weierstrass import ODD, HyperellipticCurve
 
 __all__ = [
@@ -255,10 +256,11 @@ def find_deg1_class(
     return None
 
 
-def validate_point(curve: HyperellipticCurve, ev: Deg1Evidence) -> bool:
+def validate_point(f: RatPoly, ev: Deg1Evidence) -> bool:
+    """False only for rational-point evidence with y^2 != f(x), exactly."""
     if ev.kind != "rational-point":
         return True
-    return curve.original(ev.x) == ev.y * ev.y
+    return f(ev.x) == ev.y * ev.y
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,7 @@ from .certify import (
     digest_text,
     find_deg1_class,
     render_certificate,
+    validate_point,
     verify_certificate,
 )
 from .exactpoly import RatPoly, format_poly, poly_digest, poly_gcd
@@ -721,21 +722,42 @@ def _cmd_oracle(args):
     return (0 if all_match else 2), "\n".join(lines) + "\n"
 
 
+def _certificate_problems(doc) -> list:
+    """`verify_certificate`, then rational-point evidence checked exactly
+    against the curve the subject names."""
+    ok, problems = verify_certificate(doc)
+    ev = Deg1Evidence.from_doc(doc.get("evidence")) if ok else None
+    if ev is None or ev.kind != "rational-point":
+        return problems
+    subject = doc.get("subject") or {}
+    try:
+        if subject.get("kind") == "hyperelliptic":
+            f = parse_poly(subject["f"])
+        elif subject.get("kind") == "family-fiber":
+            f = parse_family(subject["family"]).specialize(Fraction(subject["t"]))
+        else:
+            return ["rational point given, but the subject names no curve"]
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        return ["unreadable subject: %s" % exc]
+    if validate_point(f, ev):
+        return []
+    return ["(%s, %s) is not a point of y^2 = %s" % (ev.x, ev.y, f)]
+
+
 def _cmd_verify(args):
     with open(args.certificate, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if doc.get("command") == "family-scan":
         problems = []
         for entry in doc.get("certified", []):
-            ok, probs = verify_certificate(entry["certificate"])
-            if not ok:
-                problems.extend("t=%s: %s" % (entry["t"], p) for p in probs)
+            probs = _certificate_problems(entry["certificate"])
+            problems.extend("t=%s: %s" % (entry["t"], p) for p in probs)
         if problems:
             return 1, "\n".join("FAIL: %s" % p for p in problems) + "\n"
         n = len(doc.get("certified", []))
         return 0, "verified: %d fiber certificate(s) re-check\n" % n
-    ok, problems = verify_certificate(doc)
-    if ok:
+    problems = _certificate_problems(doc)
+    if not problems:
         return 0, "verified: certificate re-checks\n"
     return 1, "\n".join("FAIL: %s" % p for p in problems) + "\n"
 

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import hashlib
 import math
+import sys
+from array import array
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -57,15 +59,66 @@ def _zneg(f):
     return [-c for c in f]
 
 
+# signed machine integers by byte width: `_pack` and `_unpack` convert
+# digits of these widths through `array`, without one call per digit
+_ARRAY_CODES = {array(c).itemsize: c for c in "bhiq"} if sys.byteorder == "little" else {}
+
+
+def _digit_bytes(bits):
+    """Bytes per signed digit of size below 2^bits, a machine width if one fits."""
+    nbytes = bits // 8 + 1
+    return min((w for w in _ARRAY_CODES if w >= nbytes), default=nbytes)
+
+
+def _offset(n, nbytes):
+    """The n-digit number whose digits are all 2^(8*nbytes - 1)."""
+    return int.from_bytes((bytes(nbytes - 1) + b"\x80") * n, "little")
+
+
+def _pack(f, nbytes):
+    """f evaluated at x = 2^(8*nbytes); every |f[i]| < 2^(8*nbytes - 1).
+
+    Flipping the top bit of each two's complement digit (xor with the
+    offset) gives c + 2^(8*nbytes - 1) >= 0; subtracting the offset then
+    leaves sum f[i] * x^i.
+    """
+    code = _ARRAY_CODES.get(nbytes)
+    if code:
+        raw = array(code, f).tobytes()
+    else:
+        raw = b"".join([c.to_bytes(nbytes, "little", signed=True) for c in f])
+    off = _offset(len(f), nbytes)
+    return (int.from_bytes(raw, "little") ^ off) - off
+
+
+def _unpack(v, n, nbytes):
+    """The n balanced digits of v in base 2^(8*nbytes): inverse of `_pack`."""
+    off = _offset(n, nbytes)
+    raw = ((v + off) ^ off).to_bytes(n * nbytes, "little")
+    code = _ARRAY_CODES.get(nbytes)
+    if code:
+        return array(code, raw).tolist()
+    return [
+        int.from_bytes(raw[i : i + nbytes], "little", signed=True)
+        for i in range(0, n * nbytes, nbytes)
+    ]
+
+
 def _zmul(f, g):
+    """Product of two integer coefficient sequences by Kronecker substitution.
+
+    Both factors are packed at x = 2^(8*nbytes), wide enough that every
+    product coefficient is a signed digit, so CPython's bigint multiply does
+    the convolution (von zur Gathen & Gerhard, Modern Computer Algebra 8.4).
+    The result has len(f) + len(g) - 1 entries, unstripped.
+    """
     if not f or not g:
         return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] += a * b
-    return out
+    bits = max(map(abs, f)).bit_length() + max(map(abs, g)).bit_length()
+    nbytes = _digit_bytes(bits + min(len(f), len(g)).bit_length())
+    F = _pack(f, nbytes)
+    P = F * F if f is g else F * _pack(g, nbytes)
+    return _unpack(P, len(f) + len(g) - 1, nbytes)
 
 
 def _zderiv(f):
@@ -91,25 +144,39 @@ def _zprimitive(f):
     return [a // c for a in f]
 
 
+def _long_division(f, g, digit):
+    """Schoolbook division of f by g, shared by Z, Q and Z/m.
+
+    ``digit(c)`` is the quotient coefficient that cancels a top coefficient
+    c, or None when there is none (an inexact division over Z, which stops
+    early).  Returns (q, r) unstripped with len(r) = deg g, or None.
+    """
+    dg = len(g) - 1
+    r = list(f)
+    q = [0] * max(0, len(r) - dg)
+    for k in range(len(q) - 1, -1, -1):
+        c = digit(r[k + dg])
+        if c is None:
+            return None
+        q[k] = c
+        if c:
+            r[k : k + dg] = [a - c * b for a, b in zip(r[k : k + dg], g)]
+    return q, r[:dg]
+
+
 def _zprem(f, g):
     """Pseudo-remainder: lc(g)^(deg f - deg g + 1) * f mod g, over Z.
 
-    The multiplier exponent is exact (we scale by lc(g) on every step even
-    when the leading term already vanished), as the subresultant algorithm
-    requires.
+    The multiplier exponent is exact, as the subresultant algorithm
+    requires; with it every quotient coefficient is an integer, so the
+    division by lc(g) at each step is exact.
     """
     df, dg = len(f) - 1, len(g) - 1
     if df < dg:
         return list(f)
     l = g[-1]
-    r = list(f)
-    for k in range(df, dg - 1, -1):
-        coef = r[k]
-        r = [l * c for c in r]
-        if coef:
-            for j in range(dg + 1):
-                r[k - dg + j] -= coef * g[j]
-    return _strip(r[:dg] if dg > 0 else [])
+    scaled = [l ** (df - dg + 1) * c for c in f]
+    return _strip(_long_division(scaled, g, lambda c: c // l)[1])
 
 
 def _zgcd(f, g):
@@ -124,25 +191,11 @@ def _zdiv_exact(f, g):
     """Exact quotient f / g over Z, or None when g does not divide f."""
     if not g:
         return None
-    if not f:
-        return []
-    df, dg = len(f) - 1, len(g) - 1
-    if df < dg:
+    lg = g[-1]
+    qr = _long_division(f, g, lambda c: None if c % lg else c // lg)
+    if qr is None or any(qr[1]):
         return None
-    r = [Fraction(c) for c in f]
-    q = [Fraction(0)] * (df - dg + 1)
-    lg = Fraction(g[-1])
-    for k in range(df - dg, -1, -1):
-        c = r[k + dg] / lg
-        q[k] = c
-        if c:
-            for j in range(dg + 1):
-                r[k + j] -= c * g[j]
-    if any(r[:dg]):
-        return None
-    if any(c.denominator != 1 for c in q):
-        return None
-    return _strip([int(c) for c in q])
+    return _strip(qr[0])
 
 
 def _zresultant(f, g):
@@ -296,8 +349,10 @@ class RatPoly:
             if not other:
                 return RatPoly()
             return RatPoly(tuple(c * other for c in self.coeffs))
-        other = self._coerce(other)
-        return RatPoly(_zmul(list(self.coeffs), list(other.coeffs)))
+        ca, A = self.to_int()
+        cb, B = self._coerce(other).to_int()
+        c = ca * cb
+        return RatPoly([c * v for v in _zmul(A.coeffs, B.coeffs)])
 
     __rmul__ = __mul__
 
@@ -338,20 +393,9 @@ class RatPoly:
         other = self._coerce(other)
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        r = list(self.coeffs)
-        dq = len(r) - len(other.coeffs)
-        if dq < 0:
-            return RatPoly(), self
-        q = [Fraction(0)] * (dq + 1)
-        d = other.coeffs
-        dd = len(d) - 1
-        for k in range(dq, -1, -1):
-            c = r[k + dd] / d[-1]
-            q[k] = c
-            if c:
-                for j in range(dd + 1):
-                    r[k + j] -= c * d[j]
-        return RatPoly(q), RatPoly(r[:dd])
+        lc = other.lc
+        q, r = _long_division(self.coeffs, other.coeffs, lambda c: c / lc)
+        return RatPoly(q), RatPoly(r)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -435,7 +479,7 @@ class IntPoly:
     def __mul__(self, other):
         if isinstance(other, int):
             return IntPoly(tuple(c * other for c in self.coeffs))
-        return IntPoly(_zmul(list(self.coeffs), list(other.coeffs)))
+        return IntPoly(_zmul(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 

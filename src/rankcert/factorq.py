@@ -8,8 +8,11 @@ exhaustive over subsets of size <= m/2, so the routine is complete without
 any lattice step.
 
 Modulo-p polynomials are plain ascending coefficient lists with entries in
-[0, p); the public wrapper type is `ModPoly`.  Equal-degree splitting uses
-a fixed PRNG seed, so factorizations are reproducible byte for byte.
+[0, p); the public wrapper type is `ModPoly`.  Every product, mod p and over
+Z (Hensel lifting, recombination), is the Kronecker-substitution multiply
+`exactpoly._zmul`; remainders modulo a fixed f reuse packed rows
+x^(n+i) mod f (`_FixedModulus`).  Equal-degree splitting uses a fixed PRNG
+seed, so factorizations are reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -21,7 +24,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .exactpoly import IntPoly, RatPoly, format_poly
+from .exactpoly import IntPoly, RatPoly, _digit_bytes, _long_division, _pack, _unpack, _zadd
+from .exactpoly import _zmul, _zneg, format_poly
+from .exactpoly import _strip as gf_strip
 
 __all__ = [
     "ModPoly",
@@ -83,42 +88,20 @@ def _primes_from(start: int):
 # ---------------------------------------------------------------------------
 # arithmetic in F_p[x]; ascending coefficient lists, entries in [0, p)
 
-def gf_strip(f):
-    n = len(f)
-    while n and not f[n - 1]:
-        n -= 1
-    return f[:n]
-
-
 def gf_from_int(coeffs, p):
     return gf_strip([c % p for c in coeffs])
 
 
 def gf_add(f, g, p):
-    if len(f) < len(g):
-        f, g = g, f
-    out = list(f)
-    for i, c in enumerate(g):
-        out[i] = (out[i] + c) % p
-    return gf_strip(out)
+    return gf_from_int(_zadd(f, g), p)
 
 
 def gf_sub(f, g, p):
-    out = list(f) + [0] * max(0, len(g) - len(f))
-    for i, c in enumerate(g):
-        out[i] = (out[i] - c) % p
-    return gf_strip(out)
+    return gf_from_int(_zadd(f, _zneg(g)), p)
 
 
 def gf_mul(f, g, p):
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] += a * b
-    return gf_strip([v % p for v in out])
+    return gf_strip([v % p for v in _zmul(f, g)])
 
 
 def gf_mul_scalar(f, c, p):
@@ -131,20 +114,9 @@ def gf_mul_scalar(f, c, p):
 def gf_divmod(f, g, p):
     if not g:
         raise ZeroDivisionError("mod-p division by zero polynomial")
-    df, dg = len(f) - 1, len(g) - 1
-    if df < dg:
-        return [], list(f)
     inv = pow(g[-1], -1, p)
-    r = list(f)
-    q = [0] * (df - dg + 1)
-    for k in range(df - dg, -1, -1):
-        c = r[k + dg] % p
-        if c:
-            c = c * inv % p
-            q[k] = c
-            for j in range(dg + 1):
-                r[k + j] -= c * g[j]
-    return gf_strip(q), gf_strip([v % p for v in r[:dg]])
+    q, r = _long_division(f, g, lambda c: c * inv % p)
+    return gf_strip(q), gf_strip([v % p for v in r])
 
 
 def gf_rem(f, g, p):
@@ -190,15 +162,56 @@ def gf_deriv(f, p):
     return gf_strip([i * c % p for i, c in enumerate(f)][1:])
 
 
-def gf_pow_mod(f, e, g, p):
-    result = [1]
-    base = gf_rem(f, g, p)
-    while e:
-        if e & 1:
-            result = gf_rem(gf_mul(result, base, p), g, p)
-        base = gf_rem(gf_mul(base, base, p), g, p)
-        e >>= 1
-    return result
+class _FixedModulus:
+    """Remainders modulo one fixed f of degree n >= 1 over F_p.
+
+    A product of two reduced polynomials has degree <= 2n - 2, so its
+    remainder is h[:n] + sum h[n+i] * (x^(n+i) mod f).  The n - 1 rows
+    x^(n+i) mod f are packed once by `_pack`; a remainder then costs n - 1
+    bigint multiply-adds and one unpack.  A packed digit sums at most n
+    terms below p^2, which sets the digit width.
+    """
+
+    def __init__(self, f, p):
+        f = gf_monic(f, p)
+        n = len(f) - 1
+        self.f, self.p, self.n = f, p, n
+        self.nbytes = _digit_bytes((n * p * p).bit_length())
+        self.rows = []
+        row = [0] * (n - 1) + [1]
+        for _ in range(n - 1):
+            top = row[-1]
+            row = [(a - top * b) % p for a, b in zip([0] + row[:-1], f)]
+            self.rows.append(_pack(row, self.nbytes))
+
+    def combine(self, acc, coeffs, rows):
+        """The packed acc plus sum coeffs[i] * rows[i], unpacked mod p."""
+        for c, row in zip(coeffs, rows):
+            if c:
+                acc += c * row
+        return gf_strip([v % self.p for v in _unpack(acc, self.n, self.nbytes)])
+
+    def rem(self, h):
+        """h mod f, for h with entries in [0, p)."""
+        n = self.n
+        if len(h) <= n:
+            return h
+        if len(h) >= 2 * n:
+            return gf_rem(h, self.f, self.p)
+        return self.combine(_pack(h[:n], self.nbytes), h[n:], self.rows)
+
+    def mulmod(self, a, b):
+        return self.rem(gf_mul(a, b, self.p))
+
+    def pow(self, h, e):
+        result = [1]
+        base = self.rem(h)
+        while e:
+            if e & 1:
+                result = self.mulmod(result, base)
+            base = self.mulmod(base, base)
+            e >>= 1
+        return result
 
 
 def gf_sqf_p(f, p) -> bool:
@@ -287,57 +300,19 @@ def gf_sqf_list(f, p):
     return result
 
 
-def _gf_frobenius_base(f, p):
-    """Monomial images [x^(j*p) mod f for j in 0..deg f - 1], zero padded."""
-    n = len(f) - 1
-    pad = lambda v: list(v) + [0] * (n - len(v))
-    base = [pad([1])]
-    if n > 1:
-        xp = gf_pow_mod([0, 1], p, f, p)
-        base.append(pad(xp))
-        if n >= 48 and 4 * n * (p - 1) * (p - 1) < (1 << 62):
-            base.extend(_frobenius_base_numpy(f, pad(xp), n, p))
-        else:
-            cur = xp
-            for _ in range(2, n):
-                cur = gf_rem(gf_mul(cur, xp, p), f, p)
-                base.append(pad(cur))
-    return base
+def _gf_frobenius_base(fm):
+    """Packed x^(j*p) mod f for j < deg f.
 
-
-def _frobenius_base_numpy(f, xp, n, p):
-    """Columns x^(j*p) mod f for j >= 2, via vectorized mul-and-reduce.
-
-    Intermediate magnitudes stay below 4*n*p^2, guarded by the caller, so
-    int64 convolution is exact.
+    By Fermat on the coefficients, h^p mod f = sum h[j] * x^(j*p) mod f,
+    which `fm.combine(0, h, base)` evaluates.
     """
-    import numpy as np
-
-    fv = np.array(f[:n], dtype=np.int64)
-    xpv = np.array(xp, dtype=np.int64)
-    out = []
-    cur = xpv
-    for _ in range(2, n):
-        r = np.convolve(cur, xpv) % p
-        for k in range(len(r) - 1, n - 1, -1):
-            c = int(r[k]) % p
-            if c:
-                r[k - n : k] -= c * fv
-        cur = r[:n] % p
-        out.append([int(v) for v in cur])
-    return out
-
-
-def _gf_frobenius_map(h, base, p):
-    """h^p mod f, using Fermat on the coefficients: sum h[j] * x^(j*p)."""
-    n = len(base)
-    out = [0] * n
-    for j, c in enumerate(h):
-        if c:
-            bj = base[j]
-            for k in range(n):
-                out[k] += c * bj[k]
-    return gf_strip([v % p for v in out])
+    xp = fm.pow([0, 1], fm.p)
+    cur = [1]
+    base = [_pack(cur, fm.nbytes)]
+    for _ in range(1, fm.n):
+        cur = fm.mulmod(cur, xp)
+        base.append(_pack(cur, fm.nbytes))
+    return base
 
 
 def gf_ddf(f, p):
@@ -345,13 +320,14 @@ def gf_ddf(f, p):
     n = len(f) - 1
     if n == 1:
         return [(list(f), 1)]
-    base = _gf_frobenius_base(f, p)
+    fm = _FixedModulus(f, p)
+    base = _gf_frobenius_base(fm)
     h = [0, 1]
     fstar = list(f)
     out = []
     i = 1
     while 2 * i <= len(fstar) - 1:
-        h = _gf_frobenius_map(h, base, p)
+        h = fm.combine(0, h, base)
         g = gf_gcd(gf_sub(gf_rem(h, fstar, p), [0, 1], p), fstar, p)
         if len(g) > 1:
             out.append((g, i))
@@ -373,6 +349,7 @@ def gf_edf(f, d, p, rng):
         if nh == d:
             out.append(h)
             continue
+        hm = _FixedModulus(h, p)
         while True:
             r = gf_strip([rng.randrange(p) for _ in range(nh)])
             if len(r) - 1 < 1:
@@ -381,11 +358,11 @@ def gf_edf(f, d, p, rng):
                 w = list(r)
                 trace = list(r)
                 for _ in range(d - 1):
-                    w = gf_rem(gf_mul(w, w, p), h, p)
+                    w = hm.mulmod(w, w)
                     trace = gf_add(trace, w, p)
                 g = gf_gcd(trace, h, p)
             else:
-                w = gf_pow_mod(r, (p ** d - 1) // 2, h, p)
+                w = hm.pow(r, (p ** d - 1) // 2)
                 g = gf_gcd(gf_sub(w, [1], p), h, p)
             if 0 < len(g) - 1 < nh:
                 stack.append(g)
@@ -502,51 +479,7 @@ def _ztrunc(f, m):
         if c > half:
             c -= m
         out.append(c)
-    n = len(out)
-    while n and not out[n - 1]:
-        n -= 1
-    return out[:n]
-
-
-def _zmul_raw(f, g):
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] += a * b
-    return out
-
-
-def _zsub_raw(f, g):
-    out = list(f) + [0] * max(0, len(g) - len(f))
-    for i, c in enumerate(g):
-        out[i] -= c
-    return out
-
-
-def _zadd_raw(f, g):
-    out = list(f) + [0] * max(0, len(g) - len(f))
-    for i, c in enumerate(g):
-        out[i] += c
-    return out
-
-
-def _zdiv_monic_mod(f, g, m):
-    """Division with remainder mod m by a monic g; coefficients in [0, m)."""
-    r = [c % m for c in f]
-    dg = len(g) - 1
-    if len(r) - 1 < dg:
-        return [], gf_strip(r)
-    q = [0] * (len(r) - dg)
-    for k in range(len(r) - dg - 1, -1, -1):
-        c = r[k + dg] % m
-        q[k] = c
-        if c:
-            for j in range(dg + 1):
-                r[k + j] = (r[k + j] - c * g[j]) % m
-    return gf_strip(q), gf_strip(r[:dg])
+    return gf_strip(out)
 
 
 def _hensel_step(m, f, g, h, s, t):
@@ -556,21 +489,21 @@ def _hensel_step(m, f, g, h, s, t):
     invertible mod m.  Returns (G, H, S, T) with the same relations mod m**2.
     """
     M = m * m
-    e = _ztrunc(_zsub_raw(f, _zmul_raw(g, h)), M)
-    q, r = _zdiv_monic_mod(_zmul_raw(s, e), h, M)
+    e = _ztrunc(_zadd(f, _zneg(_zmul(g, h))), M)
+    q, r = gf_divmod(_zmul(s, e), h, M)
     q = _ztrunc(q, M)
     r = _ztrunc(r, M)
-    u = _zadd_raw(_zmul_raw(t, e), _zmul_raw(q, g))
-    G = _ztrunc(_zadd_raw(g, u), M)
-    H = _ztrunc(_zadd_raw(h, r), M)
-    u = _zadd_raw(_zmul_raw(s, G), _zmul_raw(t, H))
-    b = _ztrunc(_zsub_raw(u, [1]), M)
-    c, d = _zdiv_monic_mod(_zmul_raw(s, b), H, M)
+    u = _zadd(_zmul(t, e), _zmul(q, g))
+    G = _ztrunc(_zadd(g, u), M)
+    H = _ztrunc(_zadd(h, r), M)
+    u = _zadd(_zmul(s, G), _zmul(t, H))
+    b = _ztrunc(_zadd(u, [-1]), M)
+    c, d = gf_divmod(_zmul(s, b), H, M)
     c = _ztrunc(c, M)
     d = _ztrunc(d, M)
-    u = _zadd_raw(_zmul_raw(t, b), _zmul_raw(c, G))
-    S = _ztrunc(_zsub_raw(s, d), M)
-    T = _ztrunc(_zsub_raw(t, u), M)
+    u = _zadd(_zmul(t, b), _zmul(c, G))
+    S = _ztrunc(_zadd(s, _zneg(d)), M)
+    T = _ztrunc(_zadd(t, _zneg(u)), M)
     return G, H, S, T
 
 
@@ -598,7 +531,6 @@ def _hensel_lift_list(p, f, f_list, l):
     s, t, one = gf_gcdex(g, h, p)
     if one != [1]:
         raise ValueError("modular factors are not pairwise coprime")
-    g, h, s, t = list(g), list(h), list(s), list(t)
     for _ in range(d):
         g, h, s, t = _hensel_step(m, f, g, h, s, t)
         m = m * m
@@ -724,12 +656,6 @@ def _zassenhaus(F: IntPoly) -> list[IntPoly]:
         k += 1
     lifted = _hensel_lift_list(p, list(F.coeffs), modular, k)
     pl = p ** k
-    half = pl // 2
-
-    def centered(c):
-        c %= pl
-        return c - pl if c > half else c
-
     T = list(range(len(lifted)))
     factors = []
     cur = list(F.coeffs)
@@ -745,13 +671,14 @@ def _zassenhaus(F: IntPoly) -> list[IntPoly]:
             tc = lc_cur
             for i in S:
                 tc = tc * lifted[i][0] % pl
-            tc = centered(tc)
+            if tc > pl // 2:
+                tc -= pl
             if tc != 0 and cur[0] != 0 and (cur[0] * lc_cur) % tc != 0:
                 continue
             G = [lc_cur]
             for i in S:
-                G = [c % pl for c in _zmul_raw(G, lifted[i])]
-            G = IntPoly([centered(c) for c in G]).primitive()
+                G = _ztrunc(_zmul(G, lifted[i]), pl)
+            G = IntPoly(G).primitive()
             Q = IntPoly(cur).exact_div(G)
             if Q is not None:
                 factors.append(G)

@@ -32,10 +32,12 @@ from .certify import (
     find_deg1_class,
     DEFAULT_HEIGHT_BOUND,
 )
+from .certroots import PrecisionExhausted
 from .exactpoly import IntPoly, RatPoly, poly_digest, poly_gcd, resultant
 from .factorq import factor_over_q, is_irreducible_over_q, rational_roots
 from .theta import resolvent_theta
 from .weierstrass import (
+    NoInjectiveLabelingError,
     SingularModelError,
     build_curve,
     orbit_decomposition,
@@ -336,7 +338,7 @@ def scan(
             continue
         try:
             cert = certify_fiber(fam, a, options)
-        except (SingularModelError, ZeroDivisionError, ValueError) as exc:
+        except (ValueError, ZeroDivisionError, NoInjectiveLabelingError, PrecisionExhausted) as exc:
             skipped.append((a, SKIP_ERROR, (str(exc),)))
             continue
         if cert.certified:

@@ -1,6 +1,10 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -260,6 +264,34 @@ class TestCommands:
         code, _ = run_cli(capsys, "verify", "--certificate", str(path))
         assert code == 1
 
+    def test_verify_rejects_forged_point(self, capsys, tmp_path):
+        f = "2*x^6+2*x^5+3*x^4+6*x^3-3*x^2+2*x-8"
+        _, out = run_cli(capsys, "certify", "hyperelliptic", "--f", f, "--json")
+        doc = json.loads(out)
+        assert doc["evidence"] == {"kind": "rational-point", "x": "1", "y": "2"}
+        doc["evidence"] = {"kind": "rational-point", "x": "7", "y": "1"}
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(doc))
+        code, out2 = run_cli(capsys, "verify", "--certificate", str(path))
+        assert code == 1
+        assert out2.startswith("FAIL: (7, 1) is not a point")
+
+    def test_verify_rejects_forged_fiber_point(self, capsys, tmp_path):
+        # the t = 2 fiber is the curve of test_verify_rejects_forged_point
+        f_t = "2*x^6+2*x^5+3*x^4+6*x^3-3*x^2+t*x-8"
+        _, out = run_cli(capsys, "family", "scan", "--f-t", f_t, "--range=2..2", "--json")
+        doc = json.loads(out)
+        path = tmp_path / "scan.json"
+        path.write_text(out)
+        assert run_cli(capsys, "verify", "--certificate", str(path))[0] == 0
+        evidence = doc["certified"][0]["certificate"]["evidence"]
+        assert evidence == {"kind": "rational-point", "x": "1", "y": "2"}
+        evidence["x"] = "-1"
+        path.write_text(json.dumps(doc))
+        code, out2 = run_cli(capsys, "verify", "--certificate", str(path))
+        assert code == 1
+        assert out2.startswith("FAIL: t=2: (-1, 2) is not a point")
+
     def test_bad_polynomial_is_usage_error(self, capsys):
         code, _ = run_cli(capsys, "certify", "hyperelliptic", "--f", "x^^2")
         assert code == 1
@@ -354,3 +386,20 @@ class TestCommands:
         _, first = run_cli(capsys, *args)
         _, second = run_cli(capsys, *args)
         assert first == second
+
+
+def test_runs_without_numpy():
+    # numpy is a test-only dependency: blocking its import changes nothing
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = ["certify", "hyperelliptic", "--f=x^7+x+1", "--json"]
+    runs = []
+    for block in ("", "sys.modules['numpy'] = None; "):
+        code = "import sys; %sfrom rankcert.cli import main; sys.exit(main(%r))" % (block, argv)
+        runs.append(subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, timeout=300,
+        ))
+    normal, blocked = runs
+    assert blocked.returncode == normal.returncode == 2
+    assert blocked.stdout == normal.stdout
+    assert blocked.stdout.startswith(b"{")

@@ -6,6 +6,7 @@ import pytest
 from rankcert.exactpoly import (
     IntPoly,
     RatPoly,
+    _zmul,
     discriminant,
     format_poly,
     make_integral_monic,
@@ -42,6 +43,62 @@ def sylvester_det(a, b):
         return total
 
     return det(rows)
+
+
+def schoolbook(f, g):
+    """Reference product: the plain double loop over coefficient pairs."""
+    if not f or not g:
+        return []
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
+def _random_coeffs(rng, n, bits):
+    """n signed coefficients of up to `bits` bits, about a fifth of them zero."""
+    return [0 if rng.random() < 0.2 else rng.randint(-(1 << bits), 1 << bits) for _ in range(n)]
+
+
+class TestKroneckerProduct:
+    def test_matches_schoolbook(self):
+        rng = random.Random(20260)
+        for _ in range(40):
+            f = _random_coeffs(rng, rng.randint(0, 300), rng.choice((1, 7, 64, 200)))
+            g = _random_coeffs(rng, rng.randint(0, 300), rng.choice((1, 7, 64, 200)))
+            assert _zmul(f, g) == schoolbook(f, g)
+
+    def test_edge_shapes(self):
+        big = 1 << 200
+        cases = [
+            ([], [1, 2]),
+            ([0], [5]),
+            ([0, 0, 0], [-3, 4]),
+            ([-big] * 300, [-big] * 300),
+            ([big, -big, big], [-big, 0, 0, big]),
+            ([1] + [0] * 299 + [-1], [-1]),
+            ([-1] * 17, [1] * 300),
+        ]
+        for f, g in cases:
+            assert _zmul(f, g) == schoolbook(f, g)
+            assert _zmul(g, f) == schoolbook(g, f)
+
+    def test_square_matches_schoolbook(self):
+        rng = random.Random(7)
+        for n in (1, 2, 31, 300):
+            f = _random_coeffs(rng, n, 200)
+            assert _zmul(f, f) == schoolbook(f, f)
+
+    def test_poly_classes(self):
+        rng = random.Random(3)
+        for _ in range(10):
+            a = [Fraction(rng.randint(-50, 50), rng.randint(1, 9)) for _ in range(rng.randint(0, 12))]
+            b = [Fraction(rng.randint(-50, 50), rng.randint(1, 9)) for _ in range(rng.randint(0, 12))]
+            assert RatPoly(a) * RatPoly(b) == RatPoly(schoolbook(a, b))
+            ia = [int(c * 9) for c in a]
+            ib = [int(c * 9) for c in b]
+            assert IntPoly(ia) * IntPoly(ib) == IntPoly(schoolbook(ia, ib))
 
 
 class TestPolyGcd:

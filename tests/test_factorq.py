@@ -12,8 +12,11 @@ from rankcert.factorq import (
     degree_pattern,
     factor_mod_p,
     factor_over_q,
+    _FixedModulus,
     gf_from_int,
     gf_mul,
+    gf_rem,
+    gf_strip,
     hensel_lift,
     is_irreducible_over_q,
     possible_degrees,
@@ -21,6 +24,7 @@ from rankcert.factorq import (
 )
 
 from conftest import random_squarefree_poly
+from test_exactpoly import schoolbook
 
 
 def brute_factor_mod_p(coeffs, p):
@@ -86,6 +90,44 @@ def _divisors_of(cand, p):
             if not r:
                 out.append(g)
     return out
+
+
+class TestModPKernel:
+    PRIMES = (2, 3, 101, (1 << 61) - 1)
+
+    def test_gf_mul_matches_schoolbook(self):
+        rng = random.Random(61)
+        for p in (2, (1 << 61) - 1):
+            for _ in range(25):
+                f = gf_strip([rng.randrange(p) for _ in range(rng.randint(0, 120))])
+                g = gf_strip([rng.randrange(p) for _ in range(rng.randint(0, 120))])
+                assert gf_mul(f, g, p) == gf_strip([c % p for c in schoolbook(f, g)])
+
+    def test_fixed_modulus_matches_gf_rem(self):
+        rng = random.Random(5)
+        for p in self.PRIMES:
+            for n in (1, 2, 5, 40):
+                f = [rng.randrange(p) for _ in range(n)] + [rng.randrange(1, p)]
+                fm = _FixedModulus(f, p)
+                for _ in range(8):
+                    # lengths up to 2n - 1 take the packed rows, longer ones
+                    # fall back to plain division
+                    h = gf_strip([rng.randrange(p) for _ in range(rng.randint(0, 3 * n))])
+                    assert fm.rem(h) == gf_rem(h, f, p), (p, n, h)
+                    a = gf_rem(h, f, p)
+                    b = gf_strip([rng.randrange(p) for _ in range(n)])
+                    assert fm.mulmod(a, b) == gf_rem(gf_mul(a, b, p), f, p)
+
+    def test_fixed_modulus_pow(self):
+        rng = random.Random(9)
+        for p in self.PRIMES:
+            f = [rng.randrange(p) for _ in range(12)] + [1]
+            fm = _FixedModulus(f, p)
+            h = [rng.randrange(p) for _ in range(30)]
+            acc = [1]
+            for e in range(20):
+                assert fm.pow(h, e) == acc
+                acc = gf_rem(gf_mul(acc, h, p), f, p)
 
 
 class TestFactorModP:

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from rankcert.certify import verify_certificate, certificate_doc
+from rankcert.cli import main
 from rankcert.exactpoly import IntPoly, RatPoly, discriminant
 from rankcert.family import (
     FamilyCurve,
@@ -133,6 +134,16 @@ class TestScan:
         assert len(report.certified) == 5
         verdicts = {(c.verdict, c.path, c.report.j2_orbits) for _, c in report.certified}
         assert len(verdicts) == 1
+
+    def test_error_fiber_is_skipped(self, capsys):
+        # at t = -4 two classes get colliding labels for every labelling
+        # index, which raises NoInjectiveLabelingError (a RuntimeError)
+        code = main(["family", "scan", "--f-t=-3*x^5-6*x^4-3*x^3-4*x^2+t*x", "--range=-5..-3"])
+        out = capsys.readouterr().out
+        assert code == 2
+        assert "skipped t=-4: Error (no injective labeling" in out
+        assert "skipped t=-5: Inconclusive (NeedsThetaData)" in out
+        assert "skipped t=-3: Inconclusive (NeedsThetaData)" in out
 
     def test_full_theta_option(self):
         # t = 0 fiber (x^6 + 1) is reducible; with theta computed the report
