@@ -55,16 +55,17 @@ from .certify import (
     validate_point,
     verify_certificate,
 )
-from .exactpoly import RatPoly, format_poly, poly_digest, poly_gcd
+from .exactpoly import RatPoly, format_poly, poly_digest
 from .factorq import (
     BadPrimeError,
     _primes_from,
     degree_pattern,
     factor_over_q,
     is_irreducible_over_q,
+    is_squarefree,
 )
 from .family import FamilyCurve, ScanOptions, check_good_fiber, scan
-from .theta import resolvent_theta, theta_class_counts
+from .theta import resolvent_theta, theta_class_counts, theta_orbit_decomposition
 from .weierstrass import (
     ODD,
     build_curve,
@@ -392,11 +393,12 @@ def pipeline_hyperelliptic(
         th = resolvent_theta(curve)
         hashes.append(("chi_odd", poly_digest(th.chi_odd.coeffs)))
         hashes.append(("chi_even", poly_digest(th.chi_even.coeffs)))
+        theta_odd, theta_even = theta_orbit_decomposition(th)
         report = OrbitReport(
             genus=curve.genus,
             j2_orbits=j2,
-            theta_odd=factor_over_q(th.chi_odd.to_rat()).degrees(),
-            theta_even=factor_over_q(th.chi_even.to_rat()).degrees(),
+            theta_odd=theta_odd,
+            theta_even=theta_even,
         )
         cert = decide_from_orbits(
             report,
@@ -435,9 +437,9 @@ def _pipeline_chi(chi: RatPoly, genus: int, evidence, theta_odd=None, theta_even
             "chi has degree %d; genus %d requires 2^(2g)-1 = %d"
             % (chi.degree, genus, expected)
         )
-    if poly_gcd(chi, chi.derivative()).degree > 0:
-        raise ValueError("chi is not squarefree (not an etale-algebra resolvent)")
     chi_int = chi.to_int()[1]
+    if not is_squarefree(chi_int):
+        raise ValueError("chi is not squarefree (not an etale-algebra resolvent)")
     hashes = [("chi", poly_digest(chi_int.coeffs))]
     digest_parts = ["chi;g=%d" % genus, poly_digest(chi_int.coeffs)]
     irreducible = is_irreducible_over_q(chi)
@@ -459,11 +461,11 @@ def _pipeline_chi(chi: RatPoly, genus: int, evidence, theta_odd=None, theta_even
                 "theta resolvent degrees (%d, %d) do not match genus %d (%d, %d)"
                 % (theta_odd.degree, theta_even.degree, genus, want_odd, want_even)
             )
-        for name, poly in (("odd", theta_odd), ("even", theta_even)):
-            if poly_gcd(poly, poly.derivative()).degree > 0:
-                raise ValueError("theta %s resolvent is not squarefree" % name)
         to_int = theta_odd.to_int()[1]
         te_int = theta_even.to_int()[1]
+        for name, poly in (("odd", to_int), ("even", te_int)):
+            if not is_squarefree(poly):
+                raise ValueError("theta %s resolvent is not squarefree" % name)
         hashes.append(("chi_odd", poly_digest(to_int.coeffs)))
         hashes.append(("chi_even", poly_digest(te_int.coeffs)))
         digest_parts += [poly_digest(to_int.coeffs), poly_digest(te_int.coeffs)]
@@ -577,8 +579,9 @@ def _cmd_orbits_hyperelliptic(args):
     }
     if args.theta:
         th = resolvent_theta(curve)
-        doc["theta_odd"] = list(factor_over_q(th.chi_odd.to_rat()).degrees())
-        doc["theta_even"] = list(factor_over_q(th.chi_even.to_rat()).degrees())
+        theta_odd, theta_even = theta_orbit_decomposition(th)
+        doc["theta_odd"] = list(theta_odd)
+        doc["theta_even"] = list(theta_even)
         doc["hashes"]["chi_odd"] = poly_digest(th.chi_odd.coeffs)
         doc["hashes"]["chi_even"] = poly_digest(th.chi_even.coeffs)
     if args.json:
@@ -722,14 +725,46 @@ def _cmd_oracle(args):
     return (0 if all_match else 2), "\n".join(lines) + "\n"
 
 
-def _certificate_problems(doc) -> list:
-    """`verify_certificate`, then rational-point evidence checked exactly
-    against the curve the subject names."""
-    ok, problems = verify_certificate(doc)
-    ev = Deg1Evidence.from_doc(doc.get("evidence")) if ok else None
-    if ev is None or ev.kind != "rational-point":
-        return problems
+def _subject_inputs(doc) -> str:
+    """The text whose digest is the certificate's inputs_digest, rebuilt
+    from the subject the way the certify command built it."""
     subject = doc.get("subject") or {}
+    kind = subject.get("kind")
+    if kind == "hyperelliptic":
+        return "hyperelliptic;f=%s" % subject["f"]
+    if kind == "family-fiber":
+        return "family:%s;t=%s" % (subject["family"], subject["t"])
+    if kind == "external-chi":
+        hashes = doc.get("hashes") or {}
+        parts = ["chi;g=%d" % subject["genus"], hashes["chi"]]
+        if "chi_odd" in hashes or "chi_even" in hashes:
+            parts += [hashes["chi_odd"], hashes["chi_even"]]
+        return ";".join(parts)
+    if kind == "orbit-data":
+        report = OrbitReport.from_doc(doc["genus"], doc["orbits"])
+        return "orbits;g=%d;j2=%s;odd=%s;even=%s" % (
+            subject["genus"], report.j2_orbits, report.theta_odd, report.theta_even
+        )
+    raise ValueError("unknown subject kind %r" % kind)
+
+
+def _certificate_problems(doc) -> list:
+    """`verify_certificate`, then the inputs digest recomputed from the
+    subject, then rational-point evidence checked exactly against the curve
+    the subject names."""
+    ok, problems = verify_certificate(doc)
+    if not ok:
+        return problems
+    try:
+        inputs = _subject_inputs(doc)
+    except (KeyError, TypeError, ValueError) as exc:
+        return ["unreadable subject: %s" % exc]
+    if digest_text(inputs) != doc.get("inputs_digest"):
+        return ["inputs_digest does not match the subject (%s)" % inputs]
+    ev = Deg1Evidence.from_doc(doc.get("evidence"))
+    if ev is None or ev.kind != "rational-point":
+        return []
+    subject = doc["subject"]
     try:
         if subject.get("kind") == "hyperelliptic":
             f = parse_poly(subject["f"])

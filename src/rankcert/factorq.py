@@ -42,6 +42,7 @@ __all__ = [
     "rational_roots",
     "squarefree_by_reduction",
     "coprime_by_reduction",
+    "is_squarefree",
 ]
 
 _EDF_SEED = 0x9E3779B9
@@ -252,6 +253,12 @@ def squarefree_by_reduction(F: IntPoly, tries: int = 8):
         if seen >= tries:
             return None
     return None
+
+
+def is_squarefree(F: IntPoly) -> bool:
+    """Exact squarefreeness of F over Q: a modular certificate first, the
+    exact gcd with F' only when every tried reduction has a repeated factor."""
+    return bool(squarefree_by_reduction(F)) or F.gcd(F.derivative()).degree == 0
 
 
 def coprime_by_reduction(a: IntPoly, b: IntPoly, tries: int = 8):
@@ -756,7 +763,7 @@ def is_irreducible_over_q(f: RatPoly, max_primes: int = 12) -> bool:
     if d == 1:
         return True
     _, F = f.to_int()
-    if not squarefree_by_reduction(F) and F.gcd(F.derivative()).degree > 0:
+    if not is_squarefree(F):
         return False
     patterns = []
     good = 0

@@ -34,8 +34,8 @@ from .certify import (
 )
 from .certroots import PrecisionExhausted
 from .exactpoly import IntPoly, RatPoly, poly_digest, poly_gcd, resultant
-from .factorq import factor_over_q, is_irreducible_over_q, rational_roots
-from .theta import resolvent_theta
+from .factorq import is_irreducible_over_q, rational_roots
+from .theta import resolvent_theta, theta_orbit_decomposition
 from .weierstrass import (
     NoInjectiveLabelingError,
     SingularModelError,
@@ -259,7 +259,8 @@ def certify_fiber(
     digest = _fiber_inputs_digest(fam, a)
     res = resolvent_j2(curve)
     hashes = [("chi", poly_digest(res.chi.coeffs))]
-    if is_irreducible_over_q(res.chi.to_rat()):
+    # several size strata make chi reducible without any test
+    if len(res.parts) == 1 and is_irreducible_over_q(res.chi.to_rat()):
         return decide_from_irreducibility(
             True,
             curve.genus,
@@ -281,11 +282,12 @@ def certify_fiber(
             inputs_digest=digest,
         )
     theta_res = resolvent_theta(curve)
+    theta_odd, theta_even = theta_orbit_decomposition(theta_res)
     report = OrbitReport(
         genus=curve.genus,
         j2_orbits=j2_orbits,
-        theta_odd=factor_over_q(theta_res.chi_odd.to_rat()).degrees(),
-        theta_even=factor_over_q(theta_res.chi_even.to_rat()).degrees(),
+        theta_odd=theta_odd,
+        theta_even=theta_even,
     )
     hashes.append(("chi_odd", poly_digest(theta_res.chi_odd.coeffs)))
     hashes.append(("chi_even", poly_digest(theta_res.chi_even.coeffs)))

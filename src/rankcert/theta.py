@@ -7,7 +7,9 @@ A theta characteristic corresponds to a subset T of the 2g+2 branch points
 odd or even with h^0.  The two parity pieces get separate exact resolvent
 polynomials through the same certified labeling machinery as the
 two-torsion, and a rational theta characteristic exists iff one of them
-has a linear factor.  Odd-degree models short-circuit: (g-1) times the
+has a linear factor.  h^0 depends only on the class size, so each piece is
+assembled and factored one size stratum at a time, like the two-torsion
+resolvent.  Odd-degree models short-circuit: (g-1) times the
 infinite Weierstrass point doubles to the canonical class, so the answer
 there is always yes.
 """
@@ -35,8 +37,11 @@ from .weierstrass import (
     _perm_from_cycle_type,
     _popcount,
     _subset_sum,
+    _product,
     _u_values,
     build_label_resolvents,
+    part_degrees,
+    size_strata,
 )
 
 __all__ = [
@@ -44,6 +49,7 @@ __all__ = [
     "ThetaResolvents",
     "enumerate_theta_classes",
     "resolvent_theta",
+    "theta_orbit_decomposition",
     "has_rational_theta",
     "theta_class_counts",
     "frobenius_theta_oracle",
@@ -74,12 +80,18 @@ class ThetaClass:
 
 @dataclass(frozen=True)
 class ThetaResolvents:
-    """Exact squarefree resolvents of the odd and even theta characteristics."""
+    """Exact squarefree resolvents of the odd and even theta characteristics.
+
+    ``odd_parts`` and ``even_parts`` hold one factor per class size, in
+    ascending size; chi_odd and chi_even are their products.
+    """
 
     chi_odd: IntPoly
     chi_even: IntPoly
     labeling: Labeling
     curve_digest: str
+    odd_parts: tuple
+    even_parts: tuple
 
 
 def theta_class_counts(genus: int) -> tuple[int, int]:
@@ -138,16 +150,25 @@ def resolvent_theta(curve: HyperellipticCurve) -> ThetaResolvents:
     structurally zero label and is exempt from the zero-label retry.
     """
     classes = enumerate_theta_classes(curve)
-    odd_masks = tuple(t.mask for t in classes if t.is_odd)
-    even_masks = tuple(t.mask for t in classes if not t.is_odd)
+    odd_groups = size_strata(curve, [t.mask for t in classes if t.is_odd])
+    even_groups = size_strata(curve, [t.mask for t in classes if not t.is_odd])
     polys, labeling, _prec = build_label_resolvents(
-        curve, [odd_masks, even_masks], zero_exempt=frozenset({0})
+        curve, odd_groups + even_groups, zero_exempt=frozenset({0})
     )
-    chi_odd, chi_even = polys
+    odd_parts = tuple(polys[: len(odd_groups)])
+    even_parts = tuple(polys[len(odd_groups):])
+    chi_odd, chi_even = _product(odd_parts), _product(even_parts)
     n_odd, n_even = theta_class_counts(curve.genus)
     if chi_odd.degree != n_odd or chi_even.degree != n_even:
         raise AssertionError("theta resolvent degrees mismatch")
-    return ThetaResolvents(chi_odd, chi_even, labeling, curve.digest())
+    return ThetaResolvents(
+        chi_odd, chi_even, labeling, curve.digest(), odd_parts, even_parts
+    )
+
+
+def theta_orbit_decomposition(res: ThetaResolvents) -> tuple[tuple, tuple]:
+    """Sorted factor degrees over Q of chi_odd and of chi_even."""
+    return part_degrees(res.odd_parts), part_degrees(res.even_parts)
 
 
 def _witness_class(curve, classes, labeling, value: int, parity_odd: bool):
@@ -186,7 +207,8 @@ def has_rational_theta(
     the empty set or {infinity} (whichever matches the size parity), which
     encodes (g-1) times the infinite point, and twice that is the canonical
     class.  Otherwise both theta resolvents are factored and a linear
-    factor yields the witness class.
+    factor yields the witness class (the least one of chi_odd, else of
+    chi_even).
     """
     if fast_path and curve.parity == ODD:
         g = curve.genus
@@ -199,14 +221,17 @@ def has_rational_theta(
         return True, ThetaClass(mask, curve.nroots, _h0_for_mask(mask, curve))
     res = resolvent_theta(curve)
     classes = enumerate_theta_classes(curve)
-    for chi, parity_odd in ((res.chi_odd, True), (res.chi_even, False)):
-        for gpoly, _mult in factor_over_q(chi.to_rat()).factors:
-            if gpoly.degree == 1 and gpoly.lc == 1:
-                value = -gpoly.coeffs[0]
-                witness = _witness_class(
-                    curve, classes, res.labeling, value, parity_odd
-                )
-                return True, witness
+    for parts, parity_odd in ((res.odd_parts, True), (res.even_parts, False)):
+        linear = [
+            gpoly.coeffs
+            for part in parts
+            for gpoly, _mult in factor_over_q(part.to_rat()).factors
+            if gpoly.degree == 1 and gpoly.lc == 1
+        ]
+        if linear:
+            value = -min(linear)[0]
+            witness = _witness_class(curve, classes, res.labeling, value, parity_odd)
+            return True, witness
     return False, None
 
 

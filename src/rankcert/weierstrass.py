@@ -5,10 +5,14 @@ subsets of the Weierstrass roots modulo complementation.  Each class gets a
 numeric label built from certified root enclosures (sum of u_c(alpha) over
 the class representative, with u_c(x) = x + c*x^2; even-degree models use
 the complement-invariant product of the two subset sums).  The resolvent
-chi is the exact integer polynomial whose roots are these labels: the ball
-product of the linear factors is snapped coefficient-by-coefficient to
-integers and then checked squarefree by an exact gcd, which certifies that
-the labeling is injective and Galois-equivariant.
+chi is the exact integer polynomial whose roots are these labels.  The size
+of a class (|S| for odd-degree models, min(|S|, |S^c|) for even-degree
+models) is a Galois invariant, so chi is assembled one size stratum at a
+time: the ball product of each stratum's linear factors is snapped
+coefficient-by-coefficient to integers, each part is checked squarefree and
+the parts pairwise coprime (together: chi is squarefree), which certifies
+that the labeling is injective and Galois-equivariant.  chi is the exact
+product of the parts, and the parts are factored over Q one at a time.
 
 An independent cross-check is available through `frobenius_orbit_oracle`:
 factoring f modulo a good prime gives the Frobenius cycle type on the
@@ -32,7 +36,7 @@ from .factorq import (
     coprime_by_reduction,
     gf_from_int,
     gf_sqf_p,
-    squarefree_by_reduction,
+    is_squarefree,
 )
 
 __all__ = [
@@ -48,6 +52,8 @@ __all__ = [
     "enumerate_j2_classes",
     "resolvent_j2",
     "orbit_decomposition",
+    "part_degrees",
+    "size_strata",
     "frobenius_orbit_oracle",
     "build_label_resolvents",
 ]
@@ -119,11 +125,16 @@ class Labeling:
 
 @dataclass(frozen=True)
 class TwoTorsionResolvent:
-    """Squarefree chi in Z[x] of degree 2^(2g) - 1 labeling J[2] \\ {0}."""
+    """Squarefree chi in Z[x] of degree 2^(2g) - 1 labeling J[2] \\ {0}.
+
+    ``parts`` holds one Galois-stable factor of chi per class size, in
+    ascending size; chi is their product.
+    """
 
     chi: IntPoly
     labeling: Labeling
     curve_digest: str
+    parts: tuple
 
 
 def _fraction_is_square(q: Fraction) -> bool:
@@ -236,12 +247,6 @@ def _resolvent_from_labels(labels, prec: int):
     return IntPoly(out)
 
 
-def _squarefree_int(p: IntPoly) -> bool:
-    if squarefree_by_reduction(p):
-        return True
-    return p.gcd(p.derivative()).degree == 0
-
-
 def build_label_resolvents(
     curve: HyperellipticCurve,
     mask_groups,
@@ -316,7 +321,7 @@ def build_label_resolvents(
             if snap_failed:
                 prec_req = prec * 2
                 continue
-            ok = all(_squarefree_int(chi) for chi in polys)
+            ok = all(is_squarefree(chi) for chi in polys)
             if ok and len(polys) > 1:
                 for i in range(len(polys)):
                     for j in range(i + 1, len(polys)):
@@ -339,19 +344,52 @@ def resolvent_j2(curve: HyperellipticCurve) -> TwoTorsionResolvent:
     >>> resolvent_j2(curve).chi.degree
     15
     """
-    classes = enumerate_j2_classes(curve)
-    masks = tuple(cl.mask for cl in classes)
-    polys, labeling, _prec = build_label_resolvents(curve, [masks])
-    chi = polys[0]
+    masks = tuple(cl.mask for cl in enumerate_j2_classes(curve))
+    parts, labeling, _prec = build_label_resolvents(curve, size_strata(curve, masks))
+    chi = _product(parts)
     expected = (1 << (2 * curve.genus)) - 1
     if chi.degree != expected:
         raise AssertionError("resolvent degree %d != %d" % (chi.degree, expected))
-    return TwoTorsionResolvent(chi, labeling, curve.digest())
+    return TwoTorsionResolvent(chi, labeling, curve.digest(), tuple(parts))
+
+
+def size_strata(curve: HyperellipticCurve, masks) -> tuple:
+    """The masks grouped by class size, in ascending size, order kept.
+
+    The size is |S| for odd-degree models (the stored member avoids the
+    infinite point) and min(|S|, |S^c|) for even-degree models; Galois
+    permutes the roots, so every group is Galois-stable and its resolvent
+    lies in Z[x].
+    """
+    n = curve.nroots
+    groups = {}
+    for m in masks:
+        size = _popcount(m)
+        if curve.parity == EVEN:
+            size = min(size, n - size)
+        groups.setdefault(size, []).append(m)
+    return tuple(tuple(groups[k]) for k in sorted(groups))
+
+
+def _product(polys) -> IntPoly:
+    out = polys[0]
+    for q in polys[1:]:
+        out = out * q
+    return out
+
+
+def part_degrees(parts) -> tuple:
+    """Sorted degrees of the irreducible factors over Q of the product of
+    pairwise coprime parts, factoring one part at a time."""
+    out = []
+    for part in parts:
+        out.extend(factor_over_q(part.to_rat()).degrees())
+    return tuple(sorted(out))
 
 
 def orbit_decomposition(r: TwoTorsionResolvent) -> tuple:
     """Sorted degrees of the irreducible factors of chi over Q."""
-    return factor_over_q(r.chi.to_rat()).degrees()
+    return part_degrees(r.parts)
 
 
 # ---------------------------------------------------------------------------

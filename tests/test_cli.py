@@ -292,6 +292,57 @@ class TestCommands:
         assert code == 1
         assert out2.startswith("FAIL: t=2: (-1, 2) is not a point")
 
+    def test_verify_rejects_swapped_subject(self, capsys, tmp_path):
+        # the evidence is the infinite place, so only the subject names f
+        _, out = run_cli(capsys, "certify", "hyperelliptic", "--f", "x^6+x+1", "--json")
+        path = tmp_path / "cert.json"
+        path.write_text(out)
+        assert run_cli(capsys, "verify", "--certificate", str(path)) == (
+            0, "verified: certificate re-checks\n"
+        )
+        doc = json.loads(out)
+        doc["subject"]["f"] = "x^6 - x^2 + 5"
+        path.write_text(json.dumps(doc))
+        code, out2 = run_cli(capsys, "verify", "--certificate", str(path))
+        assert code == 1
+        assert out2 == (
+            "FAIL: inputs_digest does not match the subject "
+            "(hyperelliptic;f=x^6 - x^2 + 5)\n"
+        )
+
+    def test_verify_rejects_swapped_fiber(self, capsys, tmp_path):
+        _, out = run_cli(
+            capsys, "family", "scan", "--f-t", "x^6+t*x+1", "--range=3..4", "--json"
+        )
+        path = tmp_path / "scan.json"
+        path.write_text(out)
+        assert run_cli(capsys, "verify", "--certificate", str(path))[0] == 0
+        doc = json.loads(out)
+        assert [e["t"] for e in doc["certified"]] == ["3", "4"]
+        doc["certified"][1]["certificate"]["subject"]["t"] = "5"
+        path.write_text(json.dumps(doc))
+        code, out2 = run_cli(capsys, "verify", "--certificate", str(path))
+        assert code == 1
+        assert out2.startswith("FAIL: t=4: inputs_digest does not match the subject")
+        assert out2.count("FAIL:") == 1
+
+    def test_verify_rejects_swapped_chi_subject(self, capsys, tmp_path):
+        argv = ["certify", "chi", "--file", str(fixture_path("chi1.txt")),
+                "--genus", "3", "--assert-deg1-class", "--json"]
+        _, out = run_cli(capsys, *argv)
+        for field, value in (("genus", 4), ("kind", "curve")):
+            doc = json.loads(out)
+            doc["subject"][field] = value
+            path = tmp_path / ("chi-%s.json" % field)
+            path.write_text(json.dumps(doc))
+            assert run_cli(capsys, "verify", "--certificate", str(path))[0] == 1, field
+        doc = json.loads(out)
+        doc["hashes"]["chi"] = "0" * 64
+        path.write_text(json.dumps(doc))
+        code, out2 = run_cli(capsys, "verify", "--certificate", str(path))
+        assert code == 1
+        assert out2.startswith("FAIL: inputs_digest does not match the subject (chi;g=3;")
+
     def test_bad_polynomial_is_usage_error(self, capsys):
         code, _ = run_cli(capsys, "certify", "hyperelliptic", "--f", "x^^2")
         assert code == 1

@@ -2,12 +2,14 @@ from fractions import Fraction
 
 import pytest
 
+from rankcert import family
 from rankcert.certify import verify_certificate, certificate_doc
-from rankcert.cli import main
+from rankcert.cli import main, parse_family
 from rankcert.exactpoly import IntPoly, RatPoly, discriminant
 from rankcert.family import (
     FamilyCurve,
     ScanOptions,
+    certify_fiber,
     check_good_fiber,
     exclusion_sets,
     family_discriminant_numerator,
@@ -153,3 +155,21 @@ class TestScan:
         a, kind, details = report.skipped[0]
         assert kind == "Inconclusive"
         assert "NeedsThetaData" not in details
+
+
+def test_multi_stratum_fiber_skips_irreducibility_test(monkeypatch):
+    # x^7 + x + 2 has three size strata, so chi is reducible without a test
+    fam = parse_family("x^7+t*x+2")
+    expected = certificate_doc(certify_fiber(fam, Fraction(1)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("is_irreducible_over_q called")
+
+    monkeypatch.setattr(family, "is_irreducible_over_q", refuse)
+    doc = certificate_doc(certify_fiber(fam, Fraction(1)))
+    assert doc == expected
+    assert doc["orbits"]["j2"] == [1, 6, 6, 15, 15, 20]
+    assert doc["chi_irreducible"] is False
+    assert doc["hashes"]["chi"] == (
+        "f558fa6e66453aa193818ded70bcc13657aa5a6a4d995e92c35385a6dccda9b0"
+    )

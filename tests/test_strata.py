@@ -1,0 +1,127 @@
+"""Resolvents assembled one class-size stratum at a time.
+
+The size of a class (|S| for odd-degree models, min(|S|, |S^c|) for
+even-degree models) is a Galois invariant, so every stratum's resolvent
+lies in Z[x] and chi is their product.  These tests rebuild chi from one
+group of all masks at the same labeling index, and check each part
+against the Frobenius action on its own stratum.
+"""
+
+import random
+
+import pytest
+
+from rankcert.cli import parse_poly
+from rankcert.exactpoly import RatPoly
+from rankcert.factorq import BadPrimeError, degree_pattern
+from rankcert.theta import enumerate_theta_classes, resolvent_theta
+from rankcert.weierstrass import (
+    EVEN,
+    ODD,
+    _apply_perm,
+    _orbit_lengths,
+    _perm_from_cycle_type,
+    build_curve,
+    build_label_resolvents,
+    enumerate_j2_classes,
+    resolvent_j2,
+    size_strata,
+)
+
+from conftest import random_squarefree_poly
+
+
+def _curves():
+    rng = random.Random(20260)
+    out = [random_squarefree_poly(rng, d, 3) for d in range(5, 11)]
+    out.append(parse_poly("x^9+x+1"))
+    out.append(parse_poly("x^8+3*x^3-x+7"))  # even model of genus 3
+    return out
+
+
+CURVES = _curves()
+
+
+def _product(polys):
+    out = polys[0]
+    for q in polys[1:]:
+        out = out * q
+    return out
+
+
+def _frobenius_image(curve, p):
+    perm = _perm_from_cycle_type(degree_pattern(curve.f, p).degrees)
+    full = (1 << curve.nroots) - 1
+    if curve.parity == ODD:
+        return lambda m: _apply_perm(m, perm)
+
+    def image(m):
+        im = _apply_perm(m, perm)
+        return min(im, full ^ im)
+
+    return image
+
+
+def _good_primes(curve, polys, count):
+    out = []
+    p = 2
+    while len(out) < count:
+        p += 1
+        try:
+            degree_pattern(curve.f, p)
+            for q in polys:
+                degree_pattern(q, p)
+        except (BadPrimeError, ValueError):
+            continue
+        out.append(p)
+    return out
+
+
+def test_corpus_covers_both_parities_and_genera():
+    curves = [build_curve(f) for f in CURVES]
+    assert {(c.genus, c.parity) for c in curves} == {
+        (g, par) for g in (2, 3, 4) for par in (ODD, EVEN)
+    }
+
+
+@pytest.mark.parametrize("f", CURVES, ids=str)
+def test_parts_multiply_to_single_group_chi(f):
+    curve = build_curve(f)
+    res = resolvent_j2(curve)
+    masks = tuple(cl.mask for cl in enumerate_j2_classes(curve))
+    (whole,), labeling, _prec = build_label_resolvents(
+        curve, [masks], start_c=res.labeling.c
+    )
+    assert labeling == res.labeling
+    assert _product(res.parts) == res.chi == whole
+    strata = size_strata(curve, masks)
+    assert [len(group) for group in strata] == [q.degree for q in res.parts]
+    assert sorted(m for group in strata for m in group) == sorted(masks)
+
+
+@pytest.mark.parametrize("f", CURVES, ids=str)
+def test_part_patterns_match_frobenius_on_stratum(f):
+    curve = build_curve(f)
+    res = resolvent_j2(curve)
+    strata = size_strata(curve, [cl.mask for cl in enumerate_j2_classes(curve)])
+    for p in _good_primes(curve, res.parts, 2):
+        image = _frobenius_image(curve, p)
+        for group, part in zip(strata, res.parts):
+            assert degree_pattern(part, p).degrees == _orbit_lengths(group, image)
+
+
+@pytest.mark.parametrize("f", CURVES, ids=str)
+def test_theta_parts_multiply_to_parity_resolvents(f):
+    curve = build_curve(f)
+    th = resolvent_theta(curve)
+    assert _product(th.odd_parts) == th.chi_odd
+    assert _product(th.even_parts) == th.chi_even
+    classes = enumerate_theta_classes(curve)
+    for parity_odd, parts in ((True, th.odd_parts), (False, th.even_parts)):
+        groups = size_strata(curve, [t.mask for t in classes if t.is_odd == parity_odd])
+        assert [len(group) for group in groups] == [q.degree for q in parts]
+
+
+def test_single_stratum_for_genus_two_sextics():
+    curve = build_curve(RatPoly([1, 1, 0, 0, 0, 0, 1]))  # x^6 + x + 1
+    assert len(resolvent_j2(curve).parts) == 1
