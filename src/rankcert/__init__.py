@@ -16,13 +16,12 @@ from .certify import (
     Certificate,
     Deg1Evidence,
     OrbitReport,
-    decide_from_irreducibility,
-    decide_from_orbits,
+    decide,
     find_deg1_class,
     render_certificate,
     verify_certificate,
 )
-from .certroots import ComplexBall, RootIsolation, ball_prod, ball_sum, isolate_roots, snap_to_integer
+from .certroots import ComplexBall, RootIsolation, ball_sum, isolate_roots, snap_to_integer
 from .exactpoly import (
     IntPoly,
     RatPoly,
@@ -65,12 +64,10 @@ __all__ = [
     "RatPoly",
     "RootIsolation",
     "ScanOptions",
-    "ball_prod",
     "ball_sum",
     "build_curve",
     "check_good_fiber",
-    "decide_from_irreducibility",
-    "decide_from_orbits",
+    "decide",
     "degree_pattern",
     "discriminant",
     "enumerate_j2_classes",

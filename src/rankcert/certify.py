@@ -2,23 +2,27 @@
 
 A curve with a rational degree-1 divisor class has a Jacobian of
 Mordell-Weil rank >= 1 as soon as it carries no rational nonzero
-two-torsion point and no rational theta characteristic.  Two certification
-paths realize this: `decide_from_orbits` checks all three conditions from
-the Galois orbit data of the resolvents ("direct"), and
-`decide_from_irreducibility` uses the shortcut that a transitive action on
-the nonzero two-torsion of a genus > 1 curve already excludes both
-obstructions ("transitivity").
+two-torsion point and no rational theta characteristic.  `decide` is the
+one decision function and the only place a `Certificate` is built.  It
+applies the rule on one of two paths.  The "direct" path reads all three
+conditions off the Galois orbit data of the resolvents.  The
+"transitivity" path, selected by passing `chi_irreducible`, uses the
+shortcut that a transitive action on the nonzero two-torsion of a
+genus > 1 curve already excludes both obstructions.  Every pipeline
+gathers its data (`deg1_evidence`, the orbit steps in `weierstrass` and
+`theta`, or external resolvents) and calls `decide`.
 
-Certificates are self-contained: `verify_certificate` re-checks every
-embedded arithmetic fact (orbit sums, count formulas, the decision logic)
-without recomputing any resolvent.
+Certificates are self-contained: `verify_certificate` re-checks the
+embedded arithmetic facts (orbit sums, count formulas, hash shapes) and
+replays the document's data through the same `decide` call, without
+recomputing any resolvent.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
@@ -43,9 +47,8 @@ __all__ = [
     "NEEDS_THETA_DATA",
     "INFINITY_WITNESS",
     "find_deg1_class",
-    "decide_from_orbits",
-    "decide_without_theta",
-    "decide_from_irreducibility",
+    "deg1_evidence",
+    "decide",
     "render_certificate",
     "certificate_doc",
     "certificate_from_doc",
@@ -117,10 +120,6 @@ class Reason:
             doc["witness"] = self.witness
         return doc
 
-    @classmethod
-    def from_doc(cls, doc) -> "Reason":
-        return cls(kind=doc["kind"], witness=doc.get("witness"))
-
 
 @dataclass(frozen=True)
 class OrbitReport:
@@ -150,6 +149,8 @@ class OrbitReport:
             )
         if any(v < 1 for v in self.j2_orbits):
             raise MalformedReportError("orbit sizes must be positive")
+        if (self.theta_odd is None) != (self.theta_even is None):
+            raise MalformedReportError("odd and even theta orbits must be given together")
         want_odd = (1 << (g - 1)) * ((1 << g) - 1)
         want_even = (1 << (g - 1)) * ((1 << g) + 1)
         if self.theta_odd is not None and sum(self.theta_odd) != want_odd:
@@ -166,6 +167,11 @@ class OrbitReport:
     @property
     def theta_present(self) -> bool:
         return self.theta_odd is not None and self.theta_even is not None
+
+    @property
+    def transitive(self) -> bool:
+        """One orbit on the nonzero two-torsion: chi is irreducible over Q."""
+        return self.j2_orbits == ((1 << (2 * self.genus)) - 1,)
 
     def to_doc(self) -> dict:
         return {
@@ -193,12 +199,11 @@ class Certificate:
     genus: int
     reasons: tuple
     evidence: Deg1Evidence | None
-    report: OrbitReport | None
+    report: OrbitReport
     chi_irreducible: bool | None = None
     hashes: tuple = ()  # pairs (name, sha256 hex)
     labeling: int | None = None
     inputs_digest: str = ""
-    tool_version: str = __version__
 
     @property
     def certified(self) -> bool:
@@ -256,6 +261,17 @@ def find_deg1_class(
     return None
 
 
+def deg1_evidence(
+    curve: HyperellipticCurve | None, height_bound: int, assert_deg1: bool
+) -> Deg1Evidence | None:
+    """`find_deg1_class` on the curve (skipped without one), else the
+    user's assertion when ``assert_deg1`` is set, else None."""
+    evidence = find_deg1_class(curve, height_bound) if curve is not None else None
+    if evidence is None and assert_deg1:
+        evidence = Deg1Evidence("user-assertion", note="degree-1 class asserted by flag")
+    return evidence
+
+
 def validate_point(f: RatPoly, ev: Deg1Evidence) -> bool:
     """False only for rational-point evidence with y^2 != f(x), exactly."""
     if ev.kind != "rational-point":
@@ -277,148 +293,76 @@ def _ordered_reasons(reasons) -> tuple:
     return tuple(sorted(reasons, key=lambda r: (order.get(r.kind, 99), r.kind)))
 
 
-def decide_from_orbits(
+def decide(
     report: OrbitReport,
     evidence: Deg1Evidence | None,
     *,
+    chi_irreducible: bool | None = None,
     theta_witness: str | None = None,
-    two_torsion_witness: str | None = None,
     hashes: tuple = (),
     labeling: int | None = None,
     inputs_digest: str = "",
 ) -> Certificate:
-    """Apply the three-condition criterion to orbit data ("direct" path).
+    """Apply the rank criterion to orbit data; the one way to a certificate.
 
-    RankAtLeastOne iff a degree-1 class is given, no two-torsion orbit has
-    size 1, and no theta orbit of either parity has size 1; otherwise every
-    failed condition is listed.  ``theta_witness`` may substitute for theta
-    orbit data when a rational theta characteristic is already known (the
-    odd-model shortcut).
-    """
-    report.validate()
-    known_rational_theta = theta_witness is not None and not report.theta_present
-    if not report.theta_present and not known_rational_theta:
-        raise MalformedReportError("theta orbit data missing")
-    reasons = []
-    if 1 in report.j2_orbits:
-        reasons.append(
-            Reason(
-                RATIONAL_TWO_TORSION,
-                two_torsion_witness
-                or "size-1 Galois orbit in the two-torsion resolvent",
-            )
-        )
-    theta_hit = None
-    if known_rational_theta:
-        theta_hit = theta_witness
-    elif report.theta_present:
-        sides = []
-        if 1 in report.theta_odd:
-            sides.append("odd")
-        if 1 in report.theta_even:
-            sides.append("even")
-        if sides:
-            theta_hit = theta_witness or (
-                "size-1 Galois orbit among %s theta characteristics"
-                % " and ".join(sides)
-            )
-    if theta_hit is not None:
-        reasons.append(Reason(RATIONAL_THETA, theta_hit))
-    if evidence is None:
-        reasons.append(Reason(NO_DEG1_CLASS))
-    reasons = _ordered_reasons(reasons)
-    verdict = VERDICT_RANK_AT_LEAST_ONE if not reasons else VERDICT_INCONCLUSIVE
-    return Certificate(
-        verdict=verdict,
-        path=PATH_DIRECT,
-        genus=report.genus,
-        reasons=reasons,
-        evidence=evidence,
-        report=report,
-        hashes=tuple(hashes),
-        labeling=labeling,
-        inputs_digest=inputs_digest,
-    )
+    RankAtLeastOne iff a degree-1 class is given and both obstructions are
+    excluded; otherwise every failed condition is listed.
 
+    Passing ``chi_irreducible`` selects the transitivity path: a transitive
+    action on the nonzero two-torsion of a genus > 1 curve excludes
+    rational two-torsion outright and rational theta characteristics
+    through the parity split.  The flag must agree with the two-torsion
+    orbits.  A reducible chi gives NeedsThetaData; genus 1 cannot conclude
+    (the curve is its own theta-characteristic obstruction).
 
-def decide_without_theta(
-    report: OrbitReport,
-    evidence: Deg1Evidence | None,
-    *,
-    two_torsion_witness: str | None = None,
-    hashes: tuple = (),
-    labeling: int | None = None,
-    inputs_digest: str = "",
-) -> Certificate:
-    """Direct path with the theta side unavailable: always inconclusive.
-
-    Lists rational two-torsion when a size-1 orbit is visible, a missing
-    degree-1 class, and the theta gap itself.
+    Otherwise the direct path reads both obstructions off the orbits: a
+    size-1 two-torsion orbit, a size-1 theta orbit of either parity.
+    ``theta_witness`` names a rational theta characteristic known without
+    theta data (the odd-model shortcut) and stands in for that data; with
+    neither, the theta side is NeedsThetaData.
     """
     report.validate()
     reasons = []
-    if 1 in report.j2_orbits:
-        reasons.append(
-            Reason(
-                RATIONAL_TWO_TORSION,
-                two_torsion_witness
-                or "size-1 Galois orbit in the two-torsion resolvent",
+    if chi_irreducible is not None:
+        path = PATH_TRANSITIVITY
+        if chi_irreducible != report.transitive:
+            raise MalformedReportError("chi_irreducible flag contradicts embedded orbit data")
+        if not chi_irreducible:
+            reasons.append(Reason(NEEDS_THETA_DATA, "two-torsion resolvent is reducible"))
+        if report.genus <= 1:
+            reasons.append(Reason(GENUS_TOO_SMALL))
+    else:
+        path = PATH_DIRECT
+        if 1 in report.j2_orbits:
+            reasons.append(
+                Reason(RATIONAL_TWO_TORSION, "size-1 Galois orbit in the two-torsion resolvent")
             )
-        )
-    if evidence is None:
-        reasons.append(Reason(NO_DEG1_CLASS))
-    reasons.append(Reason(NEEDS_THETA_DATA, "theta resolvents not computed"))
-    return Certificate(
-        verdict=VERDICT_INCONCLUSIVE,
-        path=PATH_DIRECT,
-        genus=report.genus,
-        reasons=_ordered_reasons(reasons),
-        evidence=evidence,
-        report=report,
-        hashes=tuple(hashes),
-        labeling=labeling,
-        inputs_digest=inputs_digest,
-    )
-
-
-def decide_from_irreducibility(
-    chi_irreducible: bool,
-    genus: int,
-    evidence: Deg1Evidence | None,
-    *,
-    j2_orbits: tuple | None = None,
-    hashes: tuple = (),
-    labeling: int | None = None,
-    inputs_digest: str = "",
-) -> Certificate:
-    """The transitivity shortcut: irreducible chi + genus > 1 + degree-1 class.
-
-    Transitive Galois action on the nonzero two-torsion of a genus > 1
-    curve excludes rational two-torsion outright and rational theta
-    characteristics through the parity split, so the direct criterion's
-    conditions hold wholesale.  Genus 1 cannot conclude (the curve is its
-    own theta-characteristic obstruction); a reducible chi defers to the
-    direct path.
-    """
-    reasons = []
-    if not chi_irreducible:
-        reasons.append(
-            Reason(NEEDS_THETA_DATA, "two-torsion resolvent is reducible")
-        )
-    if genus <= 1:
-        reasons.append(Reason(GENUS_TOO_SMALL))
+        if report.theta_present:
+            sides = [
+                side
+                for side, orbits in (("odd", report.theta_odd), ("even", report.theta_even))
+                if 1 in orbits
+            ]
+            if sides:
+                reasons.append(
+                    Reason(
+                        RATIONAL_THETA,
+                        theta_witness
+                        or "size-1 Galois orbit among %s theta characteristics"
+                        % " and ".join(sides),
+                    )
+                )
+        elif theta_witness is not None:
+            reasons.append(Reason(RATIONAL_THETA, theta_witness))
+        else:
+            reasons.append(Reason(NEEDS_THETA_DATA, "theta resolvents not computed"))
     if evidence is None:
         reasons.append(Reason(NO_DEG1_CLASS))
     reasons = _ordered_reasons(reasons)
-    verdict = VERDICT_RANK_AT_LEAST_ONE if not reasons else VERDICT_INCONCLUSIVE
-    report = None
-    if j2_orbits is not None:
-        report = OrbitReport(genus=genus, j2_orbits=tuple(j2_orbits))
-        report.validate()
     return Certificate(
-        verdict=verdict,
-        path=PATH_TRANSITIVITY,
-        genus=genus,
+        verdict=VERDICT_INCONCLUSIVE if reasons else VERDICT_RANK_AT_LEAST_ONE,
+        path=path,
+        genus=report.genus,
         reasons=reasons,
         evidence=evidence,
         report=report,
@@ -445,14 +389,14 @@ def certificate_doc(cert: Certificate, subject: dict | None = None) -> dict:
     """Canonical structured form; timings are never embedded (deterministic bytes)."""
     return {
         "schema_version": 1,
-        "tool": {"name": "rankcert", "version": cert.tool_version},
+        "tool": {"name": "rankcert", "version": __version__},
         "subject": subject or {},
         "genus": cert.genus,
         "verdict": cert.verdict,
         "path": cert.path,
         "reasons": [r.to_doc() for r in cert.reasons],
         "evidence": cert.evidence.to_doc() if cert.evidence else None,
-        "orbits": cert.report.to_doc() if cert.report else None,
+        "orbits": cert.report.to_doc(),
         "chi_irreducible": cert.chi_irreducible,
         "hashes": {k: v for k, v in cert.hashes},
         "labeling": cert.labeling,
@@ -462,21 +406,25 @@ def certificate_doc(cert: Certificate, subject: dict | None = None) -> dict:
 
 
 def certificate_from_doc(doc: dict) -> Certificate:
-    report = None
-    if doc.get("orbits") is not None:
-        report = OrbitReport.from_doc(doc["genus"], doc["orbits"])
-    return Certificate(
-        verdict=doc["verdict"],
-        path=doc["path"],
-        genus=doc["genus"],
-        reasons=tuple(Reason.from_doc(r) for r in doc["reasons"]),
-        evidence=Deg1Evidence.from_doc(doc.get("evidence")),
-        report=report,
+    """The certificate `decide` draws from a document's embedded data.
+
+    The inputs are the orbit report, the evidence, the chi_irreducible
+    flag, the witness of a RationalTheta reason, and the hashes, labelling
+    index and inputs digest.  For a document that `certificate_doc`
+    emitted, the result is the original certificate.
+    """
+    report = OrbitReport.from_doc(doc["genus"], doc["orbits"])
+    theta_witness = next(
+        (r.get("witness") for r in doc["reasons"] if r["kind"] == RATIONAL_THETA), None
+    )
+    return decide(
+        report,
+        Deg1Evidence.from_doc(doc.get("evidence")),
         chi_irreducible=doc.get("chi_irreducible"),
+        theta_witness=theta_witness,
         hashes=tuple(sorted(doc.get("hashes", {}).items())),
         labeling=doc.get("labeling"),
         inputs_digest=doc.get("inputs_digest", ""),
-        tool_version=doc["tool"]["version"],
     )
 
 
@@ -505,13 +453,11 @@ def render_certificate(cert: Certificate) -> str:
         lines.append("degree-1 class: %s" % desc)
     else:
         lines.append("degree-1 class: none")
-    if cert.report is not None:
-        rep = cert.report
-        lines.append("two-torsion orbits: %s" % _fmt_orbits(rep.j2_orbits))
-        if rep.theta_odd is not None:
-            lines.append("odd theta orbits: %s" % _fmt_orbits(rep.theta_odd))
-        if rep.theta_even is not None:
-            lines.append("even theta orbits: %s" % _fmt_orbits(rep.theta_even))
+    rep = cert.report
+    lines.append("two-torsion orbits: %s" % _fmt_orbits(rep.j2_orbits))
+    if rep.theta_present:
+        lines.append("odd theta orbits: %s" % _fmt_orbits(rep.theta_odd))
+        lines.append("even theta orbits: %s" % _fmt_orbits(rep.theta_even))
     if cert.chi_irreducible is not None:
         lines.append(
             "two-torsion resolvent irreducible: %s"
@@ -534,7 +480,7 @@ def render_certificate(cert: Certificate) -> str:
         lines.append("labeling index: %d" % cert.labeling)
     if cert.inputs_digest:
         lines.append("inputs digest: %s" % cert.inputs_digest)
-    lines.append("tool: rankcert %s" % cert.tool_version)
+    lines.append("tool: rankcert %s" % __version__)
     return "\n".join(lines) + "\n"
 
 
@@ -548,9 +494,12 @@ def _fmt_orbits(orbits) -> str:
 def verify_certificate(doc: dict) -> tuple[bool, list]:
     """Re-check a certificate document without recomputing resolvents.
 
-    Validates the schema, the orbit-sum formulas, hash shapes, and re-runs
-    the decision logic on the embedded data; the verdict and reasons must
-    reproduce exactly.
+    Checks the schema and the hash shapes, requires orbit data and a
+    chi_irreducible flag set on the transitivity path and only there, then
+    replays the embedded data through `decide` (via `certificate_from_doc`,
+    which also checks the orbit sums and that the flag agrees with the
+    two-torsion orbits).  The path, verdict and reasons must reproduce
+    exactly.
     """
     problems = []
     for key in ("schema_version", "tool", "genus", "verdict", "path", "reasons"):
@@ -559,69 +508,36 @@ def verify_certificate(doc: dict) -> tuple[bool, list]:
     if problems:
         return False, problems
     if doc["schema_version"] != 1:
-        problems.append("unknown schema_version %r" % doc["schema_version"])
-        return False, problems
-    try:
-        cert = certificate_from_doc(doc)
-    except (KeyError, TypeError, ValueError) as exc:
-        return False, ["unparseable certificate: %s" % exc]
-    if cert.verdict not in (VERDICT_RANK_AT_LEAST_ONE, VERDICT_INCONCLUSIVE):
-        problems.append("unknown verdict %r" % cert.verdict)
-    if cert.path not in (PATH_DIRECT, PATH_TRANSITIVITY):
-        problems.append("unknown path %r" % cert.path)
-    if cert.report is not None:
-        try:
-            cert.report.validate()
-        except MalformedReportError as exc:
-            problems.append(str(exc))
-    for name, value in cert.hashes:
-        if len(value) != 64 or any(ch not in "0123456789abcdef" for ch in value):
+        return False, ["unknown schema_version %r" % doc["schema_version"]]
+    if doc.get("orbits") is None:
+        problems.append("certificate without orbit data")
+    flagged = doc.get("chi_irreducible") is not None
+    if doc["path"] == PATH_TRANSITIVITY and not flagged:
+        problems.append("transitivity path without chi_irreducible flag")
+    if doc["path"] != PATH_TRANSITIVITY and flagged:
+        problems.append("chi_irreducible flag set on the %s path" % doc["path"])
+    hashes = doc.get("hashes") or {}
+    if not isinstance(hashes, dict):
+        problems.append("hashes is not an object")
+        hashes = {}
+    for name, value in hashes.items():
+        if not isinstance(value, str) or len(value) != 64 or any(
+            ch not in "0123456789abcdef" for ch in value
+        ):
             problems.append("hash %s is not sha256 hex" % name)
     if problems:
         return False, problems
-
-    # replay the decision on the embedded data
-    if cert.path == PATH_TRANSITIVITY:
-        if cert.chi_irreducible is None:
-            problems.append("transitivity path without chi_irreducible flag")
-        else:
-            if cert.report is not None:
-                want = ((1 << (2 * cert.genus)) - 1,)
-                if cert.chi_irreducible != (cert.report.j2_orbits == want):
-                    problems.append(
-                        "chi_irreducible flag contradicts embedded orbit data"
-                    )
-            replay = decide_from_irreducibility(
-                cert.chi_irreducible, cert.genus, cert.evidence
-            )
-            if replay.verdict != cert.verdict:
-                problems.append("verdict does not replay from embedded data")
-            if replay.reason_kinds() != cert.reason_kinds():
-                problems.append("reasons do not replay from embedded data")
-    else:
-        if cert.report is None:
-            problems.append("direct path without orbit data")
-        else:
-            replay = None
-            if cert.report.theta_present:
-                replay = decide_from_orbits(cert.report, cert.evidence)
-            elif NEEDS_THETA_DATA in cert.reason_kinds():
-                replay = decide_without_theta(cert.report, cert.evidence)
-            else:
-                hits = [r for r in cert.reasons if r.kind == RATIONAL_THETA]
-                if hits:
-                    replay = decide_from_orbits(
-                        cert.report,
-                        cert.evidence,
-                        theta_witness=hits[0].witness or INFINITY_WITNESS,
-                    )
-                else:
-                    problems.append("direct path lacks theta data and theta reason")
-            if replay is not None:
-                if replay.verdict != cert.verdict:
-                    problems.append("verdict does not replay from embedded data")
-                if replay.reason_kinds() != cert.reason_kinds():
-                    problems.append("reasons do not replay from embedded data")
-    if cert.certified and cert.evidence is None:
-        problems.append("certified without degree-1 evidence")
+    try:
+        replay = certificate_doc(certificate_from_doc(doc))
+    except MalformedReportError as exc:
+        return False, [str(exc)]
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        return False, ["unparseable certificate: %s" % exc]
+    for key, problem in (
+        ("path", "path does not replay from embedded data"),
+        ("verdict", "verdict does not replay from embedded data"),
+        ("reasons", "reasons do not replay from embedded data"),
+    ):
+        if doc[key] != replay[key]:
+            problems.append(problem)
     return (not problems), problems

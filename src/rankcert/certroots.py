@@ -34,7 +34,6 @@ __all__ = [
     "PrecisionExhausted",
     "isolate_roots",
     "ball_sum",
-    "ball_prod",
     "eval_poly_ball",
     "snap_to_integer",
     "PRECISION_CAP",
@@ -187,9 +186,6 @@ class ComplexBall:
             rad = rad.add(Mag(3, -P - 1))
         return ComplexBall(re, im, P, rad)
 
-    def conj(self) -> "ComplexBall":
-        return ComplexBall(self.re, -self.im, self.prec, self.rad)
-
     def contains_zero(self) -> bool:
         """True iff |mid| <= rad, i.e. 0 may lie in the disk."""
         mid_sq = Fraction(self.re * self.re + self.im * self.im, 1 << (2 * self.prec))
@@ -213,17 +209,6 @@ def ball_sum(values) -> ComplexBall:
     acc = values[0]
     for v in values[1:]:
         acc = acc.add(v)
-    return acc
-
-
-def ball_prod(values) -> ComplexBall:
-    """Product with rigorous radius propagation."""
-    values = list(values)
-    if not values:
-        raise ValueError("ball_prod of an empty sequence")
-    acc = values[0]
-    for v in values[1:]:
-        acc = acc.mul(v)
     return acc
 
 

@@ -40,38 +40,29 @@ from importlib import resources
 
 from . import __version__
 from .certify import (
+    DEFAULT_HEIGHT_BOUND,
     Deg1Evidence,
     INFINITY_WITNESS,
     OrbitReport,
-    PATH_TRANSITIVITY,
     canonical_json,
     certificate_doc,
-    decide_from_irreducibility,
-    decide_from_orbits,
-    decide_without_theta,
+    decide,
+    deg1_evidence,
     digest_text,
-    find_deg1_class,
     render_certificate,
     validate_point,
     verify_certificate,
 )
 from .exactpoly import RatPoly, format_poly, poly_digest
-from .factorq import (
-    BadPrimeError,
-    _primes_from,
-    degree_pattern,
-    factor_over_q,
-    is_irreducible_over_q,
-    is_squarefree,
-)
+from .factorq import BadPrimeError, _primes_from, degree_pattern, factor_over_q, is_squarefree
 from .family import FamilyCurve, ScanOptions, check_good_fiber, scan
-from .theta import resolvent_theta, theta_class_counts, theta_orbit_decomposition
+from .theta import theta_class_counts, theta_data
 from .weierstrass import (
     ODD,
     build_curve,
     frobenius_orbit_oracle,
-    orbit_decomposition,
     resolvent_j2,
+    two_torsion_data,
 )
 
 __all__ = [
@@ -143,9 +134,6 @@ class _BiPoly:
 
     def deg_x(self):
         return max((a for a, _ in self.terms), default=-1)
-
-    def deg_t(self):
-        return max((b for _, b in self.terms), default=-1)
 
 
 _TOKEN_RE = re.compile(r"(\d+)|([A-Za-z]+)|([-+*^/()])")
@@ -365,72 +353,41 @@ def pipeline_hyperelliptic(
     f: RatPoly,
     *,
     assert_deg1: bool = False,
-    height_bound: int = 1000,
+    height_bound: int = DEFAULT_HEIGHT_BOUND,
     full_theta: bool = False,
 ):
-    """Full certification pipeline for y^2 = f(x); returns (Certificate, curve)."""
+    """Certification pipeline for y^2 = f(x); returns (Certificate, curve).
+
+    A transitive two-torsion action concludes on the transitivity path
+    unless ``full_theta`` asks for the direct criterion on theta data.
+    Odd-degree models pass the rational theta witness (g-1)*infinity.
+    """
     curve = build_curve(f)
-    evidence = find_deg1_class(curve, height_bound)
-    if evidence is None and assert_deg1:
-        evidence = Deg1Evidence("user-assertion", note="degree-1 class asserted by flag")
-    res = resolvent_j2(curve)
-    hashes = [("chi", poly_digest(res.chi.coeffs))]
-    inputs_digest = digest_text("hyperelliptic;f=%s" % f)
-    j2 = orbit_decomposition(res)
-    expected = (1 << (2 * curve.genus)) - 1
-    if j2 == (expected,) and not full_theta:
-        cert = decide_from_irreducibility(
-            True,
-            curve.genus,
-            evidence,
-            j2_orbits=j2,
-            hashes=tuple(hashes),
-            labeling=res.labeling.c,
-            inputs_digest=inputs_digest,
-        )
-        return cert, curve
+    evidence = deg1_evidence(curve, height_bound, assert_deg1)
+    j2, hashes, labeling = two_torsion_data(curve)
+    report = OrbitReport(curve.genus, j2)
+    chi_irreducible = None
     if full_theta:
-        th = resolvent_theta(curve)
-        hashes.append(("chi_odd", poly_digest(th.chi_odd.coeffs)))
-        hashes.append(("chi_even", poly_digest(th.chi_even.coeffs)))
-        theta_odd, theta_even = theta_orbit_decomposition(th)
-        report = OrbitReport(
-            genus=curve.genus,
-            j2_orbits=j2,
-            theta_odd=theta_odd,
-            theta_even=theta_even,
-        )
-        cert = decide_from_orbits(
-            report,
-            evidence,
-            theta_witness=INFINITY_WITNESS if curve.parity == ODD else None,
-            hashes=tuple(hashes),
-            labeling=res.labeling.c,
-            inputs_digest=inputs_digest,
-        )
-    elif curve.parity == ODD:
-        report = OrbitReport(genus=curve.genus, j2_orbits=j2)
-        cert = decide_from_orbits(
-            report,
-            evidence,
-            theta_witness=INFINITY_WITNESS,
-            hashes=tuple(hashes),
-            labeling=res.labeling.c,
-            inputs_digest=inputs_digest,
-        )
-    else:
-        report = OrbitReport(genus=curve.genus, j2_orbits=j2)
-        cert = decide_without_theta(
-            report,
-            evidence,
-            hashes=tuple(hashes),
-            labeling=res.labeling.c,
-            inputs_digest=inputs_digest,
-        )
+        theta_odd, theta_even, theta_hashes = theta_data(curve)
+        report = OrbitReport(curve.genus, j2, theta_odd, theta_even)
+        hashes += theta_hashes
+    elif report.transitive:
+        chi_irreducible = True
+    cert = decide(
+        report,
+        evidence,
+        chi_irreducible=chi_irreducible,
+        theta_witness=INFINITY_WITNESS if curve.parity == ODD else None,
+        hashes=hashes,
+        labeling=labeling,
+        inputs_digest=digest_text("hyperelliptic;f=%s" % f),
+    )
     return cert, curve
 
 
 def _pipeline_chi(chi: RatPoly, genus: int, evidence, theta_odd=None, theta_even=None):
+    """Certification from an external chi; the theta resolvents are used
+    only when chi is reducible."""
     expected = (1 << (2 * genus)) - 1
     if chi.degree != expected:
         raise ValueError(
@@ -440,56 +397,33 @@ def _pipeline_chi(chi: RatPoly, genus: int, evidence, theta_odd=None, theta_even
     chi_int = chi.to_int()[1]
     if not is_squarefree(chi_int):
         raise ValueError("chi is not squarefree (not an etale-algebra resolvent)")
-    hashes = [("chi", poly_digest(chi_int.coeffs))]
-    digest_parts = ["chi;g=%d" % genus, poly_digest(chi_int.coeffs)]
-    irreducible = is_irreducible_over_q(chi)
-    if irreducible:
-        cert = decide_from_irreducibility(
-            True,
-            genus,
-            evidence,
-            j2_orbits=(expected,),
-            hashes=tuple(hashes),
-            inputs_digest=digest_text(";".join(digest_parts)),
-        )
-        return cert, irreducible
-    j2 = factor_over_q(chi).degrees()
-    if theta_odd is not None and theta_even is not None:
+    hashes = (("chi", poly_digest(chi_int.coeffs)),)
+    report = OrbitReport(genus, factor_over_q(chi).degrees())
+    if not report.transitive and theta_odd is not None and theta_even is not None:
         want_odd, want_even = theta_class_counts(genus)
         if theta_odd.degree != want_odd or theta_even.degree != want_even:
             raise ValueError(
                 "theta resolvent degrees (%d, %d) do not match genus %d (%d, %d)"
                 % (theta_odd.degree, theta_even.degree, genus, want_odd, want_even)
             )
-        to_int = theta_odd.to_int()[1]
-        te_int = theta_even.to_int()[1]
-        for name, poly in (("odd", to_int), ("even", te_int)):
-            if not is_squarefree(poly):
+        for name, poly in (("odd", theta_odd), ("even", theta_even)):
+            poly_int = poly.to_int()[1]
+            if not is_squarefree(poly_int):
                 raise ValueError("theta %s resolvent is not squarefree" % name)
-        hashes.append(("chi_odd", poly_digest(to_int.coeffs)))
-        hashes.append(("chi_even", poly_digest(te_int.coeffs)))
-        digest_parts += [poly_digest(to_int.coeffs), poly_digest(te_int.coeffs)]
+            hashes += (("chi_" + name, poly_digest(poly_int.coeffs)),)
         report = OrbitReport(
-            genus=genus,
-            j2_orbits=j2,
-            theta_odd=factor_over_q(theta_odd).degrees(),
-            theta_even=factor_over_q(theta_even).degrees(),
+            genus,
+            report.j2_orbits,
+            factor_over_q(theta_odd).degrees(),
+            factor_over_q(theta_even).degrees(),
         )
-        cert = decide_from_orbits(
-            report,
-            evidence,
-            hashes=tuple(hashes),
-            inputs_digest=digest_text(";".join(digest_parts)),
-        )
-    else:
-        report = OrbitReport(genus=genus, j2_orbits=j2)
-        cert = decide_without_theta(
-            report,
-            evidence,
-            hashes=tuple(hashes),
-            inputs_digest=digest_text(";".join(digest_parts)),
-        )
-    return cert, irreducible
+    return decide(
+        report,
+        evidence,
+        chi_irreducible=True if report.transitive else None,
+        hashes=hashes,
+        inputs_digest=digest_text(";".join(["chi;g=%d" % genus] + [h for _, h in hashes])),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -515,16 +449,12 @@ def _cmd_certify_hyperelliptic(args):
 
 def _cmd_certify_chi(args):
     chi = load_chi_fixture(args.file)
-    evidence = (
-        Deg1Evidence("user-assertion", note="degree-1 class asserted by flag")
-        if args.assert_deg1_class
-        else None
-    )
+    evidence = deg1_evidence(None, 0, args.assert_deg1_class)
     theta_odd = load_chi_fixture(args.theta_odd) if args.theta_odd else None
     theta_even = load_chi_fixture(args.theta_even) if args.theta_even else None
     if (theta_odd is None) != (theta_even is None):
         raise ValueError("--theta-odd and --theta-even must be given together")
-    cert, _irr = _pipeline_chi(chi, args.genus, evidence, theta_odd, theta_even)
+    cert = _pipeline_chi(chi, args.genus, evidence, theta_odd, theta_even)
     subject = {"kind": "external-chi", "chi_degree": chi.degree, "genus": args.genus}
     return _emit_certificate(cert, subject, args.json)
 
@@ -546,16 +476,12 @@ def _cmd_certify_orbits(args):
         theta_odd=_parse_orbit_list(args.theta_odd),
         theta_even=_parse_orbit_list(args.theta_even),
     )
-    evidence = (
-        Deg1Evidence("user-assertion", note="degree-1 class asserted by flag")
-        if args.assert_deg1_class
-        else None
-    )
+    evidence = deg1_evidence(None, 0, args.assert_deg1_class)
     digest = digest_text(
         "orbits;g=%d;j2=%s;odd=%s;even=%s"
         % (args.genus, report.j2_orbits, report.theta_odd, report.theta_even)
     )
-    cert = decide_from_orbits(report, evidence, inputs_digest=digest)
+    cert = decide(report, evidence, inputs_digest=digest)
     subject = {"kind": "orbit-data", "genus": args.genus}
     return _emit_certificate(cert, subject, args.json)
 
@@ -563,27 +489,23 @@ def _cmd_certify_orbits(args):
 def _cmd_orbits_hyperelliptic(args):
     f = parse_poly(args.f)
     curve = build_curve(f)
-    res = resolvent_j2(curve)
-    j2 = orbit_decomposition(res)
+    j2, hashes, labeling = two_torsion_data(curve)
+    theta_odd = theta_even = None
+    if args.theta:
+        theta_odd, theta_even, theta_hashes = theta_data(curve)
+        hashes += theta_hashes
     doc = {
         "schema_version": 1,
         "tool": {"name": "rankcert", "version": __version__},
         "command": "orbits",
         "f": str(f),
         "genus": curve.genus,
-        "labeling": res.labeling.c,
+        "labeling": labeling,
         "j2": list(j2),
-        "theta_odd": None,
-        "theta_even": None,
-        "hashes": {"chi": poly_digest(res.chi.coeffs)},
+        "theta_odd": list(theta_odd) if args.theta else None,
+        "theta_even": list(theta_even) if args.theta else None,
+        "hashes": dict(hashes),
     }
-    if args.theta:
-        th = resolvent_theta(curve)
-        theta_odd, theta_even = theta_orbit_decomposition(th)
-        doc["theta_odd"] = list(theta_odd)
-        doc["theta_even"] = list(theta_even)
-        doc["hashes"]["chi_odd"] = poly_digest(th.chi_odd.coeffs)
-        doc["hashes"]["chi_even"] = poly_digest(th.chi_even.coeffs)
     if args.json:
         return 0, canonical_json(doc) + "\n"
     lines = [
@@ -814,7 +736,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ch = csub.add_parser("hyperelliptic", help="certify a curve y^2 = f(x)")
     ch.add_argument("--f", required=True, help="polynomial in x, e.g. 'x^6+x+1'")
     ch.add_argument("--assert-deg1-class", action="store_true")
-    ch.add_argument("--height-bound", type=int, default=1000)
+    ch.add_argument("--height-bound", type=int, default=DEFAULT_HEIGHT_BOUND)
     ch.add_argument("--full-criterion", action="store_true",
                     help="always compute theta resolvents for the direct criterion")
     ch.add_argument("--json", action="store_true")
@@ -856,7 +778,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="verify transitivity at this designated fiber first")
     fs.add_argument("--full-criterion", action="store_true")
     fs.add_argument("--assert-deg1-class", action="store_true")
-    fs.add_argument("--height-bound", type=int, default=1000)
+    fs.add_argument("--height-bound", type=int, default=DEFAULT_HEIGHT_BOUND)
     fs.add_argument("--json", action="store_true")
     fs.set_defaults(func=_cmd_family_scan)
 

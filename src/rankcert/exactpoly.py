@@ -322,9 +322,6 @@ class RatPoly:
             return Fraction(0)
         return self.coeffs[-1]
 
-    def coefficient(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
-
     def __bool__(self):
         return bool(self.coeffs)
 
@@ -455,9 +452,6 @@ class IntPoly:
         """Primitive part with positive leading coefficient."""
         return IntPoly(_zprimitive(list(self.coeffs)))
 
-    def coefficient(self, k: int) -> int:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
-
     def __bool__(self):
         return bool(self.coeffs)
 
@@ -503,9 +497,6 @@ class IntPoly:
 
     def to_rat(self) -> RatPoly:
         return RatPoly(self.coeffs)
-
-    def max_norm(self) -> int:
-        return max((abs(c) for c in self.coeffs), default=0)
 
     def __str__(self):
         return format_poly(self.coeffs)

@@ -614,9 +614,12 @@ def _mignotte_bound(F: IntPoly) -> int:
 
 
 def _candidate_primes(F: IntPoly, want: int = 8, max_scan: int = 400):
-    """First `want` primes > deg F giving a squarefree reduction, with their
-    modular factor counts and degree patterns (from distinct-degree data)."""
+    """Pairs (modular factor count, p) for primes p > deg F giving a
+    squarefree reduction, and the factor degrees their distinct-degree
+    patterns allow: the first `want` primes, or fewer once the patterns
+    prove F irreducible."""
     out = []
+    patterns = []
     scanned = 0
     for p in _primes_from(F.degree + 1):
         scanned += 1
@@ -630,14 +633,14 @@ def _candidate_primes(F: IntPoly, want: int = 8, max_scan: int = 400):
         degs = []
         for prodpoly, d in gf_ddf(gf_monic(fp, p), p):
             degs.extend([d] * ((len(prodpoly) - 1) // d))
-        out.append((len(degs), p, tuple(sorted(degs))))
-        if len(degs) == 1:
-            break
-        if len(out) >= want:
+        out.append((len(degs), p))
+        patterns.append(DegreePattern(p, tuple(degs)))
+        allowed = possible_degrees(patterns, F.degree)
+        if allowed == {0, F.degree} or len(out) >= want:
             break
     if not out:
         raise RuntimeError("no usable prime found (is the input squarefree?)")
-    return out
+    return out, possible_degrees(patterns, F.degree)
 
 
 def _zassenhaus(F: IntPoly) -> list[IntPoly]:
@@ -645,15 +648,10 @@ def _zassenhaus(F: IntPoly) -> list[IntPoly]:
     n = F.degree
     if n == 1:
         return [F]
-    cands = _candidate_primes(F)
-    if min(c[0] for c in cands) == 1:
-        return [F]
-    allowed = possible_degrees(
-        [DegreePattern(p, degs) for _, p, degs in cands], n
-    )
+    cands, allowed = _candidate_primes(F)
     if allowed == {0, n}:
         return [F]
-    nf, p, _ = min(cands)
+    _, p = min(cands)
     fp = gf_monic(gf_from_int(F.coeffs, p), p)
     modular = gf_factor_sqf_monic(fp, p)
     bound = _mignotte_bound(F)
@@ -750,33 +748,14 @@ def factor_over_q(f: RatPoly) -> FactorizationQ:
     return result
 
 
-def is_irreducible_over_q(f: RatPoly, max_primes: int = 12) -> bool:
+def is_irreducible_over_q(f: RatPoly) -> bool:
     """True iff f is irreducible over Q (degree >= 1).
 
-    Fast path: degree patterns at up to ``max_primes`` good primes; the
-    subset-sum intersection {0, deg} certifies irreducibility.  Falls back
-    to full factorization when the patterns stay inconclusive.
+    A thin wrapper over `factor_over_q`, whose prime screen stops as soon
+    as the degree patterns prove irreducibility.
     """
-    d = f.degree
-    if d < 1:
+    if f.degree < 1:
         raise ValueError("irreducibility needs degree >= 1")
-    if d == 1:
-        return True
-    _, F = f.to_int()
-    if not is_squarefree(F):
-        return False
-    patterns = []
-    good = 0
-    for p in _primes_from(d + 1):
-        try:
-            patterns.append(degree_pattern(F, p))
-        except BadPrimeError:
-            continue
-        good += 1
-        if possible_degrees(patterns, d) == {0, d}:
-            return True
-        if good >= max_primes:
-            break
     fac = factor_over_q(f)
     return len(fac.factors) == 1 and fac.factors[0][1] == 1
 

@@ -5,11 +5,14 @@ t.  Finitely many parameter values are excluded: z1 collects the rational
 roots of the coefficient denominators and of the discriminant numerator,
 z2 the rational roots of the discriminant and leading-coefficient
 numerators (degenerate or bad-reduction fibers).  Away from them each
-integer fiber is certified independently: build the curve, find a
-degree-1 class, compute the two-torsion resolvent, and conclude through
-the transitivity shortcut, falling back to the full theta computation on
-request.  No generic resolvent over Q(t) is ever formed; per-fiber
-recomputation is both simpler and strictly verified.
+integer fiber is certified independently by the steps the curve pipeline
+uses: build the curve, find a degree-1 class (`certify.deg1_evidence`),
+read the two-torsion orbits (`weierstrass.two_torsion_data`), and call
+`certify.decide`.  A transitive action concludes through the
+transitivity shortcut; a reducible chi is reported as NeedsThetaData on
+that path, or, on request, decided on the direct path from the theta
+orbits (`theta.theta_data`).  No generic resolvent over Q(t) is ever
+formed; per-fiber recomputation is both simpler and strictly verified.
 
 The discriminant of f_t in x is computed exactly by evaluation and
 Lagrange interpolation: the resultant Res_x(F, F') specializes correctly
@@ -23,25 +26,22 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .certify import (
-    Certificate,
-    Deg1Evidence,
-    OrbitReport,
-    decide_from_irreducibility,
-    decide_from_orbits,
-    digest_text,
-    find_deg1_class,
     DEFAULT_HEIGHT_BOUND,
+    Certificate,
+    OrbitReport,
+    decide,
+    deg1_evidence,
+    digest_text,
 )
 from .certroots import PrecisionExhausted
-from .exactpoly import IntPoly, RatPoly, poly_digest, poly_gcd, resultant
-from .factorq import is_irreducible_over_q, rational_roots
-from .theta import resolvent_theta, theta_orbit_decomposition
+from .exactpoly import IntPoly, RatPoly, poly_gcd, resultant
+from .factorq import rational_roots
+from .theta import theta_data
 from .weierstrass import (
     NoInjectiveLabelingError,
     SingularModelError,
     build_curve,
-    orbit_decomposition,
-    resolvent_j2,
+    two_torsion_data,
 )
 
 __all__ = [
@@ -249,54 +249,29 @@ def certify_fiber(
     a: Fraction,
     options: ScanOptions = ScanOptions(),
 ) -> Certificate:
-    """Run the per-fiber pipeline at t = a (caller screens exclusions)."""
+    """Run the per-fiber pipeline at t = a (caller screens exclusions).
+
+    The transitivity path is taken unless chi is reducible and
+    ``options.full_theta`` asks for the direct criterion on theta data.
+    """
     a = Fraction(a)
-    f = fam.specialize(a)
-    curve = build_curve(f)
-    evidence = find_deg1_class(curve, options.height_bound)
-    if evidence is None and options.assert_deg1:
-        evidence = Deg1Evidence("user-assertion", note="degree-1 class asserted")
-    digest = _fiber_inputs_digest(fam, a)
-    res = resolvent_j2(curve)
-    hashes = [("chi", poly_digest(res.chi.coeffs))]
-    # several size strata make chi reducible without any test
-    if len(res.parts) == 1 and is_irreducible_over_q(res.chi.to_rat()):
-        return decide_from_irreducibility(
-            True,
-            curve.genus,
-            evidence,
-            j2_orbits=((1 << (2 * curve.genus)) - 1,),
-            hashes=tuple(hashes),
-            labeling=res.labeling.c,
-            inputs_digest=digest,
-        )
-    j2_orbits = orbit_decomposition(res)
-    if not options.full_theta:
-        return decide_from_irreducibility(
-            False,
-            curve.genus,
-            evidence,
-            j2_orbits=j2_orbits,
-            hashes=tuple(hashes),
-            labeling=res.labeling.c,
-            inputs_digest=digest,
-        )
-    theta_res = resolvent_theta(curve)
-    theta_odd, theta_even = theta_orbit_decomposition(theta_res)
-    report = OrbitReport(
-        genus=curve.genus,
-        j2_orbits=j2_orbits,
-        theta_odd=theta_odd,
-        theta_even=theta_even,
-    )
-    hashes.append(("chi_odd", poly_digest(theta_res.chi_odd.coeffs)))
-    hashes.append(("chi_even", poly_digest(theta_res.chi_even.coeffs)))
-    return decide_from_orbits(
+    curve = build_curve(fam.specialize(a))
+    evidence = deg1_evidence(curve, options.height_bound, options.assert_deg1)
+    j2, hashes, labeling = two_torsion_data(curve)
+    report = OrbitReport(curve.genus, j2)
+    chi_irreducible = report.transitive
+    if options.full_theta and not chi_irreducible:
+        theta_odd, theta_even, theta_hashes = theta_data(curve)
+        report = OrbitReport(curve.genus, j2, theta_odd, theta_even)
+        hashes += theta_hashes
+        chi_irreducible = None
+    return decide(
         report,
         evidence,
-        hashes=tuple(hashes),
-        labeling=res.labeling.c,
-        inputs_digest=digest,
+        chi_irreducible=chi_irreducible,
+        hashes=hashes,
+        labeling=labeling,
+        inputs_digest=_fiber_inputs_digest(fam, a),
     )
 
 
@@ -312,10 +287,9 @@ def check_good_fiber(fam: FamilyCurve, b: Fraction) -> tuple[bool, OrbitReport]:
     if kind is not None:
         raise ValueError(f"t={b} is excluded ({kind})")
     curve = build_curve(fam.specialize(b))
-    res = resolvent_j2(curve)
-    orbits = orbit_decomposition(res)
-    report = OrbitReport(genus=curve.genus, j2_orbits=orbits)
-    return orbits == ((1 << (2 * curve.genus)) - 1,), report
+    j2, _hashes, _labeling = two_torsion_data(curve)
+    report = OrbitReport(genus=curve.genus, j2_orbits=j2)
+    return report.transitive, report
 
 
 def scan(

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .certroots import isolate_roots
-from .exactpoly import IntPoly
+from .exactpoly import IntPoly, poly_digest
 from .factorq import (
     BadPrimeError,
     degree_pattern,
@@ -50,6 +50,7 @@ __all__ = [
     "enumerate_theta_classes",
     "resolvent_theta",
     "theta_orbit_decomposition",
+    "theta_data",
     "has_rational_theta",
     "theta_class_counts",
     "frobenius_theta_oracle",
@@ -169,6 +170,17 @@ def resolvent_theta(curve: HyperellipticCurve) -> ThetaResolvents:
 def theta_orbit_decomposition(res: ThetaResolvents) -> tuple[tuple, tuple]:
     """Sorted factor degrees over Q of chi_odd and of chi_even."""
     return part_degrees(res.odd_parts), part_degrees(res.even_parts)
+
+
+def theta_data(curve: HyperellipticCurve) -> tuple:
+    """The theta step of every pipeline: (odd orbit sizes, even orbit
+    sizes, hashes of chi_odd and chi_even)."""
+    res = resolvent_theta(curve)
+    hashes = (
+        ("chi_odd", poly_digest(res.chi_odd.coeffs)),
+        ("chi_even", poly_digest(res.chi_even.coeffs)),
+    )
+    return (*theta_orbit_decomposition(res), hashes)
 
 
 def _witness_class(curve, classes, labeling, value: int, parity_odd: bool):

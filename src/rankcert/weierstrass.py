@@ -52,6 +52,7 @@ __all__ = [
     "enumerate_j2_classes",
     "resolvent_j2",
     "orbit_decomposition",
+    "two_torsion_data",
     "part_degrees",
     "size_strata",
     "frobenius_orbit_oracle",
@@ -112,8 +113,6 @@ class SubsetClass:
     def size(self) -> int:
         return bin(self.mask).count("1")
 
-    def indices(self) -> tuple:
-        return tuple(i for i in range(self.nroots) if self.mask >> i & 1)
 
 
 @dataclass(frozen=True)
@@ -390,6 +389,13 @@ def part_degrees(parts) -> tuple:
 def orbit_decomposition(r: TwoTorsionResolvent) -> tuple:
     """Sorted degrees of the irreducible factors of chi over Q."""
     return part_degrees(r.parts)
+
+
+def two_torsion_data(curve: HyperellipticCurve) -> tuple:
+    """The two-torsion step of every pipeline: (orbit sizes, hashes,
+    labelling index), with hashes ``(("chi", sha256 of chi),)``."""
+    res = resolvent_j2(curve)
+    return orbit_decomposition(res), (("chi", poly_digest(res.chi.coeffs)),), res.labeling.c
 
 
 # ---------------------------------------------------------------------------

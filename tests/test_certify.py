@@ -5,7 +5,6 @@ from math import gcd, isqrt
 import pytest
 
 from rankcert.certify import (
-    Certificate,
     Deg1Evidence,
     GENUS_TOO_SMALL,
     INFINITY_WITNESS,
@@ -21,9 +20,7 @@ from rankcert.certify import (
     VERDICT_RANK_AT_LEAST_ONE,
     certificate_doc,
     certificate_from_doc,
-    decide_from_irreducibility,
-    decide_from_orbits,
-    decide_without_theta,
+    decide,
     find_deg1_class,
     render_certificate,
     verify_certificate,
@@ -34,85 +31,169 @@ from rankcert.weierstrass import build_curve
 ASSERTED = Deg1Evidence("user-assertion", note="asserted")
 QUARTIC_REPORT = OrbitReport(genus=3, j2_orbits=(3, 12, 48), theta_odd=(4, 24), theta_even=(12, 24))
 
+R2T, RTH, NODEG1, SMALL, NEEDS = (
+    RATIONAL_TWO_TORSION, RATIONAL_THETA, NO_DEG1_CLASS, GENUS_TOO_SMALL, NEEDS_THETA_DATA
+)
+# (genus, kind) -> (theta_odd, theta_even); genus 1 always has a rational
+# odd theta characteristic, so it has no "clean" data
+THETA_DATA = {
+    (2, "clean"): ((6,), (10,)),
+    (2, "rational"): ((1, 5), (1, 9)),
+    (1, "rational"): ((1,), (1, 2)),
+}
+
+# decide over path x theta data x witness x evidence x genus; the
+# transitivity path ignores theta data, witness and two-torsion orbits
+# beyond the irreducibility they imply.
+# (chi_irreducible, genus, j2, theta, witness, evidence) -> reason kinds
+DECIDE_TABLE = [
+    # transitivity path
+    (True, 2, (15,), None, None, True, ()),
+    (True, 2, (15,), None, None, False, (NODEG1,)),
+    (True, 2, (15,), "clean", INFINITY_WITNESS, True, ()),
+    (False, 2, (5, 10), None, None, True, (NEEDS,)),
+    (False, 2, (1, 2, 12), "rational", INFINITY_WITNESS, False, (NODEG1, NEEDS)),
+    (True, 1, (3,), None, None, True, (SMALL,)),
+    (True, 1, (3,), "rational", INFINITY_WITNESS, False, (NODEG1, SMALL)),
+    (False, 1, (1, 2), None, None, False, (NODEG1, SMALL, NEEDS)),
+    # direct path, theta data present
+    (None, 2, (15,), "clean", None, True, ()),
+    (None, 2, (15,), "clean", None, False, (NODEG1,)),
+    (None, 2, (15,), "clean", INFINITY_WITNESS, True, ()),
+    (None, 2, (15,), "rational", None, True, (RTH,)),
+    (None, 2, (1, 2, 12), "rational", INFINITY_WITNESS, False, (R2T, RTH, NODEG1)),
+    (None, 2, (1, 2, 12), "clean", None, True, (R2T,)),
+    (None, 1, (3,), "rational", None, True, (RTH,)),
+    (None, 1, (1, 2), "rational", INFINITY_WITNESS, False, (R2T, RTH, NODEG1)),
+    # direct path, theta data absent
+    (None, 2, (15,), None, None, True, (NEEDS,)),
+    (None, 2, (1, 2, 12), None, None, False, (R2T, NODEG1, NEEDS)),
+    (None, 2, (5, 10), None, INFINITY_WITNESS, True, (RTH,)),
+    (None, 2, (1, 2, 12), None, INFINITY_WITNESS, True, (R2T, RTH)),
+    (None, 1, (3,), None, None, True, (NEEDS,)),
+    (None, 1, (1, 2), None, INFINITY_WITNESS, False, (R2T, RTH, NODEG1)),
+]
+
+
+def _table_id(row):
+    irr, g, j2, theta, witness, evidence, _ = row
+    path = "direct" if irr is None else "transitivity-%s" % ("irr" if irr else "red")
+    return "%s-g%d-j2=%s-theta=%s-%s-%s" % (
+        path, g, ",".join(map(str, j2)), theta, "witness" if witness else "nowitness",
+        "evidence" if evidence else "noevidence",
+    )
+
+
+@pytest.mark.parametrize("row", DECIDE_TABLE, ids=[_table_id(r) for r in DECIDE_TABLE])
+def test_decide_table(row):
+    irr, g, j2, theta, witness, has_evidence, kinds = row
+    odd, even = THETA_DATA[(g, theta)] if theta else (None, None)
+    report = OrbitReport(g, j2, odd, even)
+    evidence = ASSERTED if has_evidence else None
+    cert = decide(report, evidence, chi_irreducible=irr, theta_witness=witness)
+    assert cert.path == (PATH_DIRECT if irr is None else PATH_TRANSITIVITY)
+    assert cert.reason_kinds() == kinds
+    assert cert.verdict == (VERDICT_INCONCLUSIVE if kinds else VERDICT_RANK_AT_LEAST_ONE)
+    assert (cert.genus, cert.report, cert.evidence, cert.chi_irreducible) == (g, report, evidence, irr)
+    if irr is None and witness and RTH in kinds:
+        assert cert.reasons[kinds.index(RTH)].witness == witness
+    # every row replays through verify_certificate
+    ok, problems = verify_certificate(certificate_doc(cert))
+    assert ok, problems
+
+
+def test_decide_rejects_flag_contradicting_orbits():
+    with pytest.raises(MalformedReportError):
+        decide(OrbitReport(2, (15,)), ASSERTED, chi_irreducible=False)
+    with pytest.raises(MalformedReportError):
+        decide(OrbitReport(2, (5, 10)), ASSERTED, chi_irreducible=True)
+
 
 class TestDecideFromOrbits:
+    """The direct path of `decide` (no chi_irreducible flag)."""
+
     def test_certifies_clean_report(self):
-        cert = decide_from_orbits(QUARTIC_REPORT, ASSERTED)
+        cert = decide(QUARTIC_REPORT, ASSERTED)
         assert cert.verdict == VERDICT_RANK_AT_LEAST_ONE
         assert cert.path == PATH_DIRECT
         assert cert.reasons == ()
 
     def test_rational_two_torsion(self):
         rep = OrbitReport(3, (1, 2, 12, 48), (4, 24), (12, 24))
-        cert = decide_from_orbits(rep, ASSERTED)
+        cert = decide(rep, ASSERTED)
         assert cert.verdict == VERDICT_INCONCLUSIVE
         assert cert.reason_kinds() == (RATIONAL_TWO_TORSION,)
 
     def test_missing_evidence(self):
         rep = OrbitReport(3, (63,), (28,), (36,))
-        cert = decide_from_orbits(rep, None)
+        cert = decide(rep, None)
         assert cert.reason_kinds() == (NO_DEG1_CLASS,)
 
     def test_rational_theta_both_parities(self):
         rep = OrbitReport(2, (15,), (1, 5), (1, 9))
-        cert = decide_from_orbits(rep, ASSERTED)
+        cert = decide(rep, ASSERTED)
         assert cert.reason_kinds() == (RATIONAL_THETA,)
         assert "odd and even" in cert.reasons[0].witness
 
     def test_theta_witness_substitutes_for_data(self):
         rep = OrbitReport(2, (5, 10))
-        cert = decide_from_orbits(rep, ASSERTED, theta_witness=INFINITY_WITNESS)
+        cert = decide(rep, ASSERTED, theta_witness=INFINITY_WITNESS)
         assert cert.reason_kinds() == (RATIONAL_THETA,)
         assert cert.reasons[0].witness == INFINITY_WITNESS
 
     def test_missing_theta_rejected(self):
-        with pytest.raises(MalformedReportError):
-            decide_from_orbits(OrbitReport(2, (15,)), ASSERTED)
+        # neither theta data nor a witness: the theta side is a data gap
+        cert = decide(OrbitReport(2, (15,)), ASSERTED)
+        assert cert.path == PATH_DIRECT
+        assert cert.verdict == VERDICT_INCONCLUSIVE
+        assert cert.reason_kinds() == (NEEDS_THETA_DATA,)
 
     def test_malformed_sums_rejected(self):
         with pytest.raises(MalformedReportError):
-            decide_from_orbits(OrbitReport(3, (3, 12, 40), (4, 24), (12, 24)), ASSERTED)
+            decide(OrbitReport(3, (3, 12, 40), (4, 24), (12, 24)), ASSERTED)
         with pytest.raises(MalformedReportError):
-            decide_from_orbits(OrbitReport(3, (3, 12, 48), (4, 23), (12, 24)), ASSERTED)
+            decide(OrbitReport(3, (3, 12, 48), (4, 23), (12, 24)), ASSERTED)
 
     def test_monotone(self):
         # removing the reason-triggering orbit never downgrades the verdict
         bad = OrbitReport(2, (1, 14), (6,), (10,))
         good = OrbitReport(2, (15,), (6,), (10,))
-        assert decide_from_orbits(bad, ASSERTED).verdict == VERDICT_INCONCLUSIVE
-        assert decide_from_orbits(good, ASSERTED).verdict == VERDICT_RANK_AT_LEAST_ONE
+        assert decide(bad, ASSERTED).verdict == VERDICT_INCONCLUSIVE
+        assert decide(good, ASSERTED).verdict == VERDICT_RANK_AT_LEAST_ONE
 
 
 class TestDecideFromIrreducibility:
+    """The transitivity path of `decide` (chi_irreducible given)."""
+
     def test_certifies(self):
-        cert = decide_from_irreducibility(True, 3, ASSERTED, j2_orbits=(63,))
+        cert = decide(OrbitReport(3, (63,)), ASSERTED, chi_irreducible=True)
         assert cert.verdict == VERDICT_RANK_AT_LEAST_ONE
         assert cert.path == PATH_TRANSITIVITY
 
     def test_genus_one_blocked(self):
-        cert = decide_from_irreducibility(True, 1, ASSERTED)
+        cert = decide(OrbitReport(1, (3,)), ASSERTED, chi_irreducible=True)
         assert cert.verdict == VERDICT_INCONCLUSIVE
         assert cert.reason_kinds() == (GENUS_TOO_SMALL,)
 
     def test_reducible_defers(self):
-        cert = decide_from_irreducibility(False, 2, ASSERTED)
+        cert = decide(OrbitReport(2, (5, 10)), ASSERTED, chi_irreducible=False)
         assert cert.reason_kinds() == (NEEDS_THETA_DATA,)
 
     def test_all_failures_listed(self):
-        cert = decide_from_irreducibility(False, 1, None)
+        cert = decide(OrbitReport(1, (1, 2)), None, chi_irreducible=False)
         assert set(cert.reason_kinds()) == {NEEDS_THETA_DATA, GENUS_TOO_SMALL, NO_DEG1_CLASS}
 
 
 class TestDecideWithoutTheta:
+    """The direct path of `decide` without theta data or witness."""
+
     def test_always_inconclusive(self):
-        rep = OrbitReport(2, (15,))
-        cert = decide_without_theta(rep, ASSERTED)
+        cert = decide(OrbitReport(2, (15,)), ASSERTED)
         assert cert.verdict == VERDICT_INCONCLUSIVE
         assert NEEDS_THETA_DATA in cert.reason_kinds()
 
     def test_reports_two_torsion(self):
-        rep = OrbitReport(2, (1, 2, 12))
-        cert = decide_without_theta(rep, ASSERTED)
+        cert = decide(OrbitReport(2, (1, 2, 12)), ASSERTED)
         assert RATIONAL_TWO_TORSION in cert.reason_kinds()
 
 
@@ -149,19 +230,19 @@ class TestFindDeg1Class:
 
 class TestSerialization:
     def test_doc_roundtrip(self):
-        cert = decide_from_orbits(QUARTIC_REPORT, ASSERTED, inputs_digest="a" * 64)
+        cert = decide(QUARTIC_REPORT, ASSERTED, inputs_digest="a" * 64)
         doc = certificate_doc(cert, subject={"kind": "orbit-data"})
         assert certificate_from_doc(doc) == cert
 
     def test_roundtrip_with_hashes_and_labeling(self):
-        cert = decide_from_irreducibility(
-            True, 2, ASSERTED, j2_orbits=(15,), hashes=(("chi", "b" * 64),), labeling=1,
-            inputs_digest="c" * 64,
+        cert = decide(
+            OrbitReport(2, (15,)), ASSERTED, chi_irreducible=True,
+            hashes=(("chi", "b" * 64),), labeling=1, inputs_digest="c" * 64,
         )
         assert certificate_from_doc(certificate_doc(cert)) == cert
 
     def test_render_deterministic(self):
-        cert = decide_from_orbits(QUARTIC_REPORT, ASSERTED)
+        cert = decide(QUARTIC_REPORT, ASSERTED)
         assert render_certificate(cert) == render_certificate(cert)
         assert "RankAtLeastOne" in render_certificate(cert)
 
@@ -169,40 +250,61 @@ class TestSerialization:
 class TestVerifier:
     def test_accepts_emitted(self):
         for cert in (
-            decide_from_orbits(QUARTIC_REPORT, ASSERTED),
-            decide_from_orbits(OrbitReport(3, (1, 14, 48), (4, 24), (12, 24)), None),
-            decide_from_irreducibility(True, 3, ASSERTED, j2_orbits=(63,)),
-            decide_from_irreducibility(False, 2, ASSERTED, j2_orbits=(5, 10)),
-            decide_without_theta(OrbitReport(2, (1, 2, 12)), ASSERTED),
+            decide(QUARTIC_REPORT, ASSERTED),
+            decide(OrbitReport(3, (1, 14, 48), (4, 24), (12, 24)), None),
+            decide(OrbitReport(3, (63,)), ASSERTED, chi_irreducible=True),
+            decide(OrbitReport(2, (5, 10)), ASSERTED, chi_irreducible=False),
+            decide(OrbitReport(2, (1, 2, 12)), ASSERTED),
+            decide(OrbitReport(2, (5, 10)), ASSERTED, theta_witness=INFINITY_WITNESS),
         ):
             ok, problems = verify_certificate(certificate_doc(cert))
             assert ok, problems
 
     def test_rejects_tampered_verdict(self):
-        cert = decide_from_orbits(OrbitReport(3, (1, 14, 48), (4, 24), (12, 24)), ASSERTED)
+        cert = decide(OrbitReport(3, (1, 14, 48), (4, 24), (12, 24)), ASSERTED)
         doc = certificate_doc(cert)
         doc["verdict"] = VERDICT_RANK_AT_LEAST_ONE
         ok, problems = verify_certificate(doc)
         assert not ok
-        assert any("replay" in p or "certified" in p for p in problems)
+        assert problems == ["verdict does not replay from embedded data"]
 
     def test_rejects_bad_sums(self):
-        cert = decide_from_orbits(QUARTIC_REPORT, ASSERTED)
+        cert = decide(QUARTIC_REPORT, ASSERTED)
         doc = certificate_doc(cert)
         doc["orbits"]["j2"] = [3, 12, 47]
         ok, problems = verify_certificate(doc)
         assert not ok
 
     def test_rejects_inconsistent_irreducibility_flag(self):
-        cert = decide_from_irreducibility(True, 2, ASSERTED, j2_orbits=(15,))
+        cert = decide(OrbitReport(2, (15,)), ASSERTED, chi_irreducible=True)
         doc = certificate_doc(cert)
         doc["orbits"]["j2"] = [5, 10]
         ok, problems = verify_certificate(doc)
         assert not ok
+        assert problems == ["chi_irreducible flag contradicts embedded orbit data"]
 
     def test_rejects_missing_fields(self):
         ok, problems = verify_certificate({"schema_version": 1})
         assert not ok
+
+    def test_rejects_path_and_flag_forgeries(self):
+        transitive = certificate_doc(decide(OrbitReport(2, (15,)), ASSERTED, chi_irreducible=True))
+        direct = certificate_doc(decide(OrbitReport(2, (15,), (6,), (10,)), ASSERTED))
+        forgeries = [
+            (dict(transitive, orbits=None), "certificate without orbit data"),
+            (dict(direct, orbits=None), "certificate without orbit data"),
+            (dict(transitive, chi_irreducible=None), "transitivity path without chi_irreducible flag"),
+            (dict(direct, chi_irreducible=False), "chi_irreducible flag set on the direct path"),
+            (dict(direct, chi_irreducible=True), "chi_irreducible flag set on the direct path"),
+            (dict(transitive, path=PATH_DIRECT), "chi_irreducible flag set on the direct path"),
+            (dict(direct, path="shortcut"), "path does not replay from embedded data"),
+            (dict(direct, reasons=[{"kind": RATIONAL_THETA}]), "reasons do not replay from embedded data"),
+            (dict(direct, hashes=["chi"]), "hashes is not an object"),
+        ]
+        for doc, problem in forgeries:
+            ok, problems = verify_certificate(doc)
+            assert not ok
+            assert problem in problems, (problem, problems)
 
 
 def test_transitivity_implies_direct_on_real_data():

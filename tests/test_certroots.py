@@ -7,7 +7,6 @@ import pytest
 from rankcert.certroots import (
     ComplexBall,
     Mag,
-    ball_prod,
     ball_sum,
     eval_poly_ball,
     isolate_roots,
@@ -54,7 +53,6 @@ class TestBallArithmetic:
         z = ComplexBall.exact_int(0, prec)
         w = ComplexBall(3 << prec, 5 << prec, prec, Mag(7, -30))
         assert z.mul(w).is_exact_zero
-        assert ball_prod([w, z, w]).is_exact_zero
 
     def test_sum_radius_additivity(self):
         prec = 96

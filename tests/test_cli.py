@@ -144,7 +144,7 @@ class TestChiFixture:
 def test_quartic_orbit_fixture_certifies():
     """Shipped orbit data for a genus-3 plane quartic: regression for the
     orbit-input mode."""
-    from rankcert.certify import Deg1Evidence, OrbitReport, decide_from_orbits
+    from rankcert.certify import Deg1Evidence, OrbitReport, decide
 
     data = json.loads(fixture_path("quartic_orbits.json").read_text())
     report = OrbitReport(
@@ -153,7 +153,7 @@ def test_quartic_orbit_fixture_certifies():
         theta_odd=tuple(data["theta_odd"]),
         theta_even=tuple(data["theta_even"]),
     )
-    cert = decide_from_orbits(report, Deg1Evidence("user-assertion", note="known point"))
+    cert = decide(report, Deg1Evidence("user-assertion", note="known point"))
     assert cert.verdict == "RankAtLeastOne"
     assert cert.reasons == ()
 
@@ -309,6 +309,24 @@ class TestCommands:
             "FAIL: inputs_digest does not match the subject "
             "(hyperelliptic;f=x^6 - x^2 + 5)\n"
         )
+
+    def test_verify_rejects_path_and_flag_forgeries(self, capsys, tmp_path):
+        path = tmp_path / "cert.json"
+        for flags, field, value, problem in (
+            ((), "orbits", None, "certificate without orbit data"),
+            ((), "chi_irreducible", None, "transitivity path without chi_irreducible flag"),
+            ((), "chi_irreducible", False, "chi_irreducible flag contradicts embedded orbit data"),
+            (("--full-criterion",), "chi_irreducible", False,
+             "chi_irreducible flag set on the direct path"),
+        ):
+            _, out = run_cli(capsys, "certify", "hyperelliptic", "--f", "x^6+x+1", *flags, "--json")
+            doc = json.loads(out)
+            assert doc["orbits"]["j2"] == [15]
+            doc[field] = value
+            path.write_text(json.dumps(doc))
+            assert run_cli(capsys, "verify", "--certificate", str(path)) == (
+                1, "FAIL: %s\n" % problem
+            ), (flags, field)
 
     def test_verify_rejects_swapped_fiber(self, capsys, tmp_path):
         _, out = run_cli(

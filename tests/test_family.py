@@ -1,10 +1,12 @@
+import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from rankcert import family
+from rankcert import factorq
 from rankcert.certify import verify_certificate, certificate_doc
-from rankcert.cli import main, parse_family
+from rankcert.cli import main, parse_family, parse_poly, pipeline_hyperelliptic
 from rankcert.exactpoly import IntPoly, RatPoly, discriminant
 from rankcert.family import (
     FamilyCurve,
@@ -158,14 +160,16 @@ class TestScan:
 
 
 def test_multi_stratum_fiber_skips_irreducibility_test(monkeypatch):
-    # x^7 + x + 2 has three size strata, so chi is reducible without a test
+    # irreducibility is read off the orbit decomposition: no fiber calls
+    # the separate test, whether chi has three size strata (x^7 + x + 2)
+    # or one (x^6 + x + 1)
     fam = parse_family("x^7+t*x+2")
     expected = certificate_doc(certify_fiber(fam, Fraction(1)))
 
     def refuse(*args, **kwargs):
         raise AssertionError("is_irreducible_over_q called")
 
-    monkeypatch.setattr(family, "is_irreducible_over_q", refuse)
+    monkeypatch.setattr(factorq, "is_irreducible_over_q", refuse)
     doc = certificate_doc(certify_fiber(fam, Fraction(1)))
     assert doc == expected
     assert doc["orbits"]["j2"] == [1, 6, 6, 15, 15, 20]
@@ -173,3 +177,32 @@ def test_multi_stratum_fiber_skips_irreducibility_test(monkeypatch):
     assert doc["hashes"]["chi"] == (
         "f558fa6e66453aa193818ded70bcc13657aa5a6a4d995e92c35385a6dccda9b0"
     )
+    assert certify_fiber(X6_T, Fraction(1)).chi_irreducible is True
+
+
+@pytest.mark.parametrize(
+    "f_t,t,f,full_theta",
+    [
+        ("x^6+t*x+1", 1, "x^6+x+1", False),  # irreducible chi: transitivity
+        ("x^6+t*x+1", 0, "x^6+1", True),  # reducible chi, full criterion: direct
+    ],
+)
+def test_fiber_and_curve_pipelines_agree(f_t, t, f, full_theta):
+    fiber = certify_fiber(parse_family(f_t), Fraction(t), ScanOptions(full_theta=full_theta))
+    curve_cert, _ = pipeline_hyperelliptic(parse_poly(f), full_theta=full_theta)
+    assert fiber.path == ("direct" if full_theta else "transitivity")
+    assert fiber.inputs_digest != curve_cert.inputs_digest
+    assert replace(fiber, inputs_digest="") == replace(curve_cert, inputs_digest="")
+
+
+def test_asserted_fiber_note(capsys):
+    # no point of height <= 1 on 3x^6 + 2x + 5, so the flag supplies the class
+    code = main([
+        "family", "scan", "--f-t=3*x^6+t*x+5", "--range=2..2",
+        "--assert-deg1-class", "--height-bound=1", "--json",
+    ])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert doc["certified"][0]["certificate"]["evidence"] == {
+        "kind": "user-assertion", "note": "degree-1 class asserted by flag"
+    }
