@@ -21,7 +21,7 @@ from .certify import (
     render_certificate,
     verify_certificate,
 )
-from .certroots import ComplexBall, RootIsolation, ball_sum, isolate_roots, snap_to_integer
+from .certroots import ComplexBall, RootIsolation, isolate_roots, snap_to_integer
 from .exactpoly import (
     IntPoly,
     RatPoly,
@@ -64,7 +64,6 @@ __all__ = [
     "RatPoly",
     "RootIsolation",
     "ScanOptions",
-    "ball_sum",
     "build_curve",
     "check_good_fiber",
     "decide",

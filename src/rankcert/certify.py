@@ -106,6 +106,8 @@ class Deg1Evidence:
             return None
         x = Fraction(doc["x"]) if "x" in doc else None
         y = Fraction(doc["y"]) if "y" in doc else None
+        if doc["kind"] == "rational-point" and (x is None or y is None):
+            raise ValueError("rational-point evidence without x and y")
         return cls(kind=doc["kind"], x=x, y=y, note=doc.get("note", ""))
 
 

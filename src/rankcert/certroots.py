@@ -1,45 +1,49 @@
-"""Certified complex root isolation and midpoint-radius ball arithmetic.
+"""Certified complex root isolation and integer-radius ball arithmetic.
 
-Midpoints are exact dyadic complex numbers: pairs of integers at scale
-2**-prec, so addition is exact and only multiplication truncates (by at
-most one ulp per component, which is folded into the radius).  Radii are
-magnitude upper bounds with a 32-bit mantissa, rounded up on every
-operation.  The containment contract: the true value always lies in the
-closed disk |z - mid| <= rad.
+A ball at precision P is three Python ints: the closed disk
+|z - (re + im*i) * 2**-P| <= rad * 2**-P.  Midpoints are exact dyadic
+complex numbers, so addition is exact.  A product truncates its midpoint
+by `>> P`, which loses less than one ulp per component; the radius of every
+product is the propagated error bound divided by 2**P and rounded up, plus
+2 ulps for the truncation.  Ball polynomials multiply by the same rule
+coefficient by coefficient, and `root_product` builds prod (x - r) by a
+balanced product tree that truncates at every node, so coefficients stay
+near P bits.  Every radius is therefore an integer upper bound, and the
+containment contract holds throughout: the true value lies in the ball.
+A snap to an integer succeeds only when 2(|im| + rad) < 2**P and
+[re - rad, re + rad] holds exactly one multiple of 2**P.
 
-Roots are approximated with mpmath (Durand-Kerner style simultaneous
-iteration; the approximation step needs no rigor) and then certified a
-posteriori through Weierstrass corrections W_i = f(z_i)/prod(z_i - z_j):
-the disks D(z_i, n*|W_i|) jointly contain all roots, and when pairwise
-disjoint each contains exactly one.  Every quantity in the certification
-step is computed with directed rounding, so the disks are sound
-enclosures of the exact roots.
+Roots are approximated by the Weierstrass (Durand-Kerner) iteration
+z_i <- z_i - W_i with W_i = f(z_i) / prod_{j != i} (z_i - z_j), started
+from the result at half the precision, or else on a circle of
+Fujiwara-bound radius.  f(z_i) and the products are evaluated
+exactly on the dyadic midpoints, and only W_i is rounded to the nearest
+ulp.  The step count is bounded; an iteration that does not converge
+returns None and the precision doubles.  The approximation needs no rigor:
+the final midpoints are certified a posteriori by the disks
+D(z_i, n*|W_i|), with |W_i| an upper bound computed exactly in integers.
+These disks jointly contain all n roots, and when they are pairwise
+disjoint each contains exactly one (Carstensen, 1991).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
-import mpmath
-
-from .exactpoly import IntPoly, poly_gcd
+from .exactpoly import IntPoly, _zmul, poly_gcd
 
 __all__ = [
-    "Mag",
     "ComplexBall",
     "RootIsolation",
     "PrecisionExhausted",
     "isolate_roots",
-    "ball_sum",
-    "eval_poly_ball",
+    "root_product",
     "snap_to_integer",
     "PRECISION_CAP",
 ]
 
-_MANT_BITS = 32
 PRECISION_CAP = 1 << 20
 
 
@@ -47,200 +51,95 @@ class PrecisionExhausted(RuntimeError):
     """Escalation passed the hard precision cap; indicates a logic error."""
 
 
-class Mag:
-    """Nonnegative magnitude bound ``man * 2**exp``; all ops round up."""
-
-    __slots__ = ("man", "exp")
-
-    def __init__(self, man: int, exp: int = 0):
-        if man < 0:
-            raise ValueError("magnitude mantissa must be nonnegative")
-        if man == 0:
-            self.man, self.exp = 0, 0
-            return
-        b = man.bit_length()
-        if b > _MANT_BITS:
-            s = b - _MANT_BITS
-            man = -(-man >> s)
-            exp += s
-            if man.bit_length() > _MANT_BITS:
-                man = -(-man >> 1)
-                exp += 1
-        self.man, self.exp = man, exp
-
-    @classmethod
-    def zero(cls) -> "Mag":
-        return cls(0)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.man == 0
-
-    def add(self, other: "Mag") -> "Mag":
-        if self.man == 0:
-            return other
-        if other.man == 0:
-            return self
-        a, b = self, other
-        if a.exp < b.exp:
-            a, b = b, a
-        hi_b = b.exp + b.man.bit_length()
-        if a.exp >= hi_b:
-            return Mag(a.man + 1, a.exp)
-        shift = a.exp - b.exp
-        return Mag((a.man << shift) + b.man, b.exp)
-
-    def mul(self, other: "Mag") -> "Mag":
-        if self.man == 0 or other.man == 0:
-            return Mag(0)
-        return Mag(self.man * other.man, self.exp + other.exp)
-
-    def mul_int(self, n: int) -> "Mag":
-        if n < 0:
-            n = -n
-        if self.man == 0 or n == 0:
-            return Mag(0)
-        return Mag(self.man * n, self.exp)
-
-    def div_by(self, n: int, exp: int = 0) -> "Mag":
-        """Upper bound of self / (n * 2**exp) for n > 0."""
-        if n <= 0:
-            raise ZeroDivisionError("magnitude division by nonpositive value")
-        if self.man == 0:
-            return Mag(0)
-        # keep >= 48 significant bits in the quotient
-        guard = 48 + max(0, n.bit_length() - self.man.bit_length())
-        q = -(-(self.man << guard) // n)
-        return Mag(q, self.exp - exp - guard)
-
-    def to_fraction(self) -> Fraction:
-        if self.exp >= 0:
-            return Fraction(self.man << self.exp)
-        return Fraction(self.man, 1 << -self.exp)
-
-    def __repr__(self):
-        return f"Mag({self.man}, {self.exp})"
+def _abs_upper(re: int, im: int) -> int:
+    """An integer upper bound of |re + im*i|."""
+    return math.isqrt(re * re + im * im) + 1
 
 
 class ComplexBall:
-    """Disk {z : |z - mid| <= rad} with mid = (re + im*i) * 2**-prec."""
+    """Disk {z : |z - (re + im*i) * 2**-prec| <= rad * 2**-prec}."""
 
-    __slots__ = ("re", "im", "prec", "rad", "_absu")
+    __slots__ = ("re", "im", "prec", "rad")
 
-    def __init__(self, re: int, im: int, prec: int, rad: Mag):
+    def __init__(self, re: int, im: int, prec: int, rad: int = 0):
+        if rad < 0:
+            raise ValueError("ball radius must be nonnegative")
         self.re = re
         self.im = im
         self.prec = prec
         self.rad = rad
-        self._absu = None
-
-    @classmethod
-    def exact_int(cls, n: int, prec: int) -> "ComplexBall":
-        return cls(n << prec, 0, prec, Mag.zero())
-
-    @property
-    def is_exact_zero(self) -> bool:
-        return self.re == 0 and self.im == 0 and self.rad.is_zero
-
-    def abs_upper(self) -> Mag:
-        if self._absu is None:
-            m = math.isqrt(self.re * self.re + self.im * self.im)
-            self._absu = Mag(m + 1, -self.prec)
-        return self._absu
 
     def add(self, other: "ComplexBall") -> "ComplexBall":
         if self.prec != other.prec:
             raise ValueError("mixed precisions in ball addition")
         return ComplexBall(
-            self.re + other.re, self.im + other.im, self.prec, self.rad.add(other.rad)
+            self.re + other.re, self.im + other.im, self.prec, self.rad + other.rad
         )
 
-    def neg(self) -> "ComplexBall":
-        return ComplexBall(-self.re, -self.im, self.prec, self.rad)
-
-    def sub(self, other: "ComplexBall") -> "ComplexBall":
-        return self.add(other.neg())
-
     def mul_int(self, n: int) -> "ComplexBall":
-        return ComplexBall(self.re * n, self.im * n, self.prec, self.rad.mul_int(n))
+        return ComplexBall(self.re * n, self.im * n, self.prec, self.rad * abs(n))
 
     def mul(self, other: "ComplexBall") -> "ComplexBall":
         if self.prec != other.prec:
             raise ValueError("mixed precisions in ball multiplication")
-        if self.is_exact_zero or other.is_exact_zero:
-            return ComplexBall(0, 0, self.prec, Mag.zero())
         P = self.prec
-        rr = self.re * other.re - self.im * other.im
-        ii = self.re * other.im + self.im * other.re
-        re = rr >> P
-        im = ii >> P
-        lost = (rr - (re << P)) or (ii - (im << P))
-        rad = Mag.zero()
-        if not self.rad.is_zero:
-            rad = rad.add(self.rad.mul(other.abs_upper()))
-        if not other.rad.is_zero:
-            rad = rad.add(other.rad.mul(self.abs_upper()))
-        if not (self.rad.is_zero or other.rad.is_zero):
-            rad = rad.add(self.rad.mul(other.rad))
-        if lost:
-            rad = rad.add(Mag(3, -P - 1))
-        return ComplexBall(re, im, P, rad)
+        a, b = self, other
+        err = _abs_upper(a.re, a.im) * b.rad + a.rad * (_abs_upper(b.re, b.im) + b.rad)
+        return ComplexBall(
+            (a.re * b.re - a.im * b.im) >> P,
+            (a.re * b.im + a.im * b.re) >> P,
+            P,
+            -(-err >> P) + 2,
+        )
 
     def contains_zero(self) -> bool:
         """True iff |mid| <= rad, i.e. 0 may lie in the disk."""
-        mid_sq = Fraction(self.re * self.re + self.im * self.im, 1 << (2 * self.prec))
-        r = self.rad.to_fraction()
-        return mid_sq <= r * r
-
-    def mid_fractions(self) -> tuple[Fraction, Fraction]:
-        d = 1 << self.prec
-        return Fraction(self.re, d), Fraction(self.im, d)
+        return self.re * self.re + self.im * self.im <= self.rad * self.rad
 
     def __repr__(self):
-        re, im = self.mid_fractions()
-        return f"ComplexBall({float(re):.6g}{float(im):+.6g}i, rad~2^{self.rad.exp + self.rad.man.bit_length() if self.rad.man else '-inf'})"
-
-
-def ball_sum(values) -> ComplexBall:
-    """Sum with exact midpoint arithmetic and additive radii."""
-    values = list(values)
-    if not values:
-        raise ValueError("ball_sum of an empty sequence")
-    acc = values[0]
-    for v in values[1:]:
-        acc = acc.add(v)
-    return acc
-
-
-def eval_poly_ball(f: IntPoly, z: ComplexBall) -> ComplexBall:
-    """Horner evaluation of an integer polynomial on a ball."""
-    P = z.prec
-    acc = ComplexBall.exact_int(0, P)
-    for c in reversed(f.coeffs):
-        acc = acc.mul(z).add(ComplexBall.exact_int(c, P))
-    return acc
+        scale = 2.0 ** -self.prec
+        return "ComplexBall(%.6g%+.6gi, rad~2^%d)" % (
+            self.re * scale, self.im * scale, self.rad.bit_length() - self.prec
+        )
 
 
 def snap_to_integer(b: ComplexBall):
     """The unique integer the ball certifies, or None.
 
-    Succeeds iff |Im mid| + rad < 1/2 and [Re - rad, Re + rad] contains
-    exactly one integer.
+    Succeeds iff 2(|im| + rad) < 2**prec and [re - rad, re + rad] contains
+    exactly one multiple of 2**prec.
     """
-    r = b.rad.to_fraction()
-    half = Fraction(1, 2)
-    scale = 1 << b.prec
-    im = Fraction(abs(b.im), scale)
-    if im + r >= half:
+    if 2 * (abs(b.im) + b.rad) >= 1 << b.prec:
         return None
-    re = Fraction(b.re, scale)
-    lo = re - r
-    hi = re + r
-    n_lo = math.ceil(lo)
-    n_hi = math.floor(hi)
-    if n_lo != n_hi:
-        return None
-    return int(n_lo)
+    lo = -(-(b.re - b.rad) >> b.prec)
+    hi = (b.re + b.rad) >> b.prec
+    return lo if lo == hi else None
+
+
+def _poly_mul(a, b, P: int):
+    """Product of two ball polynomials, each (re, im, rad) coefficient lists
+    at precision P, by the rule of `ComplexBall.mul` per coefficient: the
+    exact midpoint product shifted down by P bits, and radii
+    (|A| r_B + r_A (|B| + r_B)) / 2**P rounded up, plus 2 ulps."""
+    (ar, ai, ra), (br, bi, rb) = a, b
+    re = [x - y for x, y in zip(_zmul(ar, br), _zmul(ai, bi))]
+    im = [x + y for x, y in zip(_zmul(ar, bi), _zmul(ai, br))]
+    abs_a = [_abs_upper(x, y) for x, y in zip(ar, ai)]
+    abs_b = [_abs_upper(x, y) + r for x, y, r in zip(br, bi, rb)]
+    err = [x + y for x, y in zip(_zmul(abs_a, rb), _zmul(ra, abs_b))]
+    return [x >> P for x in re], [y >> P for y in im], [-(-e >> P) + 2 for e in err]
+
+
+def root_product(roots, prec: int) -> list:
+    """Ball coefficients, ascending, of prod (x - r) over balls at precision
+    prec, by a balanced product tree that truncates at every node."""
+    polys = [([-r.re, 1 << prec], [-r.im, 0], [r.rad, 0]) for r in roots]
+    while len(polys) > 1:
+        polys = [
+            _poly_mul(polys[i], polys[i + 1], prec) if i + 1 < len(polys) else polys[i]
+            for i in range(0, len(polys), 2)
+        ]
+    return [ComplexBall(re, im, prec, rad) for re, im, rad in zip(*polys[0])]
 
 
 # ---------------------------------------------------------------------------
@@ -255,65 +154,85 @@ class RootIsolation:
     precision: int
 
 
-def _mpf_to_fixed(x, prec: int) -> int:
-    if not mpmath.isfinite(x):
-        raise ArithmeticError("nonfinite root approximation")
-    sign, man, exp, _ = x._mpf_
-    if man == 0:
-        return 0
-    shift = exp + prec
-    v = int(man << shift if shift >= 0 else man >> -shift)
-    return -v if sign else v
+def _weierstrass(f: IntPoly, zs, P: int):
+    """Exact (numerator, denominator) pairs with W_i = num_i / den_i in ulps.
 
-
-def _approx_roots(f: IntPoly, prec: int):
-    coeffs_desc = [mpmath.mpf(c) for c in reversed(f.coeffs)]
-    try:
-        with mpmath.workprec(prec + 64):
-            roots = mpmath.polyroots(
-                coeffs_desc, maxsteps=200 + prec, extraprec=prec // 2 + 64
-            )
-            out = []
-            for r in roots:
-                rc = mpmath.mpc(r)
-                out.append((_mpf_to_fixed(rc.real, prec), _mpf_to_fixed(rc.imag, prec)))
-    except (mpmath.libmp.NoConvergence, ZeroDivisionError, ArithmeticError):
-        return None
+    num_i = f(z_i) * 2**(n*P) and den_i = prod_{j != i} (Z_i - Z_j), both
+    Gaussian integers; None when two midpoints coincide.
+    """
+    n = f.degree
+    out = []
+    for i, (zr, zi) in enumerate(zs):
+        fr, fi = 1, 0
+        for k in range(n - 1, -1, -1):
+            fr, fi = fr * zr - fi * zi + (f.coeffs[k] << (P * (n - k))), fr * zi + fi * zr
+        dr, di = 1, 0
+        for j, (wr, wi) in enumerate(zs):
+            if j != i:
+                ur, ui = zr - wr, zi - wi
+                dr, di = dr * ur - di * ui, dr * ui + di * ur
+        if dr == 0 and di == 0:
+            return None
+        out.append(((fr, fi), (dr, di)))
     return out
 
 
-def _certify(f: IntPoly, mids, prec: int):
-    """Weierstrass-correction disks around the approximations, or None."""
+def _approx_roots(f: IntPoly, P: int):
+    """Durand-Kerner midpoints at precision P, or None when the iteration
+    does not settle within 64 + 4n + P steps.
+
+    The start is the result at precision P/2 when that converges (then a
+    few quadratic steps suffice), else a circle of Fujiwara-bound radius.
+    Once the largest correction is at most 2**(P/4) ulps the iteration is
+    in its quadratic regime and the next iterate is accurate to about one
+    ulp; that iterate is returned.
+    """
     n = f.degree
-    d2 = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            dr = mids[i][0] - mids[j][0]
-            di = mids[i][1] - mids[j][1]
-            d2[i][j] = d2[j][i] = dr * dr + di * di
-            if d2[i][j] == 0:
-                return None
+    zs = _approx_roots(f, P // 2) if P > 64 else None
+    if zs is not None:
+        zs = [(zr << (P - P // 2), zi << (P - P // 2)) for zr, zi in zs]
+    else:
+        # Fujiwara: every root has modulus < 2 * max |a_k|^(1/(n-k)) <= 2^e
+        e = 1 + max(-(-abs(c).bit_length() // (n - k)) for k, c in enumerate(f.coeffs[:-1]))
+        zs = []
+        for k in range(n):
+            t = (2 * math.pi * k + 0.4) / n
+            zs.append(tuple(
+                int(math.ldexp(v, 52)) << (P + e) >> 52 for v in (math.cos(t), math.sin(t))
+            ))
+    close = 1 << (P // 4)
+    for _ in range(64 + 4 * n + P):
+        ws = _weierstrass(f, zs, P)
+        if ws is None:
+            return None
+        step = 0
+        for i, ((fr, fi), (dr, di)) in enumerate(ws):
+            den = dr * dr + di * di  # W_i = num * conj(den_i) / |den_i|^2, nearest ulp
+            wr = (2 * (fr * dr + fi * di) + den) // (2 * den)
+            wi = (2 * (fi * dr - fr * di) + den) // (2 * den)
+            zs[i] = (zs[i][0] - wr, zs[i][1] - wi)
+            step = max(step, abs(wr), abs(wi))
+        if step <= close:
+            return zs
+    return None
+
+
+def _certify(f: IntPoly, zs, P: int):
+    """Disjoint disks D(z_i, n*|W_i|) around the midpoints, or None."""
+    ws = _weierstrass(f, zs, P)
+    if ws is None:
+        return None
+    n = f.degree
     rads = []
-    for i in range(n):
-        den = 1
-        for j in range(n):
-            if j != i:
-                root = math.isqrt(d2[i][j])
-                if root == 0:
-                    return None
-                den *= root
-        zi = ComplexBall(mids[i][0], mids[i][1], prec, Mag.zero())
-        num = eval_poly_ball(f, zi).abs_upper()
-        rads.append(num.mul_int(n).div_by(den, -prec * (n - 1)))
-    two_p = 1 << (2 * prec)
+    for (fr, fi), (dr, di) in ws:
+        q = -(-(fr * fr + fi * fi) // (dr * dr + di * di))
+        rads.append(n * (math.isqrt(q) + 1))
     for i in range(n):
         for j in range(i + 1, n):
-            s = rads[i].add(rads[j]).to_fraction()
-            if Fraction(d2[i][j], two_p) <= s * s:
+            dx, dy = zs[i][0] - zs[j][0], zs[i][1] - zs[j][1]
+            if dx * dx + dy * dy <= (rads[i] + rads[j]) ** 2:
                 return None
-    balls = [
-        ComplexBall(mids[i][0], mids[i][1], prec, rads[i]) for i in range(n)
-    ]
+    balls = [ComplexBall(zr, zi, P, r) for (zr, zi), r in zip(zs, rads)]
     balls.sort(key=lambda b: (b.re, b.im))
     return tuple(balls)
 
@@ -334,13 +253,13 @@ def isolate_roots(f: IntPoly, precision: int = 128) -> RootIsolation:
     if poly_gcd(fr, fr.derivative()).degree > 0:
         raise ValueError("root isolation expects a squarefree polynomial")
     if f.degree == 1:
-        ball = ComplexBall.exact_int(-f.coeffs[0], max(precision, 8))
-        return RootIsolation(f, (ball,), max(precision, 8))
+        P = max(precision, 8)
+        return RootIsolation(f, (ComplexBall(-f.coeffs[0] << P, 0, P),), P)
     P = max(precision, 32)
     while P <= PRECISION_CAP:
-        mids = _approx_roots(f, P)
-        if mids is not None:
-            balls = _certify(f, mids, P)
+        zs = _approx_roots(f, P)
+        if zs is not None:
+            balls = _certify(f, zs, P)
             if balls is not None:
                 return RootIsolation(f, balls, P)
         P *= 2

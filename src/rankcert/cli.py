@@ -386,8 +386,8 @@ def pipeline_hyperelliptic(
 
 
 def _pipeline_chi(chi: RatPoly, genus: int, evidence, theta_odd=None, theta_even=None):
-    """Certification from an external chi; the theta resolvents are used
-    only when chi is reducible."""
+    """Certification from an external chi.  Given theta resolvents are
+    checked before any decision and factored only when chi is reducible."""
     expected = (1 << (2 * genus)) - 1
     if chi.degree != expected:
         raise ValueError(
@@ -397,9 +397,8 @@ def _pipeline_chi(chi: RatPoly, genus: int, evidence, theta_odd=None, theta_even
     chi_int = chi.to_int()[1]
     if not is_squarefree(chi_int):
         raise ValueError("chi is not squarefree (not an etale-algebra resolvent)")
-    hashes = (("chi", poly_digest(chi_int.coeffs)),)
-    report = OrbitReport(genus, factor_over_q(chi).degrees())
-    if not report.transitive and theta_odd is not None and theta_even is not None:
+    theta_hashes = ()
+    if theta_odd is not None:
         want_odd, want_even = theta_class_counts(genus)
         if theta_odd.degree != want_odd or theta_even.degree != want_even:
             raise ValueError(
@@ -410,7 +409,11 @@ def _pipeline_chi(chi: RatPoly, genus: int, evidence, theta_odd=None, theta_even
             poly_int = poly.to_int()[1]
             if not is_squarefree(poly_int):
                 raise ValueError("theta %s resolvent is not squarefree" % name)
-            hashes += (("chi_" + name, poly_digest(poly_int.coeffs)),)
+            theta_hashes += (("chi_" + name, poly_digest(poly_int.coeffs)),)
+    hashes = (("chi", poly_digest(chi_int.coeffs)),)
+    report = OrbitReport(genus, factor_over_q(chi).degrees())
+    if not report.transitive and theta_hashes:
+        hashes += theta_hashes
         report = OrbitReport(
             genus,
             report.j2_orbits,
@@ -674,12 +677,14 @@ def _certificate_problems(doc) -> list:
     """`verify_certificate`, then the inputs digest recomputed from the
     subject, then rational-point evidence checked exactly against the curve
     the subject names."""
+    if not isinstance(doc, dict):
+        return ["certificate is not a JSON object"]
     ok, problems = verify_certificate(doc)
     if not ok:
         return problems
     try:
         inputs = _subject_inputs(doc)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         return ["unreadable subject: %s" % exc]
     if digest_text(inputs) != doc.get("inputs_digest"):
         return ["inputs_digest does not match the subject (%s)" % inputs]
@@ -704,15 +709,20 @@ def _certificate_problems(doc) -> list:
 def _cmd_verify(args):
     with open(args.certificate, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    if doc.get("command") == "family-scan":
+    if isinstance(doc, dict) and doc.get("command") == "family-scan":
+        entries = doc.get("certified", [])
+        if not isinstance(entries, list):
+            return 1, "FAIL: certified is not a list\n"
         problems = []
-        for entry in doc.get("certified", []):
-            probs = _certificate_problems(entry["certificate"])
+        for k, entry in enumerate(entries):
+            if not isinstance(entry, dict) or "t" not in entry:
+                problems.append("certified entry %d is not an object with a t field" % k)
+                continue
+            probs = _certificate_problems(entry.get("certificate"))
             problems.extend("t=%s: %s" % (entry["t"], p) for p in probs)
         if problems:
             return 1, "\n".join("FAIL: %s" % p for p in problems) + "\n"
-        n = len(doc.get("certified", []))
-        return 0, "verified: %d fiber certificate(s) re-check\n" % n
+        return 0, "verified: %d fiber certificate(s) re-check\n" % len(entries)
     problems = _certificate_problems(doc)
     if not problems:
         return 0, "verified: certificate re-checks\n"

@@ -296,10 +296,6 @@ class RatPoly:
         self.coeffs = tuple(_strip(cs))
 
     @classmethod
-    def zero(cls) -> "RatPoly":
-        return cls()
-
-    @classmethod
     def one(cls) -> "RatPoly":
         return cls((1,))
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .certroots import isolate_roots
+from .certroots import ComplexBall, isolate_roots
 from .exactpoly import IntPoly, poly_digest
 from .factorq import (
     BadPrimeError,
@@ -35,8 +35,8 @@ from .weierstrass import (
     _apply_perm,
     _orbit_lengths,
     _perm_from_cycle_type,
+    _label,
     _popcount,
-    _subset_sum,
     _product,
     _u_values,
     build_label_resolvents,
@@ -187,22 +187,14 @@ def _witness_class(curve, classes, labeling, value: int, parity_odd: bool):
     """The theta class whose label equals the given integer root."""
     prec = 128
     wanted = [t for t in classes if t.is_odd == parity_odd]
-    n = curve.nroots
-    full = (1 << n) - 1
     while True:
         iso = isolate_roots(curve.f, prec)
         uvals = _u_values(iso, labeling.c)
-        hits = []
-        for t in wanted:
-            if curve.parity == EVEN:
-                lab = _subset_sum(uvals, t.mask, iso.precision).mul(
-                    _subset_sum(uvals, full ^ t.mask, iso.precision)
-                )
-            else:
-                lab = _subset_sum(uvals, t.mask, iso.precision)
-            shifted = lab.sub(lab.__class__.exact_int(value, iso.precision))
-            if shifted.contains_zero():
-                hits.append(t)
+        target = ComplexBall(-value << iso.precision, 0, iso.precision)
+        hits = [
+            t for t in wanted
+            if _label(uvals, t.mask, curve.parity == EVEN).add(target).contains_zero()
+        ]
         if len(hits) == 1:
             return hits[0]
         if not hits:

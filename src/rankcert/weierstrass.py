@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .certroots import ComplexBall, ball_sum, isolate_roots, snap_to_integer
+from .certroots import ComplexBall, isolate_roots, root_product, snap_to_integer
 from .exactpoly import IntPoly, RatPoly, make_integral_monic, poly_digest, poly_gcd
 from .factorq import (
     BadPrimeError,
@@ -219,26 +219,30 @@ def _u_values(iso, c: int) -> list:
     return out
 
 
-def _subset_sum(uvals, mask: int, prec: int) -> ComplexBall:
-    if mask == 0:
-        return ComplexBall.exact_int(0, prec)
-    return ball_sum([uvals[i] for i in range(len(uvals)) if mask >> i & 1])
+def _subset_sum(uvals, mask: int) -> ComplexBall:
+    acc = ComplexBall(0, 0, uvals[0].prec)
+    for i, u in enumerate(uvals):
+        if mask >> i & 1:
+            acc = acc.add(u)
+    return acc
+
+
+def _label(uvals, mask: int, even_model: bool, allow_zero: bool = True):
+    """Ball label of a class: the subset sum of u_c over the mask, times the
+    sum over the complement on even-degree models.  None when
+    ``allow_zero`` is false and a subset sum may vanish."""
+    sums = [_subset_sum(uvals, mask)]
+    if even_model:
+        sums.append(_subset_sum(uvals, ((1 << len(uvals)) - 1) ^ mask))
+    if not allow_zero and any(s.contains_zero() for s in sums):
+        return None
+    return sums[0].mul(sums[1]) if even_model else sums[0]
 
 
 def _resolvent_from_labels(labels, prec: int):
-    """Monic ball product of (x - label); None when a coefficient fails to snap."""
-    coeffs = [ComplexBall.exact_int(1, prec)]
-    for lam in labels:
-        neg = lam.neg()
-        new = []
-        for k in range(len(coeffs) + 1):
-            term = coeffs[k].mul(neg) if k < len(coeffs) else None
-            if k > 0:
-                term = coeffs[k - 1] if term is None else term.add(coeffs[k - 1])
-            new.append(term)
-        coeffs = new
+    """Monic integer prod (x - label); None when a coefficient fails to snap."""
     out = []
-    for b in coeffs:
+    for b in root_product(labels, prec):
         v = snap_to_integer(b)
         if v is None:
             return None
@@ -265,8 +269,6 @@ def build_label_resolvents(
 
     Returns (polys, Labeling, precision).
     """
-    n = curve.nroots
-    full = (1 << n) - 1
     total = sum(len(g) for g in mask_groups)
     even_model = curve.parity == EVEN
 
@@ -277,36 +279,11 @@ def build_label_resolvents(
             iso = isolate_roots(curve.f, prec_req)
             prec = iso.precision
             uvals = _u_values(iso, c)
-            zero_hit = False
-            group_labels = []
-            for masks in mask_groups:
-                labels = []
-                for m in masks:
-                    if even_model:
-                        v1 = _subset_sum(uvals, m, prec)
-                        v2 = _subset_sum(uvals, full ^ m, prec)
-                        if (
-                            not allow_zero
-                            and m not in zero_exempt
-                            and (v1.contains_zero() or v2.contains_zero())
-                        ):
-                            zero_hit = True
-                            break
-                        labels.append(v1.mul(v2))
-                    else:
-                        v = _subset_sum(uvals, m, prec)
-                        if (
-                            not allow_zero
-                            and m not in zero_exempt
-                            and v.contains_zero()
-                        ):
-                            zero_hit = True
-                            break
-                        labels.append(v)
-                if zero_hit:
-                    break
-                group_labels.append(labels)
-            if zero_hit:
+            group_labels = [
+                [_label(uvals, m, even_model, allow_zero or m in zero_exempt) for m in masks]
+                for masks in mask_groups
+            ]
+            if any(None in labels for labels in group_labels):
                 c += 1
                 continue
             polys = []

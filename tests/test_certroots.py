@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -6,10 +7,8 @@ import pytest
 
 from rankcert.certroots import (
     ComplexBall,
-    Mag,
-    ball_sum,
-    eval_poly_ball,
     isolate_roots,
+    root_product,
     snap_to_integer,
 )
 from rankcert.exactpoly import IntPoly
@@ -17,64 +16,132 @@ from rankcert.exactpoly import IntPoly
 from conftest import random_monic_squarefree
 
 
-class TestMag:
-    def test_round_up(self):
-        big = (1 << 40) + 1
-        m = Mag(big)
-        assert m.to_fraction() >= big
+def ball_sum(balls):
+    acc = balls[0]
+    for b in balls[1:]:
+        acc = acc.add(b)
+    return acc
 
-    def test_add_upper_bound(self):
-        a, b = Mag(3, -5), Mag(7, -89)
-        assert a.add(b).to_fraction() >= a.to_fraction() + b.to_fraction()
 
-    def test_mul_upper_bound(self):
-        a, b = Mag((1 << 32) - 1, 3), Mag((1 << 32) - 5, -700)
-        assert a.mul(b).to_fraction() >= a.to_fraction() * b.to_fraction()
+def eval_ball(f, b):
+    """Horner evaluation of an integer polynomial on a ball."""
+    acc = ComplexBall(0, 0, b.prec)
+    for c in reversed(f.coeffs):
+        acc = acc.mul(b).add(ComplexBall(c << b.prec, 0, b.prec))
+    return acc
 
-    def test_div_upper_bound(self):
-        a = Mag(12345, -40)
-        q = a.div_by(789, -11)
-        assert q.to_fraction() >= a.to_fraction() / (789 * Fraction(1, 2 ** 11))
-        # and not absurdly loose
-        assert q.to_fraction() <= a.to_fraction() / (789 * Fraction(1, 2 ** 11)) * Fraction(11, 10)
+
+def point_in(rng, b):
+    """A Gaussian rational (re, im) in the closed disk of the ball."""
+    while True:
+        u, v = Fraction(rng.randint(-64, 64), 64), Fraction(rng.randint(-64, 64), 64)
+        if u * u + v * v <= 1:
+            scale = Fraction(1, 1 << b.prec)
+            return (b.re + u * b.rad) * scale, (b.im + v * b.rad) * scale
+
+
+def inside(value, b):
+    """Is the Gaussian rational (re, im) in the closed disk of the ball?"""
+    dr = value[0] * (1 << b.prec) - b.re
+    di = value[1] * (1 << b.prec) - b.im
+    return dr * dr + di * di <= b.rad * b.rad
+
+
+def radius(b):
+    return Fraction(b.rad, 1 << b.prec)
 
 
 class TestBallArithmetic:
     def test_exact_sum(self):
         prec = 64
-        a = ComplexBall(1 << prec, 2 << prec, prec, Mag.zero())
-        b = ComplexBall(3 << prec, -(2 << prec), prec, Mag.zero())
+        a = ComplexBall(1 << prec, 2 << prec, prec)
+        b = ComplexBall(3 << prec, -(2 << prec), prec)
         s = ball_sum([a, b])
         assert (s.re >> prec, s.im) == (4, 0)
-        assert s.rad.is_zero
+        assert s.rad == 0
 
     def test_zero_annihilates(self):
+        # the product with an exact zero is centred on zero, and its radius
+        # is the propagated bound (under one ulp here) plus the truncation
         prec = 64
-        z = ComplexBall.exact_int(0, prec)
-        w = ComplexBall(3 << prec, 5 << prec, prec, Mag(7, -30))
-        assert z.mul(w).is_exact_zero
+        z = ComplexBall(0, 0, prec)
+        w = ComplexBall(3 << prec, 5 << prec, prec, 7 << 34)
+        p = z.mul(w)
+        assert (p.re, p.im) == (0, 0)
+        assert p.rad <= 3
+        assert p.contains_zero()
 
     def test_sum_radius_additivity(self):
         prec = 96
-        r = Mag(5, -60)
+        r = 5 << 36
         balls = [ComplexBall(1 << prec, 0, prec, r) for _ in range(7)]
         s = ball_sum(balls)
         assert s.re >> prec == 7
-        assert s.rad.to_fraction() >= 7 * r.to_fraction()
+        assert s.rad == 7 * r
 
     def test_mul_containment(self):
-        # |true product - midpoint| <= radius for sampled true values
+        # every product of points drawn from the two balls lies in the
+        # product ball, checked exactly
         prec = 80
         rng = random.Random(9)
         for _ in range(20):
-            ar, ai = rng.randint(-99, 99), rng.randint(-99, 99)
-            br, bi = rng.randint(-99, 99), rng.randint(-99, 99)
-            a = ComplexBall(ar << prec, ai << prec, prec, Mag(1, -70))
-            b = ComplexBall(br << prec, bi << prec, prec, Mag(1, -70))
+            a = ComplexBall(
+                rng.randint(-99 << prec, 99 << prec), rng.randint(-99 << prec, 99 << prec),
+                prec, rng.choice([0, 1, 1 << 10, rng.randint(0, 1 << 60)]),
+            )
+            b = ComplexBall(
+                rng.randint(-99 << prec, 99 << prec), rng.randint(-99 << prec, 99 << prec),
+                prec, rng.choice([0, 1, 1 << 10, rng.randint(0, 1 << 60)]),
+            )
             p = a.mul(b)
-            true = complex(ar, ai) * complex(br, bi)
-            mid = complex(p.re / 2 ** prec, p.im / 2 ** prec)
-            assert abs(true - mid) <= float(p.rad.to_fraction()) + 1e-12
+            for _ in range(5):
+                (xr, xi), (yr, yi) = point_in(rng, a), point_in(rng, b)
+                assert inside((xr * yr - xi * yi, xr * yi + xi * yr), p)
+
+    def test_mul_int_and_radius_sign(self):
+        b = ComplexBall(3, -4, 10, 5).mul_int(-3)
+        assert (b.re, b.im, b.rad) == (-9, 12, 15)
+        with pytest.raises(ValueError):
+            ComplexBall(0, 0, 10, -1)
+
+
+class TestRootProduct:
+    def test_contains_exact_product(self):
+        # true Gaussian-rational labels drawn inside the balls; the exact
+        # coefficients of prod (x - label) must lie in the computed balls
+        # (exact labels leave only the truncation ulps in the radii)
+        rng = random.Random(2024)
+        for n, exact_labels in itertools.product(
+            list(range(1, 17)) + [24, 32, 48, 64], (True, False)
+        ):
+            prec = rng.choice([48, 64, 128])
+            balls = [
+                ComplexBall(
+                    rng.randint(-(16 << prec), 16 << prec),
+                    rng.choice([0, rng.randint(-(16 << prec), 16 << prec)]),
+                    prec,
+                    0 if exact_labels else rng.choice([0, 1, rng.randint(0, 1 << (prec // 2))]),
+                )
+                for _ in range(n)
+            ]
+            coeffs = root_product(balls, prec)
+            labels = [point_in(rng, b) for b in balls]
+            exact = [(Fraction(1), Fraction(0))]
+            for lr, li in labels:
+                shifted = [(Fraction(0), Fraction(0))] + exact
+                for k, (cr, ci) in enumerate(exact):
+                    sr, si = shifted[k]
+                    shifted[k] = (sr - (cr * lr - ci * li), si - (cr * li + ci * lr))
+                exact = shifted
+            assert len(coeffs) == n + 1
+            for k, (value, b) in enumerate(zip(exact, coeffs)):
+                assert b.prec == prec
+                assert inside(value, b), (n, k)
+
+    def test_integer_roots_snap(self):
+        prec = 64
+        balls = [ComplexBall(r << prec, 0, prec, 3) for r in (1, 2, 3)]
+        assert [snap_to_integer(b) for b in root_product(balls, prec)] == [-6, 11, -6, 1]
 
 
 class TestSnap:
@@ -85,24 +152,34 @@ class TestSnap:
             3 * (1 << prec) - (1 << prec) // 10000,
             (1 << prec) // 100000,
             prec,
-            Mag(1, -10),
+            1 << (prec - 10),
         )
         assert snap_to_integer(b) == 3
 
     def test_no_integer_in_interval(self):
         prec = 100
-        b = ComplexBall(5 << (prec - 1), 0, prec, Mag(13107, -16))  # 2.5 += ~0.2
+        b = ComplexBall(5 << (prec - 1), 0, prec, 13107 << (prec - 16))  # 2.5 += ~0.2
         assert snap_to_integer(b) is None
 
     def test_two_integers_in_interval(self):
         prec = 100
-        b = ComplexBall(5 << (prec - 1), 0, prec, Mag(39322, -16))  # 2.5 += ~0.6
+        b = ComplexBall(5 << (prec - 1), 0, prec, 39322 << (prec - 16))  # 2.5 += ~0.6
         assert snap_to_integer(b) is None
+
+    def test_closed_interval_endpoints(self):
+        prec = 100
+        quarter = 1 << (prec - 2)
+        assert snap_to_integer(ComplexBall(9 * quarter, 0, prec, quarter)) == 2  # [2, 2.5]
+        assert snap_to_integer(ComplexBall(-9 * quarter, 0, prec, quarter)) == -2
+        assert snap_to_integer(ComplexBall(10 * quarter, 0, prec, 2 * quarter - 1)) is None
 
     def test_imaginary_blocks(self):
         prec = 100
-        b = ComplexBall(3 << prec, 1 << (prec - 1), prec, Mag(1, -50))
+        b = ComplexBall(3 << prec, 1 << (prec - 1), prec, 1 << (prec - 50))
         assert snap_to_integer(b) is None
+        # 2(|im| + rad) must stay below one unit
+        assert snap_to_integer(ComplexBall(3 << prec, (1 << (prec - 1)) - 2, prec, 2)) is None
+        assert snap_to_integer(ComplexBall(3 << prec, -(1 << (prec - 1)) + 3, prec, 2)) == 3
 
 
 class TestIsolateRoots:
@@ -110,7 +187,7 @@ class TestIsolateRoots:
         iso = isolate_roots(IntPoly([1, 0, 1]), 128)
         assert len(iso.balls) == 2
         for b in iso.balls:
-            assert b.rad.to_fraction() < Fraction(1, 2 ** 50)
+            assert radius(b) < Fraction(1, 2 ** 50)
             assert abs(abs(Fraction(b.im, 2 ** b.prec)) - 1) < Fraction(1, 2 ** 40)
 
     def test_integer_roots_snap(self):
@@ -122,7 +199,7 @@ class TestIsolateRoots:
             f = IntPoly(coeffs)
             iso = isolate_roots(f, 128)
             for b in iso.balls:
-                assert eval_poly_ball(f, b).contains_zero()
+                assert eval_ball(f, b).contains_zero()
 
     def test_disjointness(self):
         iso = isolate_roots(IntPoly([1, -1, 0, 0, 0, 1]), 128)
@@ -130,15 +207,13 @@ class TestIsolateRoots:
         for i in range(len(balls)):
             for j in range(i + 1, len(balls)):
                 d2 = (balls[i].re - balls[j].re) ** 2 + (balls[i].im - balls[j].im) ** 2
-                rsum = balls[i].rad.add(balls[j].rad).to_fraction()
-                assert Fraction(d2, 1 << (2 * balls[i].prec)) > rsum * rsum
+                assert d2 > (balls[i].rad + balls[j].rad) ** 2
 
     def test_quintic_structure_against_numpy(self):
         import numpy as np
 
         f = IntPoly([1, -1, 0, 0, 0, 1])
         iso = isolate_roots(f, 128)
-        reals = sum(1 for b in iso.balls if b.im == 0 or snap_real(b))
         got = sorted(
             (round(b.re / 2 ** b.prec, 8), round(b.im / 2 ** b.prec, 8)) for b in iso.balls
         )
@@ -161,9 +236,32 @@ class TestIsolateRoots:
         for coeffs in ([1, 0, 1], [1, -1, 0, 0, 0, 1]):
             lo = isolate_roots(IntPoly(coeffs), 128)
             hi = isolate_roots(IntPoly(coeffs), 256)
-            max_lo = max(b.rad.to_fraction() for b in lo.balls)
-            max_hi = max(b.rad.to_fraction() for b in hi.balls)
+            max_lo = max(radius(b) for b in lo.balls)
+            max_hi = max(radius(b) for b in hi.balls)
             assert max_hi <= max_lo
+
+    def test_large_coefficient_keeps_every_bit(self):
+        # an 18-digit coefficient rounded to 53 bits would stop the disks
+        # near 2^-39 at every precision
+        f = IntPoly([1, 123456789012345678, 0, 0, 0, 0, 1])
+        iso = isolate_roots(f, 256)
+        assert iso.precision == 256
+        for b in iso.balls:
+            assert radius(b) <= Fraction(1, 2 ** 200)
+            assert eval_ball(f, b).contains_zero()
+
+    def test_clustered_roots(self):
+        # x^6 - 2(1000x - 1)^2 has two roots about 2^-39 apart near 1/1000
+        f = IntPoly([-2, 4000, -2000000, 0, 0, 0, 1])
+        iso = isolate_roots(f, 32)
+        assert len(iso.balls) == 6
+        balls = iso.balls
+        for i in range(len(balls)):
+            for j in range(i + 1, len(balls)):
+                d2 = (balls[i].re - balls[j].re) ** 2 + (balls[i].im - balls[j].im) ** 2
+                assert d2 > (balls[i].rad + balls[j].rad) ** 2
+        for b in balls:
+            assert eval_ball(f, b).contains_zero()
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
@@ -180,8 +278,4 @@ class TestIsolateRoots:
             iso = isolate_roots(f, 128)
             assert len(iso.balls) == f.degree
             for b in iso.balls:
-                assert eval_poly_ball(f, b).contains_zero()
-
-
-def snap_real(b):
-    return abs(b.im) <= (1 << max(b.prec - 40, 0))
+                assert eval_ball(f, b).contains_zero()

@@ -361,6 +361,78 @@ class TestCommands:
         assert code == 1
         assert out2.startswith("FAIL: inputs_digest does not match the subject (chi;g=3;")
 
+    def test_verify_rejects_non_object_document(self, capsys, tmp_path):
+        path = tmp_path / "cert.json"
+        for text in ("[1, 2]", '"x"'):
+            path.write_text(text)
+            assert run_cli(capsys, "verify", "--certificate", str(path)) == (
+                1, "FAIL: certificate is not a JSON object\n"
+            ), text
+        _, out = run_cli(capsys, "certify", "hyperelliptic", "--f", "x^6+x+1", "--json")
+        doc = json.loads(out)
+        doc["subject"] = "x^6+x+1"
+        path.write_text(json.dumps(doc))
+        code, out2 = run_cli(capsys, "verify", "--certificate", str(path))
+        assert code == 1
+        assert out2.startswith("FAIL: unreadable subject")
+
+    def test_verify_rejects_point_without_coordinates(self, capsys, tmp_path):
+        f = "2*x^6+2*x^5+3*x^4+6*x^3-3*x^2+2*x-8"
+        _, out = run_cli(capsys, "certify", "hyperelliptic", "--f", f, "--json")
+        path = tmp_path / "cert.json"
+        for missing in ("x", "y"):
+            doc = json.loads(out)
+            assert doc["evidence"]["kind"] == "rational-point"
+            del doc["evidence"][missing]
+            path.write_text(json.dumps(doc))
+            assert run_cli(capsys, "verify", "--certificate", str(path)) == (
+                1, "FAIL: unparseable certificate: rational-point evidence without x and y\n"
+            ), missing
+
+    def test_verify_rejects_malformed_scan_entries(self, capsys, tmp_path):
+        _, out = run_cli(
+            capsys, "family", "scan", "--f-t", "x^6+t*x+1", "--range=3..3", "--json"
+        )
+        path = tmp_path / "scan.json"
+        for certified, problem in (
+            ("x", "certified is not a list"),
+            ([1], "certified entry 0 is not an object with a t field"),
+            ([{"certificate": {}}], "certified entry 0 is not an object with a t field"),
+            ([{"t": "3"}], "t=3: certificate is not a JSON object"),
+            ([{"t": "3", "certificate": [1]}], "t=3: certificate is not a JSON object"),
+        ):
+            doc = json.loads(out)
+            assert doc["command"] == "family-scan"
+            doc["certified"] = certified
+            path.write_text(json.dumps(doc))
+            assert run_cli(capsys, "verify", "--certificate", str(path)) == (
+                1, "FAIL: %s\n" % problem
+            ), certified
+
+    def test_certify_eighteen_digit_coefficient(self, capsys):
+        # every bit of the coefficient reaches the root approximation, so
+        # the root disks shrink with the precision and the labels snap
+        code, out = run_cli(
+            capsys, "certify", "hyperelliptic", "--f=x^6+123456789012345678*x+1",
+            "--height-bound", "5",
+        )
+        assert code == 0
+        assert out.startswith("verdict: RankAtLeastOne\n")
+
+    def test_certify_chi_checks_theta_files_for_irreducible_chi(self, capsys, tmp_path):
+        theta = tmp_path / "theta.txt"
+        theta.write_text("order: ascending\n1 0 0 1\n")
+        code = main([
+            "certify", "chi", "--file", str(fixture_path("chi1.txt")), "--genus", "3",
+            "--assert-deg1-class", "--theta-odd", str(theta), "--theta-even", str(theta),
+        ])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (
+            "error: theta resolvent degrees (3, 3) do not match genus 3 (28, 36)\n"
+        )
+
     def test_bad_polynomial_is_usage_error(self, capsys):
         code, _ = run_cli(capsys, "certify", "hyperelliptic", "--f", "x^^2")
         assert code == 1
@@ -458,17 +530,24 @@ class TestCommands:
 
 
 def test_runs_without_numpy():
-    # numpy is a test-only dependency: blocking its import changes nothing
+    # numpy and mpmath are test-only dependencies: blocking their imports
+    # changes nothing
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)
     argv = ["certify", "hyperelliptic", "--f=x^7+x+1", "--json"]
     runs = []
-    for block in ("", "sys.modules['numpy'] = None; "):
+    for block in (
+        "",
+        "sys.modules['numpy'] = None; ",
+        "sys.modules['numpy'] = None; sys.modules['mpmath'] = None; ",
+    ):
         code = "import sys; %sfrom rankcert.cli import main; sys.exit(main(%r))" % (block, argv)
         runs.append(subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, timeout=300,
         ))
-    normal, blocked = runs
-    assert blocked.returncode == normal.returncode == 2
-    assert blocked.stdout == normal.stdout
-    assert blocked.stdout.startswith(b"{")
+    normal, *blocked = runs
+    assert normal.returncode == 2
+    assert normal.stdout.startswith(b"{")
+    for run in blocked:
+        assert run.returncode == normal.returncode
+        assert run.stdout == normal.stdout
