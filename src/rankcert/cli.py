@@ -58,6 +58,7 @@ from .factorq import BadPrimeError, _primes_from, degree_pattern, factor_over_q,
 from .family import FamilyCurve, ScanOptions, check_good_fiber, scan
 from .theta import theta_class_counts, theta_data
 from .weierstrass import (
+    MAX_GENUS,
     ODD,
     build_curve,
     frobenius_orbit_oracle,
@@ -388,6 +389,8 @@ def pipeline_hyperelliptic(
 def _pipeline_chi(chi: RatPoly, genus: int, evidence, theta_odd=None, theta_even=None):
     """Certification from an external chi.  Given theta resolvents are
     checked before any decision and factored only when chi is reducible."""
+    if genus > MAX_GENUS:
+        raise ValueError("genus %d exceeds the genus cap g <= %d" % (genus, MAX_GENUS))
     expected = (1 << (2 * genus)) - 1
     if chi.degree != expected:
         raise ValueError(
@@ -603,6 +606,8 @@ def _cmd_family_scan(args):
 
 
 def _cmd_oracle(args):
+    if args.primes < 1:
+        raise ValueError("--primes must be at least 1; got %d" % args.primes)
     f = parse_poly(args.f)
     curve = build_curve(f)
     res = resolvent_j2(curve)
@@ -615,7 +620,7 @@ def _cmd_oracle(args):
             raise RuntimeError("ran out of primes below 100000")
         try:
             pat = degree_pattern(res.chi, p)
-            oracle = frobenius_orbit_oracle(curve, p, res)
+            oracle = frobenius_orbit_oracle(curve, p)
         except BadPrimeError:
             continue
         match = pat.degrees == oracle

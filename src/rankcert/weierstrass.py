@@ -1,23 +1,29 @@
-"""Hyperelliptic curves y^2 = f(x), their two-torsion, and its resolvent.
+"""Hyperelliptic curves y^2 = f(x) and the class sets of their branch points.
 
-Nonzero two-torsion classes of the Jacobian correspond to even-cardinality
-subsets of the Weierstrass roots modulo complementation.  Each class gets a
-numeric label built from certified root enclosures (sum of u_c(alpha) over
-the class representative, with u_c(x) = x + c*x^2; even-degree models use
-the complement-invariant product of the two subset sums).  The resolvent
-chi is the exact integer polynomial whose roots are these labels.  The size
-of a class (|S| for odd-degree models, min(|S|, |S^c|) for even-degree
-models) is a Galois invariant, so chi is assembled one size stratum at a
-time: the ball product of each stratum's linear factors is snapped
-coefficient-by-coefficient to integers, each part is checked squarefree and
-the parts pairwise coprime (together: chi is squarefree), which certifies
-that the labeling is injective and Galois-equivariant.  chi is the exact
-product of the parts, and the parts are factored over Q one at a time.
+Nonzero two-torsion classes of the Jacobian and theta characteristics are
+both subsets of the branch points (the roots of f, plus the point at
+infinity on odd-degree models) modulo complementation, stored as bitmasks
+over the finite roots.  This module owns every decision made on such a
+set, for both class sets:
 
-An independent cross-check is available through `frobenius_orbit_oracle`:
-factoring f modulo a good prime gives the Frobenius cycle type on the
-roots, whose induced action on subset classes must reproduce the
-factor-degree pattern of chi mod p.
+- `canonical_masks`: the representatives of one subset-size parity;
+- `class_labels`: the ball label of a class, the sum of u_c(alpha) =
+  alpha + c*alpha^2 over the mask (times the sum over the complement on
+  even-degree models);
+- `stratified_parts`: the exact resolvent parts of Galois-stable mask
+  pieces, one per class-size stratum, all under one labelling index.
+  `build_label_resolvents` snaps the ball product of each stratum's linear
+  factors to integers and checks every part squarefree and the parts
+  pairwise coprime, which certifies that the labelling is injective;
+- `frobenius_cycle_types`: the cycle type of Frobenius at a good prime p
+  on each piece, read off the factor degrees of f mod p.
+
+The two-torsion is the piece of nonzero even masks: its resolvent chi
+(`resolvent_j2`, degree 2^(2g) - 1) is the product of its parts, factored
+over Q one part at a time (`orbit_decomposition`), and
+`frobenius_orbit_oracle` cross-checks it against chi mod p.  The theta
+module adds what only theta characteristics know: h^0, parity and the
+rational-theta witness.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, prod
 
 from .certroots import ComplexBall, isolate_roots, root_product, snap_to_integer
 from .exactpoly import IntPoly, RatPoly, make_integral_monic, poly_digest, poly_gcd
@@ -49,12 +55,16 @@ __all__ = [
     "SingularModelError",
     "NoInjectiveLabelingError",
     "build_curve",
+    "canonical_masks",
+    "class_labels",
     "enumerate_j2_classes",
     "resolvent_j2",
     "orbit_decomposition",
     "two_torsion_data",
     "part_degrees",
     "size_strata",
+    "stratified_parts",
+    "frobenius_cycle_types",
     "frobenius_orbit_oracle",
     "build_label_resolvents",
 ]
@@ -93,26 +103,17 @@ class HyperellipticCurve:
     def nroots(self) -> int:
         return self.f.degree
 
-    def digest(self) -> str:
-        return poly_digest(self.f.coeffs)
-
 
 @dataclass(frozen=True)
 class SubsetClass:
-    """An even subset of the Weierstrass roots modulo complementation.
-
-    The stored bitmask is the canonical representative: odd-degree models
-    keep the even-cardinality member supported on the finite roots,
-    even-degree models the lexicographically smaller of {S, S^c}.
-    """
+    """A nonzero two-torsion class: an even subset of the Weierstrass roots
+    modulo complementation, stored as its canonical mask."""
 
     mask: int
-    nroots: int
 
     @property
     def size(self) -> int:
-        return bin(self.mask).count("1")
-
+        return self.mask.bit_count()
 
 
 @dataclass(frozen=True)
@@ -132,7 +133,6 @@ class TwoTorsionResolvent:
 
     chi: IntPoly
     labeling: Labeling
-    curve_digest: str
     parts: tuple
 
 
@@ -175,158 +175,22 @@ def build_curve(f: RatPoly) -> HyperellipticCurve:
 # ---------------------------------------------------------------------------
 # class enumeration
 
-def _popcount(x: int) -> int:
-    return bin(x).count("1")
+def canonical_masks(curve: HyperellipticCurve, parity: int) -> tuple:
+    """Canonical masks of the classes of subset size ``parity`` mod 2,
+    ascending: every such mask on odd-degree models (the member of {S, S^c}
+    that avoids the infinite point), the smaller of {S, S^c} on even-degree
+    models.  Two-torsion takes parity 0 without mask 0, theta
+    characteristics parity g+1."""
+    full = (1 << curve.nroots) - 1
+    return tuple(
+        m for m in range(full + 1)
+        if m.bit_count() % 2 == parity and (curve.parity == ODD or m < full ^ m)
+    )
 
 
 def enumerate_j2_classes(curve: HyperellipticCurve) -> tuple:
     """All 2^(2g) - 1 nonzero two-torsion classes, canonical, ascending."""
-    n = curve.nroots
-    full = (1 << n) - 1
-    masks = []
-    if curve.parity == ODD:
-        for m in range(1, 1 << n):
-            if _popcount(m) % 2 == 0:
-                masks.append(m)
-    else:
-        for m in range(1, full):
-            if _popcount(m) % 2 == 0 and m < full ^ m:
-                masks.append(m)
-    expected = (1 << (2 * curve.genus)) - 1
-    if len(masks) != expected:
-        raise AssertionError("class count mismatch: %d != %d" % (len(masks), expected))
-    return tuple(SubsetClass(m, n) for m in masks)
-
-
-# ---------------------------------------------------------------------------
-# resolvent construction
-
-def _initial_precision(curve: HyperellipticCurve, nclasses: int, c: int) -> int:
-    # resolvent coefficient sizes are strongly data dependent (symmetric
-    # functions of the labels cancel massively), so a worst-case bound is
-    # useless; start near the typical need and let snap failures double
-    # the precision (the rebuild ladder is geometric)
-    return max(128, ((nclasses + 8 * c + 96 + 63) // 64) * 64)
-
-
-def _u_values(iso, c: int) -> list:
-    out = []
-    for b in iso.balls:
-        u = b
-        if c:
-            u = b.add(b.mul(b).mul_int(c))
-        out.append(u)
-    return out
-
-
-def _subset_sum(uvals, mask: int) -> ComplexBall:
-    acc = ComplexBall(0, 0, uvals[0].prec)
-    for i, u in enumerate(uvals):
-        if mask >> i & 1:
-            acc = acc.add(u)
-    return acc
-
-
-def _label(uvals, mask: int, even_model: bool, allow_zero: bool = True):
-    """Ball label of a class: the subset sum of u_c over the mask, times the
-    sum over the complement on even-degree models.  None when
-    ``allow_zero`` is false and a subset sum may vanish."""
-    sums = [_subset_sum(uvals, mask)]
-    if even_model:
-        sums.append(_subset_sum(uvals, ((1 << len(uvals)) - 1) ^ mask))
-    if not allow_zero and any(s.contains_zero() for s in sums):
-        return None
-    return sums[0].mul(sums[1]) if even_model else sums[0]
-
-
-def _resolvent_from_labels(labels, prec: int):
-    """Monic integer prod (x - label); None when a coefficient fails to snap."""
-    out = []
-    for b in root_product(labels, prec):
-        v = snap_to_integer(b)
-        if v is None:
-            return None
-        out.append(v)
-    return IntPoly(out)
-
-
-def build_label_resolvents(
-    curve: HyperellipticCurve,
-    mask_groups,
-    zero_exempt=frozenset(),
-    start_c: int = 0,
-):
-    """Exact squarefree resolvents for groups of subset classes.
-
-    ``mask_groups`` is a sequence of mask tuples; one integer polynomial is
-    produced per group (product over the group of x - label).  The label of
-    a mask is the subset sum of u_c over the mask for odd-degree models and
-    the product of the sums over mask and complement for even-degree
-    models.  Retry protocol: a label ball containing zero (outside
-    ``zero_exempt``) or a squarefreeness failure increments c; a snap
-    failure doubles the precision.  After c > 64 a final pass permits
-    zero-containing labels, still insisting on exact squarefreeness.
-
-    Returns (polys, Labeling, precision).
-    """
-    total = sum(len(g) for g in mask_groups)
-    even_model = curve.parity == EVEN
-
-    for allow_zero in (False, True):
-        c = start_c
-        prec_req = _initial_precision(curve, total, start_c)
-        while c <= MAX_LABELING:
-            iso = isolate_roots(curve.f, prec_req)
-            prec = iso.precision
-            uvals = _u_values(iso, c)
-            group_labels = [
-                [_label(uvals, m, even_model, allow_zero or m in zero_exempt) for m in masks]
-                for masks in mask_groups
-            ]
-            if any(None in labels for labels in group_labels):
-                c += 1
-                continue
-            polys = []
-            snap_failed = False
-            for labels in group_labels:
-                chi = _resolvent_from_labels(labels, prec)
-                if chi is None:
-                    snap_failed = True
-                    break
-                polys.append(chi)
-            if snap_failed:
-                prec_req = prec * 2
-                continue
-            ok = all(is_squarefree(chi) for chi in polys)
-            if ok and len(polys) > 1:
-                for i in range(len(polys)):
-                    for j in range(i + 1, len(polys)):
-                        if coprime_by_reduction(polys[i], polys[j]):
-                            continue
-                        if polys[i].gcd(polys[j]).degree > 0:
-                            ok = False
-            if ok:
-                return polys, Labeling(c), prec
-            c += 1
-    raise NoInjectiveLabelingError(
-        "no injective labeling found with c <= %d" % MAX_LABELING
-    )
-
-
-def resolvent_j2(curve: HyperellipticCurve) -> TwoTorsionResolvent:
-    """Exact squarefree chi in Z[x] of degree 2^(2g) - 1 for J[2] \\ {0}.
-
-    >>> curve = build_curve(RatPoly([1, 1, 0, 0, 0, 0, 1]))  # y^2 = x^6+x+1
-    >>> resolvent_j2(curve).chi.degree
-    15
-    """
-    masks = tuple(cl.mask for cl in enumerate_j2_classes(curve))
-    parts, labeling, _prec = build_label_resolvents(curve, size_strata(curve, masks))
-    chi = _product(parts)
-    expected = (1 << (2 * curve.genus)) - 1
-    if chi.degree != expected:
-        raise AssertionError("resolvent degree %d != %d" % (chi.degree, expected))
-    return TwoTorsionResolvent(chi, labeling, curve.digest(), tuple(parts))
+    return tuple(SubsetClass(m) for m in canonical_masks(curve, 0) if m)
 
 
 def size_strata(curve: HyperellipticCurve, masks) -> tuple:
@@ -340,18 +204,145 @@ def size_strata(curve: HyperellipticCurve, masks) -> tuple:
     n = curve.nroots
     groups = {}
     for m in masks:
-        size = _popcount(m)
+        size = m.bit_count()
         if curve.parity == EVEN:
             size = min(size, n - size)
         groups.setdefault(size, []).append(m)
     return tuple(tuple(groups[k]) for k in sorted(groups))
 
 
-def _product(polys) -> IntPoly:
-    out = polys[0]
-    for q in polys[1:]:
-        out = out * q
+# ---------------------------------------------------------------------------
+# labels and resolvents
+
+def _initial_precision(nclasses: int, c: int) -> int:
+    # resolvent coefficient sizes are strongly data dependent (symmetric
+    # functions of the labels cancel massively), so a worst-case bound is
+    # useless; start near the typical need and let snap failures double
+    # the precision (the rebuild ladder is geometric)
+    return max(128, ((nclasses + 8 * c + 96 + 63) // 64) * 64)
+
+
+def _subset_sum(uvals, mask: int) -> ComplexBall:
+    acc = ComplexBall(0, 0, uvals[0].prec)
+    for i, u in enumerate(uvals):
+        if mask >> i & 1:
+            acc = acc.add(u)
+    return acc
+
+
+def class_labels(
+    curve: HyperellipticCurve, iso, c: int, masks, allow_zero: bool = True
+) -> list:
+    """Ball labels of the classes ``masks`` at labelling index c, from the
+    root balls of the isolation ``iso``.
+
+    The label is the subset sum of u_c(x) = x + c*x^2 over the mask, times
+    the sum over the complement on even-degree models.  Without
+    ``allow_zero``, a nonzero mask whose subset sum may vanish gets None.
+    Mask 0, the theta class of the empty set, has the label exactly zero
+    and always gets it.
+    """
+    uvals = [b.add(b.mul(b).mul_int(c)) if c else b for b in iso.balls]
+    full = (1 << len(uvals)) - 1
+    out = []
+    for m in masks:
+        sums = [_subset_sum(uvals, m)]
+        if curve.parity == EVEN:
+            sums.append(_subset_sum(uvals, full ^ m))
+        if not allow_zero and m and any(s.contains_zero() for s in sums):
+            out.append(None)
+        else:
+            out.append(sums[0].mul(sums[1]) if curve.parity == EVEN else sums[0])
     return out
+
+
+def _resolvent_from_labels(labels, prec: int):
+    """Monic integer prod (x - label); None when a coefficient fails to snap."""
+    out = []
+    for b in root_product(labels, prec):
+        v = snap_to_integer(b)
+        if v is None:
+            return None
+        out.append(v)
+    return IntPoly(out)
+
+
+def build_label_resolvents(curve: HyperellipticCurve, mask_groups, start_c: int = 0):
+    """Exact squarefree resolvents for groups of classes, one labelling.
+
+    ``mask_groups`` is a sequence of mask tuples; one integer polynomial is
+    produced per group, the product over the group of x - label with the
+    labels of `class_labels`.  Retry protocol: a label ball of a nonzero
+    mask containing zero, a part that is not squarefree or two parts that
+    are not coprime increment c; a snap failure doubles the precision.
+    After c > 64 a final pass permits zero-containing labels, still
+    insisting on exact squarefreeness.
+
+    Returns (polys, Labeling, precision).
+    """
+    total = sum(len(g) for g in mask_groups)
+    for allow_zero in (False, True):
+        c = start_c
+        prec_req = _initial_precision(total, start_c)
+        while c <= MAX_LABELING:
+            iso = isolate_roots(curve.f, prec_req)
+            group_labels = [
+                class_labels(curve, iso, c, masks, allow_zero) for masks in mask_groups
+            ]
+            if any(None in labels for labels in group_labels):
+                c += 1
+                continue
+            polys = []
+            for labels in group_labels:
+                polys.append(_resolvent_from_labels(labels, iso.precision))
+                if polys[-1] is None:
+                    break
+            if polys[-1] is None:
+                prec_req = iso.precision * 2
+                continue
+            if all(is_squarefree(chi) for chi in polys) and all(
+                coprime_by_reduction(a, b) or a.gcd(b).degree == 0
+                for i, a in enumerate(polys)
+                for b in polys[i + 1:]
+            ):
+                return polys, Labeling(c), iso.precision
+            c += 1
+    raise NoInjectiveLabelingError(
+        "no injective labeling found with c <= %d" % MAX_LABELING
+    )
+
+
+def stratified_parts(curve: HyperellipticCurve, pieces) -> tuple:
+    """Resolvent parts of Galois-stable mask pieces under one labelling.
+
+    Every piece is split into its size strata (`size_strata`), and the
+    parts of all strata of all pieces are built by one
+    `build_label_resolvents` call.  Returns (parts of each piece, in
+    ascending class size; Labeling).
+    """
+    groups = [size_strata(curve, piece) for piece in pieces]
+    polys, labeling, _prec = build_label_resolvents(curve, [g for gs in groups for g in gs])
+    out = []
+    for gs in groups:
+        out.append(tuple(polys[:len(gs)]))
+        polys = polys[len(gs):]
+    return tuple(out), labeling
+
+
+def resolvent_j2(curve: HyperellipticCurve) -> TwoTorsionResolvent:
+    """Exact squarefree chi in Z[x] of degree 2^(2g) - 1 for J[2] \\ {0}.
+
+    >>> curve = build_curve(RatPoly([1, 1, 0, 0, 0, 0, 1]))  # y^2 = x^6+x+1
+    >>> resolvent_j2(curve).chi.degree
+    15
+    """
+    masks = tuple(cl.mask for cl in enumerate_j2_classes(curve))
+    (parts,), labeling = stratified_parts(curve, [masks])
+    chi = prod(parts[1:], start=parts[0])
+    expected = (1 << (2 * curve.genus)) - 1
+    if chi.degree != expected:
+        raise AssertionError("resolvent degree %d != %d" % (chi.degree, expected))
+    return TwoTorsionResolvent(chi, labeling, parts)
 
 
 def part_degrees(parts) -> tuple:
@@ -376,7 +367,7 @@ def two_torsion_data(curve: HyperellipticCurve) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Frobenius oracle
+# Frobenius action
 
 def _perm_from_cycle_type(degrees) -> list:
     perm = list(range(sum(degrees)))
@@ -414,30 +405,41 @@ def _orbit_lengths(masks, image) -> tuple:
     return tuple(sorted(out))
 
 
+def frobenius_cycle_types(
+    curve: HyperellipticCurve, p: int, pieces, resolvents=()
+) -> tuple:
+    """Cycle types of Frobenius at p on each Galois-stable mask piece.
+
+    Factors f mod p (BadPrimeError unless squarefree) and realizes the
+    factor-degree multiset as a permutation of the roots.  It fixes the
+    infinite point, so on odd-degree models it maps canonical masks to
+    canonical masks; on even-degree models each image is brought back to
+    the smaller of {S, S^c}.  Each of ``resolvents`` must be squarefree
+    mod p too, so that its degree pattern mod p is the cycle type on its
+    classes.
+    """
+    perm = _perm_from_cycle_type(degree_pattern(curve.f, p).degrees)
+    for chi in resolvents:
+        if not gf_sqf_p(gf_from_int(chi.coeffs, p), p):
+            raise BadPrimeError(f"resolvent mod {p} is not squarefree")
+    full = (1 << curve.nroots) - 1
+
+    def image(m):
+        im = _apply_perm(m, perm)
+        return im if curve.parity == ODD else min(im, full ^ im)
+
+    return tuple(_orbit_lengths(piece, image) for piece in pieces)
+
+
 def frobenius_orbit_oracle(
     curve: HyperellipticCurve, p: int, resolvent: TwoTorsionResolvent | None = None
 ) -> tuple:
     """Cycle-length multiset of Frobenius acting on the two-torsion classes.
 
-    Factors f mod p, realizes the factor-degree multiset as a permutation
-    of the roots, and returns the cycle type of the induced action on the
-    subset classes.  For a good prime this equals
-    ``degree_pattern(chi, p).degrees``; pass the resolvent to have the
-    chi-side goodness (squarefree reduction) checked too.
+    For a good prime this equals ``degree_pattern(chi, p).degrees``; pass
+    the resolvent to have the chi-side goodness (squarefree reduction)
+    checked too.
     """
-    pattern = degree_pattern(curve.f, p)
-    if resolvent is not None:
-        if not gf_sqf_p(gf_from_int(resolvent.chi.coeffs, p), p):
-            raise BadPrimeError(f"chi mod {p} is not squarefree")
-    perm = _perm_from_cycle_type(pattern.degrees)
-    classes = enumerate_j2_classes(curve)
-    masks = tuple(cl.mask for cl in classes)
-    n = curve.nroots
-    full = (1 << n) - 1
-    if curve.parity == ODD:
-        image = lambda m: _apply_perm(m, perm)
-    else:
-        def image(m):
-            im = _apply_perm(m, perm)
-            return min(im, full ^ im)
-    return _orbit_lengths(masks, image)
+    masks = tuple(cl.mask for cl in enumerate_j2_classes(curve))
+    chis = () if resolvent is None else (resolvent.chi,)
+    return frobenius_cycle_types(curve, p, [masks], chis)[0]

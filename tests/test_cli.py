@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -432,6 +433,30 @@ class TestCommands:
         assert captured.err == (
             "error: theta resolvent degrees (3, 3) do not match genus 3 (28, 36)\n"
         )
+
+    def test_certify_chi_rejects_genus_above_cap(self, capsys, tmp_path):
+        # x^1023 - x - 1 is squarefree and has the degree genus 5 requires;
+        # the cap rejects it before any squarefree check or factoring
+        chi = tmp_path / "chi.txt"
+        chi.write_text("order: ascending\n-1 -1 %s 1\n" % " ".join(["0"] * 1021))
+        start = time.perf_counter()
+        code = main([
+            "certify", "chi", "--file", str(chi), "--genus", "5", "--assert-deg1-class",
+        ])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: genus 5 exceeds the genus cap g <= 4\n"
+        assert elapsed < 0.5
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_oracle_rejects_prime_count_below_one(self, capsys, count):
+        code = main(["oracle", "--f", "x^6+x+1", "--primes", count])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: --primes must be at least 1; got %s\n" % count
 
     def test_bad_polynomial_is_usage_error(self, capsys):
         code, _ = run_cli(capsys, "certify", "hyperelliptic", "--f", "x^^2")
