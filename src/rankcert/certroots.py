@@ -23,7 +23,8 @@ returns None and the precision doubles.  The approximation needs no rigor:
 the final midpoints are certified a posteriori by the disks
 D(z_i, n*|W_i|), with |W_i| an upper bound computed exactly in integers.
 These disks jointly contain all n roots, and when they are pairwise
-disjoint each contains exactly one (Carstensen, 1991).
+disjoint each contains exactly one (Carstensen, 1991).  `pairwise_disjoint`
+tests these disks and the class-label balls of `weierstrass` alike.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ __all__ = [
     "RootIsolation",
     "PrecisionExhausted",
     "isolate_roots",
+    "pairwise_disjoint",
     "root_product",
     "snap_to_integer",
     "PRECISION_CAP",
@@ -142,6 +144,22 @@ def root_product(roots, prec: int) -> list:
     return [ComplexBall(re, im, prec, rad) for re, im, rad in zip(*polys[0])]
 
 
+def pairwise_disjoint(balls) -> bool:
+    """True iff the closed disks (one precision) are pairwise disjoint.
+
+    Sort-and-sweep by left edge: each ball meets only later balls whose real
+    interval starts before its own ends, and two balls meet, tangency
+    included, iff |m1 - m2|^2 <= (r1 + r2)^2, tested exactly."""
+    order = sorted(balls, key=lambda b: b.re - b.rad)
+    for i, a in enumerate(order):
+        for b in order[i + 1:]:
+            if b.re - b.rad > a.re + a.rad:
+                break
+            if (a.re - b.re) ** 2 + (a.im - b.im) ** 2 <= (a.rad + b.rad) ** 2:
+                return False
+    return True
+
+
 # ---------------------------------------------------------------------------
 # isolation
 
@@ -227,14 +245,10 @@ def _certify(f: IntPoly, zs, P: int):
     for (fr, fi), (dr, di) in ws:
         q = -(-(fr * fr + fi * fi) // (dr * dr + di * di))
         rads.append(n * (math.isqrt(q) + 1))
-    for i in range(n):
-        for j in range(i + 1, n):
-            dx, dy = zs[i][0] - zs[j][0], zs[i][1] - zs[j][1]
-            if dx * dx + dy * dy <= (rads[i] + rads[j]) ** 2:
-                return None
     balls = [ComplexBall(zr, zi, P, r) for (zr, zi), r in zip(zs, rads)]
-    balls.sort(key=lambda b: (b.re, b.im))
-    return tuple(balls)
+    if not pairwise_disjoint(balls):
+        return None
+    return tuple(sorted(balls, key=lambda b: (b.re, b.im)))
 
 
 @lru_cache(maxsize=128)

@@ -389,6 +389,8 @@ def pipeline_hyperelliptic(
 def _pipeline_chi(chi: RatPoly, genus: int, evidence, theta_odd=None, theta_even=None):
     """Certification from an external chi.  Given theta resolvents are
     checked before any decision and factored only when chi is reducible."""
+    if genus < 1:
+        raise ValueError("genus must be >= 1; got %d" % genus)
     if genus > MAX_GENUS:
         raise ValueError("genus %d exceeds the genus cap g <= %d" % (genus, MAX_GENUS))
     expected = (1 << (2 * genus)) - 1
@@ -441,7 +443,13 @@ def _emit_certificate(cert, subject, as_json: bool):
     return (0 if cert.certified else 2), text
 
 
+def _check_height_bound(args):
+    if args.height_bound < 0:
+        raise ValueError("--height-bound must be at least 0; got %d" % args.height_bound)
+
+
 def _cmd_certify_hyperelliptic(args):
+    _check_height_bound(args)
     f = parse_poly(args.f)
     cert, curve = pipeline_hyperelliptic(
         f,
@@ -532,6 +540,7 @@ def _cmd_family_scan(args):
     lo, hi = int(m.group(1)), int(m.group(2))
     if lo > hi:
         raise ValueError("empty range %d..%d" % (lo, hi))
+    _check_height_bound(args)
     fam = parse_family(args.f_t)
     options = ScanOptions(
         full_theta=args.full_criterion,
@@ -540,7 +549,12 @@ def _cmd_family_scan(args):
     )
     fiber_check = None
     if args.fiber_check is not None:
-        b = Fraction(args.fiber_check)
+        try:
+            b = Fraction(args.fiber_check)
+        except ZeroDivisionError:
+            raise ValueError(
+                "--fiber-check has a zero denominator: %s" % args.fiber_check
+            ) from None
         transitive, rep = check_good_fiber(fam, b)
         fiber_check = {
             "t": str(b),

@@ -625,16 +625,12 @@ def _candidate_primes(F: IntPoly, want: int = 8, max_scan: int = 400):
         scanned += 1
         if scanned > max_scan and out:
             break
-        if F.lc % p == 0:
+        try:
+            pattern = degree_pattern(F, p)
+        except BadPrimeError:
             continue
-        fp = gf_from_int(F.coeffs, p)
-        if not gf_sqf_p(fp, p):
-            continue
-        degs = []
-        for prodpoly, d in gf_ddf(gf_monic(fp, p), p):
-            degs.extend([d] * ((len(prodpoly) - 1) // d))
-        out.append((len(degs), p))
-        patterns.append(DegreePattern(p, tuple(degs)))
+        out.append((len(pattern.degrees), p))
+        patterns.append(pattern)
         allowed = possible_degrees(patterns, F.degree)
         if allowed == {0, F.degree} or len(out) >= want:
             break

@@ -12,9 +12,8 @@ set, for both class sets:
   even-degree models);
 - `stratified_parts`: the exact resolvent parts of Galois-stable mask
   pieces, one per class-size stratum, all under one labelling index.
-  `build_label_resolvents` snaps the ball product of each stratum's linear
-  factors to integers and checks every part squarefree and the parts
-  pairwise coprime, which certifies that the labelling is injective;
+  `build_label_resolvents` proves the labelling injective by pairwise
+  disjoint label balls, then snaps each stratum's ball product to integers;
 - `frobenius_cycle_types`: the cycle type of Frobenius at a good prime p
   on each piece, read off the factor degrees of f mod p.
 
@@ -33,17 +32,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, prod
 
-from .certroots import ComplexBall, isolate_roots, root_product, snap_to_integer
-from .exactpoly import IntPoly, RatPoly, make_integral_monic, poly_digest, poly_gcd
-from .factorq import (
-    BadPrimeError,
-    degree_pattern,
-    factor_over_q,
-    coprime_by_reduction,
-    gf_from_int,
-    gf_sqf_p,
-    is_squarefree,
+from .certroots import (
+    ComplexBall,
+    isolate_roots,
+    pairwise_disjoint,
+    root_product,
+    snap_to_integer,
 )
+from .exactpoly import IntPoly, RatPoly, make_integral_monic, poly_digest, poly_gcd
+from .factorq import BadPrimeError, degree_pattern, factor_over_q, gf_from_int, gf_sqf_p
 
 __all__ = [
     "ODD",
@@ -81,7 +78,7 @@ class SingularModelError(ValueError):
 
 
 class NoInjectiveLabelingError(RuntimeError):
-    """No labeling index c <= 64 produced a squarefree resolvent."""
+    """No labeling index c <= 64 gave pairwise disjoint label balls."""
 
 
 @dataclass(frozen=True)
@@ -272,11 +269,12 @@ def build_label_resolvents(curve: HyperellipticCurve, mask_groups, start_c: int 
 
     ``mask_groups`` is a sequence of mask tuples; one integer polynomial is
     produced per group, the product over the group of x - label with the
-    labels of `class_labels`.  Retry protocol: a label ball of a nonzero
-    mask containing zero, a part that is not squarefree or two parts that
-    are not coprime increment c; a snap failure doubles the precision.
-    After c > 64 a final pass permits zero-containing labels, still
-    insisting on exact squarefreeness.
+    labels of `class_labels`.  The label balls of all groups, pairwise
+    disjoint before any product is built, prove the labels distinct, so each
+    part is squarefree and the parts are pairwise coprime.  Retry protocol:
+    a zero-containing label of a nonzero mask or two meeting balls increment
+    c; a snap failure doubles the precision.  After c > 64 a final pass
+    permits zero-containing labels, still insisting on disjoint balls.
 
     Returns (polys, Labeling, precision).
     """
@@ -286,27 +284,19 @@ def build_label_resolvents(curve: HyperellipticCurve, mask_groups, start_c: int 
         prec_req = _initial_precision(total, start_c)
         while c <= MAX_LABELING:
             iso = isolate_roots(curve.f, prec_req)
-            group_labels = [
-                class_labels(curve, iso, c, masks, allow_zero) for masks in mask_groups
-            ]
-            if any(None in labels for labels in group_labels):
+            groups = [class_labels(curve, iso, c, m, allow_zero) for m in mask_groups]
+            labels = [b for group in groups for b in group]
+            if None in labels or not pairwise_disjoint(labels):
                 c += 1
                 continue
             polys = []
-            for labels in group_labels:
-                polys.append(_resolvent_from_labels(labels, iso.precision))
+            for group in groups:
+                polys.append(_resolvent_from_labels(group, iso.precision))
                 if polys[-1] is None:
+                    prec_req = iso.precision * 2
                     break
-            if polys[-1] is None:
-                prec_req = iso.precision * 2
-                continue
-            if all(is_squarefree(chi) for chi in polys) and all(
-                coprime_by_reduction(a, b) or a.gcd(b).degree == 0
-                for i, a in enumerate(polys)
-                for b in polys[i + 1:]
-            ):
+            else:
                 return polys, Labeling(c), iso.precision
-            c += 1
     raise NoInjectiveLabelingError(
         "no injective labeling found with c <= %d" % MAX_LABELING
     )

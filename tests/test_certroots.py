@@ -8,6 +8,7 @@ import pytest
 from rankcert.certroots import (
     ComplexBall,
     isolate_roots,
+    pairwise_disjoint,
     root_product,
     snap_to_integer,
 )
@@ -180,6 +181,54 @@ class TestSnap:
         # 2(|im| + rad) must stay below one unit
         assert snap_to_integer(ComplexBall(3 << prec, (1 << (prec - 1)) - 2, prec, 2)) is None
         assert snap_to_integer(ComplexBall(3 << prec, -(1 << (prec - 1)) + 3, prec, 2)) == 3
+
+
+def all_pairs_disjoint(balls):
+    return all(
+        (a.re - b.re) ** 2 + (a.im - b.im) ** 2 > (a.rad + b.rad) ** 2
+        for a, b in itertools.combinations(balls, 2)
+    )
+
+
+class TestPairwiseDisjoint:
+    def test_zero_and_one_ball(self):
+        assert pairwise_disjoint([])
+        assert pairwise_disjoint([ComplexBall(5, -7, 10, 3)])
+
+    def test_tangent_disks_meet(self):
+        # |(3, 4)| = 5 = 2 + 3; also tangent along the real axis, where the
+        # left edge of one ball is the right edge of the other
+        assert not pairwise_disjoint([ComplexBall(0, 0, 0, 2), ComplexBall(3, 4, 0, 3)])
+        assert pairwise_disjoint([ComplexBall(0, 0, 0, 2), ComplexBall(3, 4, 0, 2)])
+        assert not pairwise_disjoint([ComplexBall(0, 0, 0, 1), ComplexBall(2, 0, 0, 1)])
+        assert pairwise_disjoint([ComplexBall(0, 0, 0, 1), ComplexBall(3, 0, 0, 1)])
+
+    def test_equal_midpoints_meet(self):
+        assert not pairwise_disjoint([ComplexBall(4, 4, 0), ComplexBall(4, 4, 0)])
+        assert not pairwise_disjoint([ComplexBall(-1, 9, 0, 5), ComplexBall(-1, 9, 0, 1)])
+
+    def test_same_real_part(self):
+        # every real interval overlaps, so the sweep never stops early
+        balls = [ComplexBall(0, 10 * k, 0, 4) for k in range(50)]
+        assert pairwise_disjoint(balls)
+        assert not pairwise_disjoint(balls + [ComplexBall(2, 253, 0, 1)])
+
+    def test_agrees_with_all_pairs_reference(self):
+        rng = random.Random(8101)
+        seen = set()
+        for _ in range(40):
+            rmax = rng.choice([10, 300, 1000, 3000, 30000])
+            balls = [
+                ComplexBall(
+                    rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6), 0,
+                    rng.randint(0, rmax),
+                )
+                for _ in range(300)
+            ]
+            want = all_pairs_disjoint(balls)
+            assert pairwise_disjoint(balls) == want
+            seen.add(want)
+        assert seen == {True, False}
 
 
 class TestIsolateRoots:

@@ -458,6 +458,37 @@ class TestCommands:
         assert captured.out == ""
         assert captured.err == "error: --primes must be at least 1; got %s\n" % count
 
+    @pytest.mark.parametrize("genus", ["0", "-1"])
+    def test_certify_chi_rejects_genus_below_one(self, capsys, genus):
+        code = main([
+            "certify", "chi", "--file", str(fixture_path("chi1.txt")),
+            "--genus", genus, "--assert-deg1-class",
+        ])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: genus must be >= 1; got %s\n" % genus
+
+    def test_family_scan_rejects_zero_denominator_fiber(self, capsys):
+        code = main([
+            "family", "scan", "--f-t", "x^6+t*x+1", "--range=1..2", "--fiber-check", "1/0",
+        ])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: --fiber-check has a zero denominator: 1/0\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["certify", "hyperelliptic", "--f", "x^6+x+1"],
+        ["family", "scan", "--f-t", "x^6+t*x+1", "--range=1..2"],
+    ], ids=["certify", "family-scan"])
+    def test_rejects_negative_height_bound(self, capsys, argv):
+        code = main(argv + ["--height-bound", "-5"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: --height-bound must be at least 0; got -5\n"
+
     def test_bad_polynomial_is_usage_error(self, capsys):
         code, _ = run_cli(capsys, "certify", "hyperelliptic", "--f", "x^^2")
         assert code == 1
@@ -576,3 +607,30 @@ def test_runs_without_numpy():
     for run in blocked:
         assert run.returncode == normal.returncode
         assert run.stdout == normal.stdout
+
+
+@pytest.mark.parametrize("f", [
+    "x^9-x",
+    "(x^2-2)*(x^2-3)*(x^2-5)*(x^2-7)*(x^2-11)",
+    "x^8+1",
+    "x^7-x",
+    "-3*x^5-6*x^4-3*x^3-4*x^2-4*x",
+])
+def test_inseparable_labels_fail_fast(f):
+    # two classes whose roots share the first two power sums get the same
+    # label alpha + c*alpha^2 summed for every c, so no labelling index
+    # separates them; meeting label balls reject each c without any gcd
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys; from rankcert.cli import main; sys.exit(main(%r))" % (
+        ["certify", "hyperelliptic", "--f=" + f],
+    )
+    start = time.perf_counter()
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, timeout=30,
+    )
+    elapsed = time.perf_counter() - start
+    assert run.returncode == 1
+    assert run.stdout == b""
+    assert run.stderr == b"error: no injective labeling found with c <= 64\n"
+    assert elapsed < 5

@@ -7,13 +7,19 @@ group of all masks at the same labeling index, and check each part
 against the Frobenius action on its own stratum.
 """
 
+import itertools
 import random
 
 import pytest
 
 from rankcert.cli import parse_poly
 from rankcert.exactpoly import RatPoly
-from rankcert.factorq import BadPrimeError, degree_pattern
+from rankcert.factorq import (
+    BadPrimeError,
+    coprime_by_reduction,
+    degree_pattern,
+    squarefree_by_reduction,
+)
 from rankcert.theta import enumerate_theta_classes, resolvent_theta
 from rankcert.weierstrass import (
     EVEN,
@@ -120,6 +126,17 @@ def test_theta_parts_multiply_to_parity_resolvents(f):
     for parity_odd, parts in ((True, th.odd_parts), (False, th.even_parts)):
         groups = size_strata(curve, [t.mask for t in classes if t.is_odd == parity_odd])
         assert [len(group) for group in groups] == [q.degree for q in parts]
+
+
+@pytest.mark.parametrize("f", CURVES, ids=str)
+def test_parts_pass_modular_squarefree_and_coprime_checks(f):
+    # disjoint label balls replaced these checks as the injectivity
+    # certificate; the parts they accept must still pass them
+    curve = build_curve(f)
+    th = resolvent_theta(curve)
+    for parts in (resolvent_j2(curve).parts, th.odd_parts + th.even_parts):
+        assert all(squarefree_by_reduction(q) for q in parts)
+        assert all(coprime_by_reduction(a, b) for a, b in itertools.combinations(parts, 2))
 
 
 def test_single_stratum_for_genus_two_sextics():
