@@ -5,7 +5,12 @@ polynomial modulo several primes, keep the prime with the fewest modular
 factors, Hensel-lift those factors past the Mignotte coefficient bound,
 then recombine subsets with exact trial division.  Recombination is
 exhaustive over subsets of size <= m/2, so the routine is complete without
-any lattice step.
+any lattice step.  A caller that already knows a good prime and bounds on
+the factor degrees passes them in and no prime is screened here: the
+curve pipelines read both off f mod p (`weierstrass.frobenius_screen`).
+The screen on the polynomial itself (`_candidate_primes`) serves
+`factor_over_q`, hence an external chi, and parts without a usable
+screened prime.
 
 Modulo-p polynomials are plain ascending coefficient lists with entries in
 [0, p); the public wrapper type is `ModPoly`.  Every product, mod p and over
@@ -639,15 +644,24 @@ def _candidate_primes(F: IntPoly, want: int = 8, max_scan: int = 400):
     return out, possible_degrees(patterns, F.degree)
 
 
-def _zassenhaus(F: IntPoly) -> list[IntPoly]:
-    """Irreducible factors of a primitive squarefree F with lc > 0."""
+def _zassenhaus(F: IntPoly, allowed=None, p=None) -> list[IntPoly]:
+    """Irreducible factors of a primitive squarefree F with lc > 0.
+
+    ``allowed`` bounds the factor degrees and ``p`` is a prime at which F
+    is squarefree with a unit leading coefficient, both known to the
+    caller (the Frobenius screen of the curve pipelines).  Without p,
+    `_candidate_primes` screens primes on F itself, and its degree
+    patterns narrow ``allowed``.
+    """
     n = F.degree
     if n == 1:
         return [F]
-    cands, allowed = _candidate_primes(F)
+    if p is None:
+        cands, screened = _candidate_primes(F)
+        allowed = screened if allowed is None else allowed & screened
+        _, p = min(cands)
     if allowed == {0, n}:
         return [F]
-    _, p = min(cands)
     fp = gf_monic(gf_from_int(F.coeffs, p), p)
     modular = gf_factor_sqf_monic(fp, p)
     bound = _mignotte_bound(F)

@@ -25,7 +25,6 @@ from math import prod
 
 from .certroots import ComplexBall, isolate_roots
 from .exactpoly import IntPoly, poly_digest
-from .factorq import factor_over_q
 from .weierstrass import (
     EVEN,
     ODD,
@@ -36,6 +35,7 @@ from .weierstrass import (
     frobenius_cycle_types,
     part_degrees,
     stratified_parts,
+    stratum_factors,
 )
 
 __all__ = [
@@ -75,7 +75,9 @@ class ThetaResolvents:
     """Exact squarefree resolvents of the odd and even theta characteristics.
 
     ``odd_parts`` and ``even_parts`` hold one factor per class size, in
-    ascending size; chi_odd and chi_even are their products.
+    ascending size; chi_odd and chi_even are their products.  The masks of
+    the classes labelled by the roots of each part are in ``odd_strata``
+    and ``even_strata``.
     """
 
     chi_odd: IntPoly
@@ -83,6 +85,8 @@ class ThetaResolvents:
     labeling: Labeling
     odd_parts: tuple
     even_parts: tuple
+    odd_strata: tuple
+    even_strata: tuple
 
 
 def theta_class_counts(genus: int) -> tuple[int, int]:
@@ -129,12 +133,12 @@ def resolvent_theta(curve: HyperellipticCurve) -> ThetaResolvents:
     exactly zero, which `weierstrass.class_labels` always accepts.
     """
     pieces = _parity_pieces(enumerate_theta_classes(curve))
-    (odd_parts, even_parts), labeling = stratified_parts(curve, pieces)
+    strata, (odd_parts, even_parts), labeling = stratified_parts(curve, pieces)
     chi_odd = prod(odd_parts[1:], start=odd_parts[0])
     chi_even = prod(even_parts[1:], start=even_parts[0])
     if (chi_odd.degree, chi_even.degree) != theta_class_counts(curve.genus):
         raise AssertionError("theta resolvent degrees mismatch")
-    return ThetaResolvents(chi_odd, chi_even, labeling, odd_parts, even_parts)
+    return ThetaResolvents(chi_odd, chi_even, labeling, odd_parts, even_parts, *strata)
 
 
 def theta_data(curve: HyperellipticCurve) -> tuple:
@@ -145,7 +149,11 @@ def theta_data(curve: HyperellipticCurve) -> tuple:
         ("chi_odd", poly_digest(res.chi_odd.coeffs)),
         ("chi_even", poly_digest(res.chi_even.coeffs)),
     )
-    return part_degrees(res.odd_parts), part_degrees(res.even_parts), hashes
+    return (
+        part_degrees(curve, res.odd_strata, res.odd_parts),
+        part_degrees(curve, res.even_strata, res.even_parts),
+        hashes,
+    )
 
 
 def _witness_class(curve, classes, labeling, value: int, parity_odd: bool):
@@ -172,9 +180,11 @@ def has_rational_theta(
     Odd-degree models answer yes immediately: the witness is the class of
     the empty set or {infinity} (whichever matches the size parity), which
     encodes (g-1) times the infinite point, and twice that is the canonical
-    class.  Otherwise both theta resolvents are factored and a linear
-    factor yields the witness class (the least one of chi_odd, else of
-    chi_even).
+    class.  Otherwise a linear factor of chi_odd or chi_even yields the
+    witness class (the least one of chi_odd, else of chi_even).  The
+    factors come from `weierstrass.stratum_factors`, so a stratum of more
+    than one class that the Frobenius screen proves one orbit has no
+    linear factor and is never factored.
     """
     if fast_path and curve.parity == ODD:
         if (curve.genus + 1) % 2 == 0:
@@ -186,15 +196,19 @@ def has_rational_theta(
         return True, ThetaClass(mask, _h0_for_mask(mask, curve))
     res = resolvent_theta(curve)
     classes = enumerate_theta_classes(curve)
-    for parts, parity_odd in ((res.odd_parts, True), (res.even_parts, False)):
-        linear = [
-            gpoly.coeffs
-            for part in parts
-            for gpoly, _mult in factor_over_q(part.to_rat()).factors
-            if gpoly.degree == 1 and gpoly.lc == 1
+    for strata, parts, parity_odd in (
+        (res.odd_strata, res.odd_parts, True),
+        (res.even_strata, res.even_parts, False),
+    ):
+        # the parts are monic, so every linear factor is x - root
+        roots = [
+            -g.coeffs[0]
+            for factors in stratum_factors(curve, strata, parts)
+            for g in factors
+            if g.degree == 1
         ]
-        if linear:
-            value = -min(linear)[0]
+        if roots:
+            value = max(roots)
             witness = _witness_class(curve, classes, res.labeling, value, parity_odd)
             return True, witness
     return False, None

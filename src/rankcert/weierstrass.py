@@ -15,11 +15,16 @@ set, for both class sets:
   `build_label_resolvents` proves the labelling injective by pairwise
   disjoint label balls, then snaps each stratum's ball product to integers;
 - `frobenius_cycle_types`: the cycle type of Frobenius at a good prime p
-  on each piece, read off the factor degrees of f mod p.
+  on each piece, read off the factor degrees of f mod p;
+- `frobenius_screen` and `stratum_factors`: the Galois orbits on each
+  stratum.  Every orbit is a union of Frobenius cycles, so the cycle types
+  at good primes of f bound the orbit sizes, and most strata are proven
+  one orbit without factoring their part.  The other parts go to
+  Zassenhaus with those bounds and a screened prime.
 
 The two-torsion is the piece of nonzero even masks: its resolvent chi
-(`resolvent_j2`, degree 2^(2g) - 1) is the product of its parts, factored
-over Q one part at a time (`orbit_decomposition`), and
+(`resolvent_j2`, degree 2^(2g) - 1) is the product of its parts, whose
+orbit sizes `orbit_decomposition` reads one part at a time, and
 `frobenius_orbit_oracle` cross-checks it against chi mod p.  The theta
 module adds what only theta characteristics know: h^0, parity and the
 rational-theta witness.
@@ -29,6 +34,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from math import isqrt, prod
 
@@ -40,7 +46,16 @@ from .certroots import (
     snap_to_integer,
 )
 from .exactpoly import IntPoly, RatPoly, make_integral_monic, poly_digest, poly_gcd
-from .factorq import BadPrimeError, degree_pattern, factor_over_q, gf_from_int, gf_sqf_p
+from .factorq import (
+    BadPrimeError,
+    DegreePattern,
+    _primes_from,
+    _zassenhaus,
+    degree_pattern,
+    gf_from_int,
+    gf_sqf_p,
+    possible_degrees,
+)
 
 __all__ = [
     "ODD",
@@ -62,6 +77,8 @@ __all__ = [
     "size_strata",
     "stratified_parts",
     "frobenius_cycle_types",
+    "frobenius_screen",
+    "stratum_factors",
     "frobenius_orbit_oracle",
     "build_label_resolvents",
 ]
@@ -71,6 +88,10 @@ EVEN = "even"
 
 MAX_GENUS = 4
 MAX_LABELING = 64
+# good primes of f that `frobenius_screen` tries before it hands a stratum
+# it has not proven one orbit to Zassenhaus; a stratum of n < SCREEN_PRIMES
+# classes gets n, since its part has degree n and is cheap to factor
+SCREEN_PRIMES = 30
 
 
 class SingularModelError(ValueError):
@@ -125,12 +146,15 @@ class TwoTorsionResolvent:
     """Squarefree chi in Z[x] of degree 2^(2g) - 1 labeling J[2] \\ {0}.
 
     ``parts`` holds one Galois-stable factor of chi per class size, in
-    ascending size; chi is their product.
+    ascending size; chi is their product, and ``strata`` holds the masks
+    of the classes whose labels are the roots of each part.
     """
 
     chi: IntPoly
     labeling: Labeling
     parts: tuple
+    strata: tuple
+    curve: HyperellipticCurve
 
 
 def _fraction_is_square(q: Fraction) -> bool:
@@ -307,8 +331,8 @@ def stratified_parts(curve: HyperellipticCurve, pieces) -> tuple:
 
     Every piece is split into its size strata (`size_strata`), and the
     parts of all strata of all pieces are built by one
-    `build_label_resolvents` call.  Returns (parts of each piece, in
-    ascending class size; Labeling).
+    `build_label_resolvents` call.  Returns (strata of each piece, parts of
+    each piece, Labeling), strata and parts in ascending class size.
     """
     groups = [size_strata(curve, piece) for piece in pieces]
     polys, labeling, _prec = build_label_resolvents(curve, [g for gs in groups for g in gs])
@@ -316,7 +340,7 @@ def stratified_parts(curve: HyperellipticCurve, pieces) -> tuple:
     for gs in groups:
         out.append(tuple(polys[:len(gs)]))
         polys = polys[len(gs):]
-    return tuple(out), labeling
+    return tuple(groups), tuple(out), labeling
 
 
 def resolvent_j2(curve: HyperellipticCurve) -> TwoTorsionResolvent:
@@ -327,26 +351,30 @@ def resolvent_j2(curve: HyperellipticCurve) -> TwoTorsionResolvent:
     15
     """
     masks = tuple(cl.mask for cl in enumerate_j2_classes(curve))
-    (parts,), labeling = stratified_parts(curve, [masks])
+    (strata,), (parts,), labeling = stratified_parts(curve, [masks])
     chi = prod(parts[1:], start=parts[0])
     expected = (1 << (2 * curve.genus)) - 1
     if chi.degree != expected:
         raise AssertionError("resolvent degree %d != %d" % (chi.degree, expected))
-    return TwoTorsionResolvent(chi, labeling, parts)
+    return TwoTorsionResolvent(chi, labeling, parts, strata, curve)
 
 
-def part_degrees(parts) -> tuple:
+def part_degrees(curve: HyperellipticCurve, strata, parts) -> tuple:
     """Sorted degrees of the irreducible factors over Q of the product of
-    pairwise coprime parts, factoring one part at a time."""
-    out = []
-    for part in parts:
-        out.extend(factor_over_q(part.to_rat()).degrees())
-    return tuple(sorted(out))
+    pairwise coprime parts, ``parts[i]`` being the resolvent of the classes
+    ``strata[i]``: the sizes of the Galois orbits on the classes.
+
+    A part that `frobenius_screen` proves irreducible contributes its
+    degree without any factoring; the others are factored one at a time
+    by `stratum_factors`.
+    """
+    factors = stratum_factors(curve, strata, parts)
+    return tuple(sorted(g.degree for group in factors for g in group))
 
 
 def orbit_decomposition(r: TwoTorsionResolvent) -> tuple:
     """Sorted degrees of the irreducible factors of chi over Q."""
-    return part_degrees(r.parts)
+    return part_degrees(r.curve, r.strata, r.parts)
 
 
 def two_torsion_data(curve: HyperellipticCurve) -> tuple:
@@ -395,6 +423,28 @@ def _orbit_lengths(masks, image) -> tuple:
     return tuple(sorted(out))
 
 
+@lru_cache(maxsize=1024)
+def _root_cycle_type(fp: tuple, p: int) -> tuple:
+    """Factor degrees mod p of the monic f whose coefficients mod p are
+    ``fp``: the fibers t and t + p of a family share one computation."""
+    if not fp[-1]:
+        raise BadPrimeError(f"p={p} divides the leading coefficient")
+    return degree_pattern(IntPoly(fp), p).degrees
+
+
+@lru_cache(maxsize=1024)
+def _induced_cycle_type(nroots: int, parity: str, masks: tuple, roots: tuple) -> tuple:
+    """Cycle type on ``masks`` of a permutation of cycle type ``roots``."""
+    perm = _perm_from_cycle_type(roots)
+    full = (1 << nroots) - 1
+
+    def image(m):
+        im = _apply_perm(m, perm)
+        return im if parity == ODD else min(im, full ^ im)
+
+    return _orbit_lengths(masks, image)
+
+
 def frobenius_cycle_types(
     curve: HyperellipticCurve, p: int, pieces, resolvents=()
 ) -> tuple:
@@ -406,19 +456,78 @@ def frobenius_cycle_types(
     canonical masks; on even-degree models each image is brought back to
     the smaller of {S, S^c}.  Each of ``resolvents`` must be squarefree
     mod p too, so that its degree pattern mod p is the cycle type on its
-    classes.
+    classes.  Both steps are memoized: the cycle type of f mod p by the
+    reduction, and the induced cycle type by the piece and the root cycle
+    type, so that the fibers of a family scan share them.
     """
-    perm = _perm_from_cycle_type(degree_pattern(curve.f, p).degrees)
+    roots = _root_cycle_type(tuple(c % p for c in curve.f.coeffs), p)
     for chi in resolvents:
         if not gf_sqf_p(gf_from_int(chi.coeffs, p), p):
             raise BadPrimeError(f"resolvent mod {p} is not squarefree")
-    full = (1 << curve.nroots) - 1
+    return tuple(
+        _induced_cycle_type(curve.nroots, curve.parity, tuple(piece), roots) for piece in pieces
+    )
 
-    def image(m):
-        im = _apply_perm(m, perm)
-        return im if curve.parity == ODD else min(im, full ^ im)
 
-    return tuple(_orbit_lengths(piece, image) for piece in pieces)
+def frobenius_screen(curve: HyperellipticCurve, strata) -> tuple:
+    """Orbit bounds on Galois-stable class strata from Frobenius at good
+    primes of f.
+
+    Every Galois orbit on a stratum is a union of cycles of each
+    Frobenius, so its size is a subset sum of each cycle type that
+    `frobenius_cycle_types` induces on the stratum (`possible_degrees`).
+    A good prime is any p at which f mod p is squarefree, small p
+    included.  A stratum of n classes is screened until it is proven one
+    orbit (allowed sizes {0, n}) or for min(n, SCREEN_PRIMES) good
+    primes; the screen stops when no stratum is left open.  Returns,
+    per stratum, the allowed orbit-union sizes and the primes screened
+    while it was open, fewest induced cycles first: where the stratum's
+    resolvent is squarefree mod p, those cycles are its modular factors.
+
+    >>> curve = build_curve(RatPoly([1, 1, 0, 0, 0, 0, 1]))  # y^2 = x^6+x+1
+    >>> strata = size_strata(curve, [cl.mask for cl in enumerate_j2_classes(curve)])
+    >>> [sorted(allowed) for allowed, _primes in frobenius_screen(curve, strata)]
+    [[0, 15]]
+    """
+    allowed = [frozenset(range(len(s) + 1)) for s in strata]
+    cycles = [[] for _ in strata]
+    for p in _primes_from(2):
+        live = [
+            i
+            for i, s in enumerate(strata)
+            if allowed[i] != {0, len(s)} and len(cycles[i]) < min(len(s), SCREEN_PRIMES)
+        ]
+        if not live:
+            break
+        try:
+            types = frobenius_cycle_types(curve, p, [strata[i] for i in live])
+        except BadPrimeError:
+            continue
+        for i, t in zip(live, types):
+            allowed[i] &= possible_degrees([DegreePattern(p, t)], len(strata[i]))
+            cycles[i].append((len(t), p))
+    return tuple((a, tuple(p for _n, p in sorted(c))) for a, c in zip(allowed, cycles))
+
+
+def stratum_factors(curve: HyperellipticCurve, strata, parts) -> tuple:
+    """Irreducible factors over Q of each part, ``parts[i]`` being the
+    resolvent of the classes ``strata[i]`` under an injective labelling.
+
+    Each factor is then the resolvent of one Galois orbit, so the bounds
+    of `frobenius_screen` hold for the factor degrees.  A part proven one
+    orbit is its own factor and is not factored.  Any other part goes to
+    Zassenhaus with those bounds and the screened prime of fewest induced
+    cycles at which the part is squarefree; only when there is no such
+    prime does Zassenhaus screen primes on the part itself.
+    """
+    out = []
+    for (allowed, primes), part in zip(frobenius_screen(curve, strata), parts):
+        if allowed == {0, part.degree}:
+            out.append((part,))
+            continue
+        p = next((q for q in primes if gf_sqf_p(gf_from_int(part.coeffs, q), q)), None)
+        out.append(tuple(_zassenhaus(part, allowed, p)))
+    return tuple(out)
 
 
 def frobenius_orbit_oracle(

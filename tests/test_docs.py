@@ -26,9 +26,9 @@ def test_module_doctests():
         for name in MODULES
     }
     assert {name: r.failed for name, r in results.items() if r.failed} == {}
-    # the examples of parse_poly, resolvent_j2, factor_over_q and
-    # make_integral_monic
-    assert sum(r.attempted for r in results.values()) >= 7
+    # the examples of parse_poly, resolvent_j2, frobenius_screen,
+    # factor_over_q and make_integral_monic
+    assert sum(r.attempted for r in results.values()) >= 10
 
 
 def _library_block() -> str:

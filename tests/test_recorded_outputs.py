@@ -18,11 +18,9 @@ from rankcert.cli import main
 ROOT = Path(__file__).resolve().parents[1]
 EXPECTED = ROOT / "perfbench" / "expected.json"
 
-# over a second each: the degree-255 resolvent, the 101-fiber scan and a
-# rational-point search that finds no point up to height 200
+# over a second: a rational-point search that finds no point up to
+# height 200
 SLOW = {
-    "certify hyperelliptic --f=x^9+x+1",
-    "family scan --f-t=x^6+t*x+2 --range=-49..51 --full-criterion",
     "certify hyperelliptic --f=-x^6+4*x^5-12*x^3-4*x-15 --height-bound 200",
 }
 
