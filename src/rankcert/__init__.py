@@ -29,14 +29,11 @@ from .exactpoly import (
     make_integral_monic,
     poly_gcd,
     resultant,
-    squarefree_part,
 )
 from .factorq import (
     FactorizationQ,
-    factor_mod_p,
     factor_over_q,
     degree_pattern,
-    hensel_lift,
     is_irreducible_over_q,
     possible_degrees,
 )
@@ -72,12 +69,10 @@ __all__ = [
     "enumerate_j2_classes",
     "enumerate_theta_classes",
     "exclusion_sets",
-    "factor_mod_p",
     "factor_over_q",
     "find_deg1_class",
     "frobenius_orbit_oracle",
     "has_rational_theta",
-    "hensel_lift",
     "is_irreducible_over_q",
     "isolate_roots",
     "make_integral_monic",
@@ -90,6 +85,5 @@ __all__ = [
     "resultant",
     "scan",
     "snap_to_integer",
-    "squarefree_part",
     "verify_certificate",
 ]

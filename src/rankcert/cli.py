@@ -61,6 +61,7 @@ from .weierstrass import (
     MAX_GENUS,
     ODD,
     build_curve,
+    check_genus_cap,
     frobenius_orbit_oracle,
     resolvent_j2,
     two_torsion_data,
@@ -188,11 +189,15 @@ class _Parser:
             value = value + rhs if op == "+" else value - rhs
         return value
 
+    # products and powers are checked against the genus cap before they are
+    # expanded, so a huge exponent fails at once instead of after the work
     def term(self) -> _BiPoly:
         value = self.factor()
         while self.peek() == "*":
             self.advance()
-            value = value * self.factor()
+            rhs = self.factor()
+            check_genus_cap(value.deg_x() + rhs.deg_x())
+            value = value * rhs
         return value
 
     def factor(self) -> _BiPoly:
@@ -203,7 +208,9 @@ class _Parser:
             if tok is None or not tok.isdigit():
                 raise PolyParseError("expected a nonnegative integer exponent", self.pos())
             self.advance()
-            value = value ** int(tok)
+            n = int(tok)
+            check_genus_cap(value.deg_x() * n)
+            value = value ** n
         return value
 
     def base(self) -> _BiPoly:
@@ -265,7 +272,7 @@ def parse_family(text: str) -> FamilyCurve:
                 tc[bt] = v
         coeffs = [tc.get(b, Fraction(0)) for b in range(max(tc, default=0) + 1)]
         numerators.append(RatPoly(coeffs))
-    return FamilyCurve.from_numerators(numerators, format_family(numerators))
+    return FamilyCurve(tuple(numerators), format_family(numerators))
 
 
 def _format_t_monomial(coeff: Fraction, tdeg: int) -> str:

@@ -27,7 +27,6 @@ __all__ = [
     "RatPoly",
     "IntPoly",
     "poly_gcd",
-    "squarefree_part",
     "discriminant",
     "resultant",
     "make_integral_monic",
@@ -299,10 +298,6 @@ class RatPoly:
     def one(cls) -> "RatPoly":
         return cls((1,))
 
-    @classmethod
-    def x(cls) -> "RatPoly":
-        return cls((0, 1))
-
     @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
@@ -516,16 +511,6 @@ def poly_gcd(a: RatPoly, b: RatPoly) -> RatPoly:
     B = b.to_int()[1]
     g = _zgcd(list(A.coeffs), list(B.coeffs))
     return RatPoly(g).monic()
-
-
-def squarefree_part(f: RatPoly) -> RatPoly:
-    """Monic product of the distinct irreducible factors of f."""
-    if f.is_zero:
-        raise ValueError("squarefree part of the zero polynomial")
-    if f.degree == 0:
-        return RatPoly.one()
-    g = poly_gcd(f, f.derivative())
-    return (f // g).monic()
 
 
 def resultant(a: RatPoly, b: RatPoly) -> Fraction:

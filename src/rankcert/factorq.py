@@ -1,4 +1,4 @@
-"""Factorization of integer polynomials over Q and modulo primes.
+"""Factorization of integer polynomials over Q, and degree patterns mod p.
 
 The pipeline is classical Zassenhaus: reduce a primitive squarefree
 polynomial modulo several primes, keep the prime with the fewest modular
@@ -12,9 +12,10 @@ The screen on the polynomial itself (`_candidate_primes`) serves
 `factor_over_q`, hence an external chi, and parts without a usable
 screened prime.
 
-Modulo-p polynomials are plain ascending coefficient lists with entries in
-[0, p); the public wrapper type is `ModPoly`.  Every product, mod p and over
-Z (Hensel lifting, recombination), is the Kronecker-substitution multiply
+Modulo-p polynomials are internal: plain ascending coefficient lists with
+entries in [0, p), factored only as squarefree monic reductions
+(`gf_factor_sqf_monic`).  Every product, mod p and over Z (Hensel
+lifting, recombination), is the Kronecker-substitution multiply
 `exactpoly._zmul`; remainders modulo a fixed f reuse packed rows
 x^(n+i) mod f (`_FixedModulus`).  Equal-degree splitting uses a fixed PRNG
 seed, so factorizations are reproducible byte for byte.
@@ -27,21 +28,18 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .exactpoly import IntPoly, RatPoly, _digit_bytes, _long_division, _pack, _unpack, _zadd
-from .exactpoly import _zmul, _zneg, format_poly
+from .exactpoly import _zmul, _zneg
 from .exactpoly import _strip as gf_strip
 
 __all__ = [
-    "ModPoly",
     "DegreePattern",
     "FactorizationQ",
     "BadPrimeError",
-    "factor_mod_p",
     "degree_pattern",
     "possible_degrees",
-    "hensel_lift",
     "factor_over_q",
     "is_irreducible_over_q",
     "rational_roots",
@@ -51,6 +49,12 @@ __all__ = [
 ]
 
 _EDF_SEED = 0x9E3779B9
+# usable primes a reduction check tries before it leaves the answer open
+_REDUCTION_TRIES = 8
+# primes `_candidate_primes` screens: it keeps the first _SCREEN_WANT usable
+# ones, and gives up after _SCREEN_SCAN primes once it has any
+_SCREEN_WANT = 8
+_SCREEN_SCAN = 400
 
 
 class BadPrimeError(ValueError):
@@ -233,17 +237,13 @@ def gf_sqf_p(f, p) -> bool:
     return len(gf_gcd(f, d, p)) == 1
 
 
-def gf_pth_root(f, p):
-    return gf_strip([f[i] for i in range(0, len(f), p)])
-
-
-def squarefree_by_reduction(F: IntPoly, tries: int = 8):
+def squarefree_by_reduction(F: IntPoly):
     """True when a modular reduction certifies that F is squarefree over Z.
 
     For a prime q > deg F with q not dividing lc(F), a squarefree reduction
     forces Res(F, F') != 0, hence squarefreeness over Q.  Returns None when
-    `tries` usable reductions all have repeated factors (the caller must
-    then decide exactly); never claims squarefreeness wrongly.
+    `_REDUCTION_TRIES` usable reductions all have repeated factors (the
+    caller must then decide exactly); never claims squarefreeness wrongly.
     """
     d = F.degree
     if d <= 0:
@@ -255,7 +255,7 @@ def squarefree_by_reduction(F: IntPoly, tries: int = 8):
         if gf_sqf_p(gf_from_int(F.coeffs, q), q):
             return True
         seen += 1
-        if seen >= tries:
+        if seen >= _REDUCTION_TRIES:
             return None
     return None
 
@@ -266,7 +266,7 @@ def is_squarefree(F: IntPoly) -> bool:
     return bool(squarefree_by_reduction(F)) or F.gcd(F.derivative()).degree == 0
 
 
-def coprime_by_reduction(a: IntPoly, b: IntPoly, tries: int = 8):
+def coprime_by_reduction(a: IntPoly, b: IntPoly):
     """True when a modular reduction certifies gcd(a, b) = 1 over Q.
 
     A trivial gcd of the reductions at a prime not dividing either leading
@@ -281,35 +281,9 @@ def coprime_by_reduction(a: IntPoly, b: IntPoly, tries: int = 8):
         if gf_gcd(gf_from_int(a.coeffs, q), gf_from_int(b.coeffs, q), q) == [1]:
             return True
         seen += 1
-        if seen >= tries:
+        if seen >= _REDUCTION_TRIES:
             return None
     return None
-
-
-def gf_sqf_list(f, p):
-    """Squarefree decomposition of a monic f mod p: list of (factor, mult)."""
-    result = []
-    n = 1
-    f = list(f)
-    while len(f) - 1 > 0:
-        d = gf_deriv(f, p)
-        if not d:
-            f = gf_pth_root(f, p)
-            n *= p
-            continue
-        t = gf_gcd(f, d, p)
-        v = gf_quo(f, t, p)
-        i = 1
-        while len(v) - 1 > 0:
-            u = gf_gcd(t, v, p)
-            z = gf_quo(v, u, p)
-            if len(z) - 1 > 0:
-                result.append((z, i * n))
-            v = u
-            t = gf_quo(t, u, p)
-            i += 1
-        f = t
-    return result
 
 
 def _gf_frobenius_base(fm):
@@ -384,9 +358,9 @@ def gf_edf(f, d, p, rng):
     return out
 
 
-def gf_factor_sqf_monic(f, p, seed=_EDF_SEED):
+def gf_factor_sqf_monic(f, p):
     """Irreducible monic factors of a monic squarefree f mod p, sorted."""
-    rng = random.Random(seed)
+    rng = random.Random(_EDF_SEED)
     out = []
     for prod, d in gf_ddf(f, p):
         out.extend(gf_edf(prod, d, p, rng))
@@ -395,22 +369,7 @@ def gf_factor_sqf_monic(f, p, seed=_EDF_SEED):
 
 
 # ---------------------------------------------------------------------------
-# public mod-p surface
-
-@dataclass(frozen=True)
-class ModPoly:
-    """A polynomial over F_p: ascending coefficients in [0, p)."""
-
-    coeffs: tuple
-    p: int
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __str__(self):
-        return format_poly(self.coeffs) + f"  (mod {self.p})"
-
+# degree patterns
 
 @dataclass(frozen=True)
 class DegreePattern:
@@ -421,28 +380,6 @@ class DegreePattern:
 
     def __post_init__(self):
         object.__setattr__(self, "degrees", tuple(sorted(self.degrees)))
-
-
-def factor_mod_p(f: IntPoly, p: int) -> list[tuple[ModPoly, int]]:
-    """Monic irreducible factors of f mod p with multiplicities.
-
-    Squarefree decomposition, then distinct-degree and equal-degree
-    splitting.  Raises BadPrimeError when p divides lc(f).
-    """
-    if not _is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if f.is_zero:
-        raise ValueError("cannot factor the zero polynomial")
-    if f.lc % p == 0:
-        raise BadPrimeError(f"p={p} divides the leading coefficient")
-    fp = gf_monic(gf_from_int(f.coeffs, p), p)
-    out = []
-    if len(fp) - 1 >= 1:
-        for g, mult in gf_sqf_list(fp, p):
-            for h in gf_factor_sqf_monic(g, p):
-                out.append((ModPoly(tuple(h), p), mult))
-    out.sort(key=lambda t: (t[0].degree, t[0].coeffs))
-    return out
 
 
 def degree_pattern(f: IntPoly, p: int) -> DegreePattern:
@@ -551,39 +488,6 @@ def _hensel_lift_list(p, f, f_list, l):
     )
 
 
-def hensel_lift(
-    f: IntPoly, modular_factors: Sequence[ModPoly], bound: int
-) -> tuple[list[IntPoly], int]:
-    """Lift a mod-p factorization of f to precision p**k >= 2*bound*|lc(f)|.
-
-    ``modular_factors`` must be the monic factors of a squarefree reduction
-    of f modulo their common prime.  Returns (lifted, modulus): monic
-    integer polynomials with coefficients in the symmetric range, whose
-    product times lc(f) is congruent to f modulo the returned modulus.
-    """
-    if not modular_factors:
-        raise ValueError("no modular factors supplied")
-    p = modular_factors[0].p
-    if any(mf.p != p for mf in modular_factors):
-        raise ValueError("modular factors use different primes")
-    if f.lc % p == 0:
-        raise BadPrimeError(f"p={p} divides the leading coefficient")
-    fp = gf_from_int(f.coeffs, p)
-    if not gf_sqf_p(fp, p):
-        raise BadPrimeError(f"f mod {p} is not squarefree")
-    prod = [f.lc % p]
-    for mf in modular_factors:
-        prod = gf_mul(prod, list(mf.coeffs), p)
-    if prod != fp:
-        raise ValueError("modular factors do not multiply back to f mod p")
-    target = 2 * bound * abs(f.lc)
-    k = 1
-    while p ** k < target:
-        k += 1
-    lifted = _hensel_lift_list(p, list(f.coeffs), [list(mf.coeffs) for mf in modular_factors], k)
-    return [IntPoly(v) for v in lifted], p ** k
-
-
 # ---------------------------------------------------------------------------
 # factorization over Q
 
@@ -618,17 +522,17 @@ def _mignotte_bound(F: IntPoly) -> int:
     return (1 << n) * l2 * abs(F.lc)
 
 
-def _candidate_primes(F: IntPoly, want: int = 8, max_scan: int = 400):
+def _candidate_primes(F: IntPoly):
     """Pairs (modular factor count, p) for primes p > deg F giving a
     squarefree reduction, and the factor degrees their distinct-degree
-    patterns allow: the first `want` primes, or fewer once the patterns
-    prove F irreducible."""
+    patterns allow: the first `_SCREEN_WANT` primes, or fewer once the
+    patterns prove F irreducible."""
     out = []
     patterns = []
     scanned = 0
     for p in _primes_from(F.degree + 1):
         scanned += 1
-        if scanned > max_scan and out:
+        if scanned > _SCREEN_SCAN and out:
             break
         try:
             pattern = degree_pattern(F, p)
@@ -637,7 +541,7 @@ def _candidate_primes(F: IntPoly, want: int = 8, max_scan: int = 400):
         out.append((len(pattern.degrees), p))
         patterns.append(pattern)
         allowed = possible_degrees(patterns, F.degree)
-        if allowed == {0, F.degree} or len(out) >= want:
+        if allowed == {0, F.degree} or len(out) >= _SCREEN_WANT:
             break
     if not out:
         raise RuntimeError("no usable prime found (is the input squarefree?)")
@@ -671,15 +575,18 @@ def _zassenhaus(F: IntPoly, allowed=None, p=None) -> list[IntPoly]:
         k += 1
     lifted = _hensel_lift_list(p, list(F.coeffs), modular, k)
     pl = p ** k
+    degs = [len(g) - 1 for g in lifted]
     T = list(range(len(lifted)))
     factors = []
     cur = list(F.coeffs)
     s = 1
     while 2 * s <= len(T):
         found = False
-        for S in itertools.combinations(T, s):
-            dtot = sum(len(lifted[i]) - 1 for i in S)
-            if dtot not in allowed:
+        # each subset comes paired with its factor degrees, so the degree
+        # filter costs one sum per subset
+        subsets = zip(itertools.combinations(T, s), itertools.combinations([degs[i] for i in T], s))
+        for S, S_degs in subsets:
+            if sum(S_degs) not in allowed:
                 continue
             lc_cur = cur[-1]
             # constant-term divisibility filter

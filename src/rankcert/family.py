@@ -1,10 +1,9 @@
 """One-parameter hyperelliptic families y^2 = f_t(x) and their fiber scans.
 
-A family is a polynomial in x whose coefficients are rational functions of
-t.  Finitely many parameter values are excluded: z1 collects the rational
-roots of the coefficient denominators and of the discriminant numerator,
-z2 the rational roots of the discriminant and leading-coefficient
-numerators (degenerate or bad-reduction fibers).  Away from them each
+A family is a polynomial in x whose coefficients are polynomials in t.
+Finitely many parameter values are excluded: z1 collects the rational
+roots of the discriminant, z2 those of the discriminant and of the
+leading coefficient (degenerate or bad-reduction fibers).  Away from them each
 integer fiber is certified independently by the steps the curve pipeline
 uses: build the curve, find a degree-1 class (`certify.deg1_evidence`),
 read the two-torsion orbits (`weierstrass.two_torsion_data`), and call
@@ -34,7 +33,7 @@ from .certify import (
     digest_text,
 )
 from .certroots import PrecisionExhausted
-from .exactpoly import IntPoly, RatPoly, poly_gcd, resultant
+from .exactpoly import IntPoly, RatPoly, resultant
 from .factorq import rational_roots
 from .theta import theta_data
 from .weierstrass import (
@@ -62,26 +61,14 @@ SKIP_ERROR = "Error"
 
 @dataclass(frozen=True)
 class FamilyCurve:
-    """y^2 = f_t(x); coefficient of x^i is numerators[i] / denominators[i]."""
+    """y^2 = f_t(x); the coefficient of x^i is the polynomial numerators[i] in t."""
 
     numerators: tuple
-    denominators: tuple
     description: str = ""
 
     def __post_init__(self):
-        if len(self.numerators) != len(self.denominators):
-            raise ValueError("coefficient numerators/denominators length mismatch")
         if not self.numerators or self.numerators[-1].is_zero:
             raise ValueError("zero generic leading coefficient")
-        for den in self.denominators:
-            if den.is_zero:
-                raise ValueError("zero coefficient denominator")
-
-    @classmethod
-    def from_numerators(cls, numerators, description: str = "") -> "FamilyCurve":
-        nums = tuple(numerators)
-        dens = tuple(RatPoly.one() for _ in nums)
-        return cls(nums, dens, description)
 
     @property
     def deg_x(self) -> int:
@@ -92,16 +79,10 @@ class FamilyCurve:
         return (self.deg_x - 1) // 2
 
     def specialize(self, a: Fraction) -> RatPoly:
-        """The fiber polynomial f_a(x); fails on vanishing denominators or
-        leading coefficient (such values belong to the exclusion sets)."""
+        """The fiber polynomial f_a(x); fails on a vanishing leading
+        coefficient (such values belong to the exclusion sets)."""
         a = Fraction(a)
-        coeffs = []
-        for num, den in zip(self.numerators, self.denominators):
-            dv = den(a)
-            if dv == 0:
-                raise ZeroDivisionError(f"coefficient denominator vanishes at t={a}")
-            coeffs.append(num(a) / dv)
-        f = RatPoly(coeffs)
+        f = RatPoly([num(a) for num in self.numerators])
         if f.degree != self.deg_x:
             raise SingularModelError(f"leading coefficient vanishes at t={a}")
         return f
@@ -146,11 +127,6 @@ class ScanReport:
 # ---------------------------------------------------------------------------
 # exact discriminant of the family in x
 
-def _poly_lcm(a: RatPoly, b: RatPoly) -> RatPoly:
-    g = poly_gcd(a, b)
-    return ((a * b) // g).monic()
-
-
 def _lagrange(points) -> RatPoly:
     total = RatPoly()
     for i, (xi, yi) in enumerate(points):
@@ -174,7 +150,7 @@ def _sample_values():
 
 
 def family_discriminant_numerator(fam: FamilyCurve) -> IntPoly:
-    """Primitive integer numerator of disc_x(f_t) as a polynomial in t.
+    """disc_x(f_t) as a polynomial in t, scaled to a primitive integer one.
 
     Raises when the discriminant vanishes identically (generically
     singular family).
@@ -182,23 +158,14 @@ def family_discriminant_numerator(fam: FamilyCurve) -> IntPoly:
     d = fam.deg_x
     if d < 1:
         raise ValueError("family must have positive x-degree")
-    D = RatPoly.one()
-    for den in fam.denominators:
-        D = _poly_lcm(D, den)
-    cleared = []
-    for num, den in zip(fam.numerators, fam.denominators):
-        q, r = divmod(D, den)
-        if not r.is_zero:
-            raise AssertionError("denominator lcm failed")
-        cleared.append(num * q)
-    lc_t = cleared[-1]
-    m = max(c.degree for c in cleared if not c.is_zero)
+    lc_t = fam.numerators[-1]
+    m = max(c.degree for c in fam.numerators if not c.is_zero)
     npoints = (2 * d - 1) * m + 1
     points = []
     for t0 in _sample_values():
         if lc_t(t0) == 0:
             continue
-        fx = RatPoly([c(t0) for c in cleared])
+        fx = RatPoly([c(t0) for c in fam.numerators])
         points.append((t0, resultant(fx, fx.derivative())))
         if len(points) == npoints:
             break
@@ -206,35 +173,25 @@ def family_discriminant_numerator(fam: FamilyCurve) -> IntPoly:
     if res_t.is_zero:
         raise ValueError("family is generically singular (disc_x vanishes)")
     sign = -1 if (d * (d - 1) // 2) % 2 else 1
-    disc_f_cleared, rem = divmod(sign * res_t, lc_t)
+    disc, rem = divmod(sign * res_t, lc_t)
     if not rem.is_zero:
         raise AssertionError("discriminant division failed")
-    # disc of f = disc of (D*f) divided by D^(2d-2); drop the common part
-    dpow = D ** (2 * d - 2)
-    g = poly_gcd(disc_f_cleared, dpow)
-    reduced = (disc_f_cleared // g).monic() if g.degree > 0 else disc_f_cleared
-    if reduced.is_zero:
-        raise ValueError("family is generically singular (disc_x vanishes)")
-    return reduced.to_int()[1]
+    return disc.to_int()[1]
 
 
 def exclusion_sets(fam: FamilyCurve) -> ExclusionSet:
-    """z1: denominator / discriminant vanishing; z2: bad fibers (disc or lc).
+    """z1: discriminant vanishing; z2: bad fibers (disc or lc).
 
     Every member provably annihilates its defining polynomial: the sets are
     the exact rational root sets, found through complete factorization.
     """
     disc_num = family_discriminant_numerator(fam)
     disc_roots = set(rational_roots(disc_num.to_rat()))
-    z1 = set(disc_roots)
     z2 = set(disc_roots)
-    for den in fam.denominators:
-        if den.degree >= 1:
-            z1 |= set(rational_roots(den))
     lc_num = fam.numerators[-1]
     if lc_num.degree >= 1:
         z2 |= set(rational_roots(lc_num))
-    return ExclusionSet(frozenset(z1), frozenset(z2))
+    return ExclusionSet(frozenset(disc_roots), frozenset(z2))
 
 
 # ---------------------------------------------------------------------------

@@ -214,17 +214,11 @@ def has_rational_theta(
     return False, None
 
 
-def frobenius_theta_oracle(
-    curve: HyperellipticCurve,
-    p: int,
-    resolvents: ThetaResolvents | None = None,
-) -> tuple[tuple, tuple]:
+def frobenius_theta_oracle(curve: HyperellipticCurve, p: int) -> tuple[tuple, tuple]:
     """Frobenius cycle types on (odd, even) theta classes at a good prime.
 
-    For good primes the result matches the degree patterns of chi_odd and
-    chi_even mod p; pass the resolvents to have their squarefree
-    reductions checked too.
+    Where chi_odd and chi_even are squarefree mod p too, the result
+    matches their degree patterns mod p.
     """
-    chis = () if resolvents is None else (resolvents.chi_odd, resolvents.chi_even)
     pieces = _parity_pieces(enumerate_theta_classes(curve))
-    return frobenius_cycle_types(curve, p, pieces, chis)
+    return frobenius_cycle_types(curve, p, pieces)

@@ -66,6 +66,7 @@ __all__ = [
     "TwoTorsionResolvent",
     "SingularModelError",
     "NoInjectiveLabelingError",
+    "check_genus_cap",
     "build_curve",
     "canonical_masks",
     "class_labels",
@@ -164,16 +165,21 @@ def _fraction_is_square(q: Fraction) -> bool:
     return isqrt(n) ** 2 == n and isqrt(d) ** 2 == d
 
 
-def build_curve(f: RatPoly) -> HyperellipticCurve:
-    """Validate and normalize y^2 = f(x)."""
-    d = f.degree
-    if d < 3:
-        raise ValueError("need deg f >= 3 (genus >= 1); got degree %d" % d)
+def check_genus_cap(d: int) -> None:
+    """Reject an x-degree d whose curves would pass the genus cap."""
     if d > 2 * MAX_GENUS + 2:
         raise ValueError(
             "degree %d exceeds the genus cap g <= %d (resolvent degree would "
             "pass the practical factorization ceiling)" % (d, MAX_GENUS)
         )
+
+
+def build_curve(f: RatPoly) -> HyperellipticCurve:
+    """Validate and normalize y^2 = f(x)."""
+    d = f.degree
+    if d < 3:
+        raise ValueError("need deg f >= 3 (genus >= 1); got degree %d" % d)
+    check_genus_cap(d)
     if poly_gcd(f, f.derivative()).degree > 0:
         raise SingularModelError("f has a repeated root: singular model")
     genus = (d - 1) // 2
@@ -445,25 +451,18 @@ def _induced_cycle_type(nroots: int, parity: str, masks: tuple, roots: tuple) ->
     return _orbit_lengths(masks, image)
 
 
-def frobenius_cycle_types(
-    curve: HyperellipticCurve, p: int, pieces, resolvents=()
-) -> tuple:
+def frobenius_cycle_types(curve: HyperellipticCurve, p: int, pieces) -> tuple:
     """Cycle types of Frobenius at p on each Galois-stable mask piece.
 
     Factors f mod p (BadPrimeError unless squarefree) and realizes the
     factor-degree multiset as a permutation of the roots.  It fixes the
     infinite point, so on odd-degree models it maps canonical masks to
     canonical masks; on even-degree models each image is brought back to
-    the smaller of {S, S^c}.  Each of ``resolvents`` must be squarefree
-    mod p too, so that its degree pattern mod p is the cycle type on its
-    classes.  Both steps are memoized: the cycle type of f mod p by the
-    reduction, and the induced cycle type by the piece and the root cycle
-    type, so that the fibers of a family scan share them.
+    the smaller of {S, S^c}.  Both steps are memoized: the cycle type of
+    f mod p by the reduction, and the induced cycle type by the piece and
+    the root cycle type, so that the fibers of a family scan share them.
     """
     roots = _root_cycle_type(tuple(c % p for c in curve.f.coeffs), p)
-    for chi in resolvents:
-        if not gf_sqf_p(gf_from_int(chi.coeffs, p), p):
-            raise BadPrimeError(f"resolvent mod {p} is not squarefree")
     return tuple(
         _induced_cycle_type(curve.nroots, curve.parity, tuple(piece), roots) for piece in pieces
     )
@@ -530,15 +529,11 @@ def stratum_factors(curve: HyperellipticCurve, strata, parts) -> tuple:
     return tuple(out)
 
 
-def frobenius_orbit_oracle(
-    curve: HyperellipticCurve, p: int, resolvent: TwoTorsionResolvent | None = None
-) -> tuple:
+def frobenius_orbit_oracle(curve: HyperellipticCurve, p: int) -> tuple:
     """Cycle-length multiset of Frobenius acting on the two-torsion classes.
 
-    For a good prime this equals ``degree_pattern(chi, p).degrees``; pass
-    the resolvent to have the chi-side goodness (squarefree reduction)
-    checked too.
+    Where chi is squarefree mod p too, this equals
+    ``degree_pattern(chi, p).degrees``.
     """
     masks = tuple(cl.mask for cl in enumerate_j2_classes(curve))
-    chis = () if resolvent is None else (resolvent.chi,)
-    return frobenius_cycle_types(curve, p, [masks], chis)[0]
+    return frobenius_cycle_types(curve, p, [masks])[0]

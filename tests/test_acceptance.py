@@ -192,8 +192,8 @@ def test_criterion_4_oracle_agreement(counting_curves):
             except (BadPrimeError, ValueError):
                 continue
             good.append(p)
-            assert pat_chi.degrees == frobenius_orbit_oracle(curve, p, res)
-            odd_cycles, even_cycles = frobenius_theta_oracle(curve, p, theta)
+            assert pat_chi.degrees == frobenius_orbit_oracle(curve, p)
+            odd_cycles, even_cycles = frobenius_theta_oracle(curve, p)
             assert pat_odd.degrees == odd_cycles
             assert pat_even.degrees == even_cycles
             checked += 3
@@ -297,8 +297,7 @@ def test_criterion_8_family_scan(scan_runs):
     # every excluded value satisfies its defining vanishing by evaluation
     for a in excl.z1 | excl.z2:
         lc = fam.numerators[-1](a)
-        dens = [den(a) for den in fam.denominators]
-        assert disc.to_rat()(a) == 0 or lc == 0 or any(v == 0 for v in dens)
+        assert disc.to_rat()(a) == 0 or lc == 0
     assert sorted(doc["exclusions"]["z1"]) == sorted(str(v) for v in excl.z1)
     assert sorted(doc["exclusions"]["z2"]) == sorted(str(v) for v in excl.z2)
     # at least one fiber certified; the exact count is a frozen regression value

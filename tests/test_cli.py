@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import random
 import subprocess
@@ -67,6 +68,15 @@ class TestParsePoly:
             p = RatPoly(coeffs)
             assert parse_poly(str(p)) == p
 
+    def test_degree_cap_boundary(self):
+        # products and powers up to x-degree 10 expand as before; one more
+        # degree is the genus cap's error, raised before any expansion
+        assert parse_poly("(x+1)^10").coeffs == tuple(math.comb(10, k) for k in range(11))
+        assert parse_poly("(x^5+1)*(x^5-1)") == RatPoly([-1] + [0] * 9 + [1])
+        for text in ("(x+1)^11", "(x^5+1)*(x^6-1)"):
+            with pytest.raises(ValueError, match="degree 11 exceeds the genus cap"):
+                parse_poly(text)
+
     def test_t_rejected_for_curves(self):
         with pytest.raises(PolyParseError):
             parse_poly("x + t")
@@ -102,6 +112,13 @@ class TestParseFamily:
     def test_must_involve_x(self):
         with pytest.raises(PolyParseError):
             parse_family("t^2 + 1")
+
+    @pytest.mark.parametrize("text", ["x^6 + x/(t-1)", "x^6 + 1/(t-1)"])
+    def test_no_rational_functions_of_t(self, text):
+        # a denominator is an unsigned integer, so every coefficient of a
+        # family is a polynomial in t
+        with pytest.raises(PolyParseError):
+            parse_family(text)
 
 
 class TestChiFixture:
@@ -449,6 +466,26 @@ class TestCommands:
         assert captured.out == ""
         assert captured.err == "error: genus 5 exceeds the genus cap g <= 4\n"
         assert elapsed < 0.5
+
+    @pytest.mark.parametrize("argv, degree", [
+        (["certify", "hyperelliptic", "--f", "(x+1)^4000"], 4000),
+        (["certify", "hyperelliptic", "--f", "(x^3+1)^2*(x^3+x+1)^2"], 12),
+        (["family", "scan", "--f-t", "(x+t)^4000", "--range", "0..1"], 4000),
+    ])
+    def test_parse_rejects_degree_above_cap(self, capsys, argv, degree):
+        # each product and power is checked against the genus cap before it
+        # is expanded: (x+1)^4000 took over a minute to expand and reject
+        start = time.perf_counter()
+        code = main(argv)
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (
+            "error: degree %d exceeds the genus cap g <= 4 (resolvent degree would "
+            "pass the practical factorization ceiling)\n" % degree
+        )
+        assert elapsed < 1
 
     @pytest.mark.parametrize("count", ["0", "-3"])
     def test_oracle_rejects_prime_count_below_one(self, capsys, count):

@@ -43,7 +43,7 @@ def test_readme_library_snippet():
     res, curve = namespace["res"], namespace["curve"]
     assert namespace["orbit_decomposition"](res) == (15,)
     assert namespace["has_rational_theta"](curve) == (False, None)
-    oracle = namespace["frobenius_orbit_oracle"](curve, 11, res)
+    oracle = namespace["frobenius_orbit_oracle"](curve, 11)
     assert oracle == degree_pattern(res.chi, 11).degrees
     assert namespace["cert"].verdict == "RankAtLeastOne"
     assert namespace["cert"].path == "transitivity"

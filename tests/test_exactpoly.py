@@ -12,12 +12,7 @@ from rankcert.exactpoly import (
     make_integral_monic,
     poly_gcd,
     resultant,
-    squarefree_part,
 )
-
-from conftest import random_squarefree_poly
-
-X = RatPoly.x()
 
 
 def sylvester_det(a, b):
@@ -134,25 +129,6 @@ class TestPolyGcd:
     def test_monic_output(self):
         g = poly_gcd(RatPoly([-4, 0, 4]), RatPoly([2, -4, 2]))
         assert g.lc == 1
-
-
-class TestSquarefreePart:
-    def test_repeated_factor(self):
-        f = RatPoly([-1, 1]) ** 2 * RatPoly([2, 1])
-        assert squarefree_part(f) == (RatPoly([-1, 1]) * RatPoly([2, 1])).monic()
-
-    def test_pure_power(self):
-        assert squarefree_part(RatPoly([0, 0, 0, 0, 0, 1])) == X
-
-    def test_idempotent_on_squarefree(self):
-        rng = random.Random(5)
-        for _ in range(10):
-            f = random_squarefree_poly(rng, rng.randint(1, 6))
-            assert squarefree_part(f) == f.monic()
-
-    def test_zero_rejected(self):
-        with pytest.raises(ValueError):
-            squarefree_part(RatPoly())
 
 
 class TestDiscriminant:

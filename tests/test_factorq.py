@@ -8,16 +8,17 @@ from rankcert.exactpoly import IntPoly, RatPoly
 from rankcert.factorq import (
     BadPrimeError,
     DegreePattern,
-    ModPoly,
     degree_pattern,
-    factor_mod_p,
     factor_over_q,
     _FixedModulus,
+    _hensel_lift_list,
+    gf_factor_sqf_monic,
     gf_from_int,
+    gf_monic,
     gf_mul,
     gf_rem,
+    gf_sqf_p,
     gf_strip,
-    hensel_lift,
     is_irreducible_over_q,
     possible_degrees,
     rational_roots,
@@ -131,52 +132,38 @@ class TestModPKernel:
 
 
 class TestFactorModP:
+    """`gf_factor_sqf_monic` on squarefree reductions, the only ones the
+    pipelines factor."""
+
     def test_split_quadratic(self):
-        fac = factor_mod_p(IntPoly([1, 0, 1]), 5)
-        assert [(m.coeffs, e) for m, e in fac] == [((2, 1), 1), ((3, 1), 1)]
+        assert gf_factor_sqf_monic([1, 0, 1], 5) == [[2, 1], [3, 1]]
 
     def test_inert_quadratic(self):
-        fac = factor_mod_p(IntPoly([1, 0, 1]), 3)
-        assert [(m.coeffs, e) for m, e in fac] == [((1, 0, 1), 1)]
+        assert gf_factor_sqf_monic([1, 0, 1], 3) == [[1, 0, 1]]
 
     def test_x4_plus_1_mod_3_oracle(self):
         # derived by exhaustive search over the 9 monic quadratics mod 3
         expected = brute_factor_mod_p([1, 0, 0, 0, 1], 3)
         assert [len(c) - 1 for c in expected] == [2, 2]
-        fac = factor_mod_p(IntPoly([1, 0, 0, 0, 1]), 3)
-        assert sorted(m.coeffs for m, _ in fac) == expected
-
-    def test_repeated_factor_mod_2(self):
-        fac = factor_mod_p(IntPoly([1, 0, 1]), 2)
-        assert [(m.coeffs, e) for m, e in fac] == [((1, 1), 2)]
+        assert [tuple(m) for m in gf_factor_sqf_monic([1, 0, 0, 0, 1], 3)] == expected
 
     def test_lc_divisible_rejected(self):
         with pytest.raises(BadPrimeError):
-            factor_mod_p(IntPoly([1, 0, 5]), 5)
+            degree_pattern(IntPoly([1, 0, 5]), 5)
 
     def test_randomized_against_brute_force(self):
         rng = random.Random(19)
-        for _ in range(15):
+        checked = 0
+        for _ in range(40):
             p = rng.choice([2, 3, 5])
             deg = rng.randint(1, 4)
             coeffs = [rng.randint(0, p - 1) for _ in range(deg)] + [1]
-            f = IntPoly(coeffs)
-            if (f.lc % p) == 0 or f.degree < 1:
+            if not gf_sqf_p(coeffs, p):
                 continue
-            got = []
-            for m, e in factor_mod_p(f, p):
-                got.extend([m.coeffs] * e)
-            want = []
-            # oracle handles multiplicity through repeated division
-            rem = list(coeffs)
-            for cand in brute_factor_mod_p(coeffs, p):
-                while True:
-                    q, r = _gf_divmod(rem, list(cand), p)
-                    if r:
-                        break
-                    want.append(tuple(cand))
-                    rem = q
-            assert sorted(got) == sorted(want)
+            got = [tuple(m) for m in gf_factor_sqf_monic(coeffs, p)]
+            assert sorted(got) == brute_factor_mod_p(coeffs, p)
+            checked += 1
+        assert checked >= 15
 
 
 class TestDegreePattern:
@@ -207,34 +194,37 @@ class TestPossibleDegrees:
         assert possible_degrees(pats, 4) == {0, 2, 4}
 
 
+def modular_factors(f: IntPoly, p: int) -> list:
+    return gf_factor_sqf_monic(gf_monic(gf_from_int(f.coeffs, p), p), p)
+
+
 class TestHenselLift:
+    """`_hensel_lift_list(p, f, factors, l)` lifts to factors mod p**l."""
+
     def test_exact_integer_factors(self):
         f = IntPoly([-1, 0, 1])
-        mods = [m for m, _ in factor_mod_p(f, 3)]
-        lifted, modulus = hensel_lift(f, mods, 100)
-        assert sorted(g.coeffs for g in lifted) == [(-1, 1), (1, 1)]
+        lifted = _hensel_lift_list(3, list(f.coeffs), modular_factors(f, 3), 5)
+        assert sorted(tuple(g) for g in lifted) == [(-1, 1), (1, 1)]
 
     def test_sqrt7_congruence_at_k5(self):
         f = IntPoly([-7, 0, 1])
-        mods = [m for m, _ in factor_mod_p(f, 3)]
-        lifted, modulus = hensel_lift(f, mods, 3 ** 5)
-        assert modulus >= 2 * 3 ** 5
-        prod = lifted[0] * lifted[1]
+        lifted = _hensel_lift_list(3, list(f.coeffs), modular_factors(f, 3), 5)
+        assert len(lifted) == 2
+        prod = IntPoly(lifted[0]) * IntPoly(lifted[1])
         m = 3 ** 5
         assert all(c % m == 0 for c in (prod - f).coeffs)
 
     def test_irreducible_image_lifts_to_self(self):
         f = IntPoly([1, 1, 1])  # irreducible mod 5
-        mods = [m for m, _ in factor_mod_p(f, 5)]
+        mods = modular_factors(f, 5)
         assert len(mods) == 1
-        lifted, _ = hensel_lift(f, mods, 10)
-        assert lifted[0] == f
+        lifted = _hensel_lift_list(5, list(f.coeffs), mods, 2)
+        assert IntPoly(lifted[0]) == f
 
     def test_bad_factor_data_rejected(self):
         f = IntPoly([-1, 0, 1])
-        wrong = [ModPoly((1, 1), 3), ModPoly((1, 1), 3)]
         with pytest.raises(ValueError):
-            hensel_lift(f, wrong, 10)
+            _hensel_lift_list(3, list(f.coeffs), [[1, 1], [1, 1]], 5)
 
 
 class TestFactorOverQ:

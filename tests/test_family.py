@@ -18,8 +18,8 @@ from rankcert.family import (
     scan,
 )
 
-X6_T = FamilyCurve.from_numerators(
-    [RatPoly([1]), RatPoly([0, 1]), RatPoly(), RatPoly(), RatPoly(), RatPoly(), RatPoly([1])],
+X6_T = FamilyCurve(
+    (RatPoly([1]), RatPoly([0, 1]), RatPoly(), RatPoly(), RatPoly(), RatPoly(), RatPoly([1])),
     "x^6 + t*x + 1",
 )
 
@@ -37,8 +37,8 @@ class TestDiscriminant:
             assert disc.to_rat()(t0) == discriminant(fiber)
 
     def test_constant_family(self):
-        fam = FamilyCurve.from_numerators(
-            [RatPoly([1]), RatPoly([1])] + [RatPoly()] * 4 + [RatPoly([1])],
+        fam = FamilyCurve(
+            tuple([RatPoly([1]), RatPoly([1])] + [RatPoly()] * 4 + [RatPoly([1])]),
             "x^6 + x + 1",
         )
         disc = family_discriminant_numerator(fam)
@@ -51,8 +51,8 @@ class TestDiscriminant:
         sq = [RatPoly([0, 0, 1]), RatPoly([0, -2]), RatPoly([1])]  # (x - t)^2 coefficients in x
         # multiply by (x + 1): coefficients of (x-t)^2 (x+1)
         # (x^2 - 2tx + t^2)(x + 1) = x^3 + (1 - 2t) x^2 + (t^2 - 2t) x + t^2
-        fam = FamilyCurve.from_numerators(
-            [RatPoly([0, 0, 1]), RatPoly([0, -2, 1]), RatPoly([1, -2]), RatPoly([1])],
+        fam = FamilyCurve(
+            (RatPoly([0, 0, 1]), RatPoly([0, -2, 1]), RatPoly([1, -2]), RatPoly([1])),
             "(x-t)^2*(x+1)",
         )
         with pytest.raises(ValueError):
@@ -64,22 +64,15 @@ class TestExclusions:
         excl = exclusion_sets(X6_T)
         assert excl.z1 == frozenset() and excl.z2 == frozenset()
 
-    def test_denominator_root_in_z1(self):
-        nums = [RatPoly([1]), RatPoly([0, 1]), RatPoly(), RatPoly(), RatPoly(), RatPoly(), RatPoly([1])]
-        dens = [RatPoly([-1, 1])] + [RatPoly.one()] * 6
-        fam = FamilyCurve(tuple(nums), tuple(dens), "x^6 + t*x + 1/(t-1)")
-        excl = exclusion_sets(fam)
-        assert Fraction(1) in excl.z1
-
     def test_lc_root_in_z2(self):
         nums = [RatPoly([1]), RatPoly([1])] + [RatPoly()] * 4 + [RatPoly([0, 1])]  # t*x^6 + x + 1
-        fam = FamilyCurve.from_numerators(nums, "t*x^6 + x + 1")
+        fam = FamilyCurve(tuple(nums), "t*x^6 + x + 1")
         excl = exclusion_sets(fam)
         assert Fraction(0) in excl.z2
 
     def test_exclusion_vanishing_by_evaluation(self):
         nums = [RatPoly([1]), RatPoly([1])] + [RatPoly()] * 4 + [RatPoly([0, 1])]
-        fam = FamilyCurve.from_numerators(nums, "t*x^6 + x + 1")
+        fam = FamilyCurve(tuple(nums), "t*x^6 + x + 1")
         disc = family_discriminant_numerator(fam)
         excl = exclusion_sets(fam)
         for a in excl.z2:
@@ -102,7 +95,7 @@ class TestFibers:
 
     def test_excluded_fiber_rejected(self):
         nums = [RatPoly([1]), RatPoly([1])] + [RatPoly()] * 4 + [RatPoly([0, 1])]
-        fam = FamilyCurve.from_numerators(nums, "t*x^6 + x + 1")
+        fam = FamilyCurve(tuple(nums), "t*x^6 + x + 1")
         with pytest.raises(ValueError):
             check_good_fiber(fam, Fraction(0))
 
@@ -120,7 +113,7 @@ class TestScan:
 
     def test_excluded_only_range(self):
         nums = [RatPoly([1]), RatPoly([1])] + [RatPoly()] * 4 + [RatPoly([0, 1])]
-        fam = FamilyCurve.from_numerators(nums, "t*x^6 + x + 1")
+        fam = FamilyCurve(tuple(nums), "t*x^6 + x + 1")
         report = scan(fam, 0, 0)
         assert report.certified == ()
         # t = 0 kills both the leading coefficient and the discriminant
@@ -130,8 +123,8 @@ class TestScan:
         assert Fraction(0) in excl.z1 and Fraction(0) in excl.z2
 
     def test_constant_family_certifies_uniformly(self):
-        fam = FamilyCurve.from_numerators(
-            [RatPoly([1]), RatPoly([1])] + [RatPoly()] * 4 + [RatPoly([1])],
+        fam = FamilyCurve(
+            tuple([RatPoly([1]), RatPoly([1])] + [RatPoly()] * 4 + [RatPoly([1])]),
             "x^6 + x + 1",
         )
         report = scan(fam, -2, 2)

@@ -128,7 +128,7 @@ class TestThetaOracle:
         curve = make_curve(coeffs)
         res = resolvent_theta(curve)
         for p in self.good_primes(curve, res):
-            odd_cycles, even_cycles = frobenius_theta_oracle(curve, p, res)
+            odd_cycles, even_cycles = frobenius_theta_oracle(curve, p)
             assert odd_cycles == degree_pattern(res.chi_odd, p).degrees
             assert even_cycles == degree_pattern(res.chi_even, p).degrees
 
@@ -139,7 +139,7 @@ class TestThetaOracle:
             curve = make_curve(list(f.coeffs))
             res = resolvent_theta(curve)
             for p in self.good_primes(curve, res, count=5):
-                odd_cycles, even_cycles = frobenius_theta_oracle(curve, p, res)
+                odd_cycles, even_cycles = frobenius_theta_oracle(curve, p)
                 assert odd_cycles == degree_pattern(res.chi_odd, p).degrees
                 assert even_cycles == degree_pattern(res.chi_even, p).degrees
 
@@ -147,7 +147,7 @@ class TestThetaOracle:
         curve = build_curve(SEXTIC)
         res = resolvent_theta(curve)
         for p in self.good_primes(curve, res, count=3):
-            odd_cycles, even_cycles = frobenius_theta_oracle(curve, p, res)
+            odd_cycles, even_cycles = frobenius_theta_oracle(curve, p)
             assert sum(odd_cycles) == 6
             assert sum(even_cycles) == 10
 
