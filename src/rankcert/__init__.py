@@ -38,7 +38,7 @@ from .factorq import (
     possible_degrees,
 )
 from .family import FamilyCurve, ScanOptions, check_good_fiber, exclusion_sets, scan
-from .theta import enumerate_theta_classes, has_rational_theta, resolvent_theta
+from .theta import enumerate_theta_classes, resolvent_theta, theta_data
 from .weierstrass import (
     HyperellipticCurve,
     build_curve,
@@ -72,7 +72,6 @@ __all__ = [
     "factor_over_q",
     "find_deg1_class",
     "frobenius_orbit_oracle",
-    "has_rational_theta",
     "is_irreducible_over_q",
     "isolate_roots",
     "make_integral_monic",
@@ -85,5 +84,6 @@ __all__ = [
     "resultant",
     "scan",
     "snap_to_integer",
+    "theta_data",
     "verify_certificate",
 ]

@@ -28,7 +28,8 @@ from math import isqrt
 
 from . import __version__
 from .exactpoly import RatPoly
-from .weierstrass import ODD, HyperellipticCurve
+from .theta import theta_class_counts
+from .weierstrass import ODD, HyperellipticCurve, j2_class_count
 
 __all__ = [
     "Deg1Evidence",
@@ -143,7 +144,7 @@ class OrbitReport:
         g = self.genus
         if g < 1:
             raise MalformedReportError("genus must be >= 1")
-        want_j2 = (1 << (2 * g)) - 1
+        want_j2 = j2_class_count(g)
         if sum(self.j2_orbits) != want_j2:
             raise MalformedReportError(
                 "two-torsion orbit sizes sum to %d, expected 2^(2g)-1 = %d"
@@ -153,8 +154,7 @@ class OrbitReport:
             raise MalformedReportError("orbit sizes must be positive")
         if (self.theta_odd is None) != (self.theta_even is None):
             raise MalformedReportError("odd and even theta orbits must be given together")
-        want_odd = (1 << (g - 1)) * ((1 << g) - 1)
-        want_even = (1 << (g - 1)) * ((1 << g) + 1)
+        want_odd, want_even = theta_class_counts(g)
         if self.theta_odd is not None and sum(self.theta_odd) != want_odd:
             raise MalformedReportError(
                 "odd theta orbit sizes sum to %d, expected 2^(g-1)(2^g-1) = %d"
@@ -173,7 +173,7 @@ class OrbitReport:
     @property
     def transitive(self) -> bool:
         """One orbit on the nonzero two-torsion: chi is irreducible over Q."""
-        return self.j2_orbits == ((1 << (2 * self.genus)) - 1,)
+        return self.j2_orbits == (j2_class_count(self.genus),)
 
     def to_doc(self) -> dict:
         return {

@@ -167,7 +167,6 @@ def pairwise_disjoint(balls) -> bool:
 class RootIsolation:
     """Pairwise disjoint certified disks, one per root of a monic poly."""
 
-    poly: IntPoly
     balls: tuple
     precision: int
 
@@ -268,13 +267,13 @@ def isolate_roots(f: IntPoly, precision: int = 128) -> RootIsolation:
         raise ValueError("root isolation expects a squarefree polynomial")
     if f.degree == 1:
         P = max(precision, 8)
-        return RootIsolation(f, (ComplexBall(-f.coeffs[0] << P, 0, P),), P)
+        return RootIsolation((ComplexBall(-f.coeffs[0] << P, 0, P),), P)
     P = max(precision, 32)
     while P <= PRECISION_CAP:
         zs = _approx_roots(f, P)
         if zs is not None:
             balls = _certify(f, zs, P)
             if balls is not None:
-                return RootIsolation(f, balls, P)
+                return RootIsolation(balls, P)
         P *= 2
     raise PrecisionExhausted("precision exhausted during root isolation")

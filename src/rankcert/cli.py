@@ -63,6 +63,7 @@ from .weierstrass import (
     build_curve,
     check_genus_cap,
     frobenius_orbit_oracle,
+    j2_class_count,
     resolvent_j2,
     two_torsion_data,
 )
@@ -400,7 +401,7 @@ def _pipeline_chi(chi: RatPoly, genus: int, evidence, theta_odd=None, theta_even
         raise ValueError("genus must be >= 1; got %d" % genus)
     if genus > MAX_GENUS:
         raise ValueError("genus %d exceeds the genus cap g <= %d" % (genus, MAX_GENUS))
-    expected = (1 << (2 * genus)) - 1
+    expected = j2_class_count(genus)
     if chi.degree != expected:
         raise ValueError(
             "chi has degree %d; genus %d requires 2^(2g)-1 = %d"
@@ -644,9 +645,9 @@ def _cmd_oracle(args):
             oracle = frobenius_orbit_oracle(curve, p)
         except BadPrimeError:
             continue
-        match = pat.degrees == oracle
+        match = pat == oracle
         all_match = all_match and match
-        rows.append((p, pat.degrees, oracle, match))
+        rows.append((p, pat, oracle, match))
     doc = {
         "schema_version": 1,
         "tool": {"name": "rankcert", "version": __version__},

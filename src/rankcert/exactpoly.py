@@ -434,11 +434,6 @@ class IntPoly:
     def lc(self) -> int:
         return self.coeffs[-1] if self.coeffs else 0
 
-    @property
-    def content(self) -> int:
-        """gcd of the coefficients (0 for the zero polynomial)."""
-        return _zcontent(self.coeffs)
-
     def primitive(self) -> "IntPoly":
         """Primitive part with positive leading coefficient."""
         return IntPoly(_zprimitive(list(self.coeffs)))

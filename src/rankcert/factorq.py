@@ -35,7 +35,6 @@ from .exactpoly import _zmul, _zneg
 from .exactpoly import _strip as gf_strip
 
 __all__ = [
-    "DegreePattern",
     "FactorizationQ",
     "BadPrimeError",
     "degree_pattern",
@@ -371,19 +370,9 @@ def gf_factor_sqf_monic(f, p):
 # ---------------------------------------------------------------------------
 # degree patterns
 
-@dataclass(frozen=True)
-class DegreePattern:
-    """Multiset of irreducible factor degrees of f mod p (Frobenius cycle type)."""
-
-    p: int
-    degrees: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "degrees", tuple(sorted(self.degrees)))
-
-
-def degree_pattern(f: IntPoly, p: int) -> DegreePattern:
-    """Factor-degree multiset of f mod p; requires a squarefree reduction."""
+def degree_pattern(f: IntPoly, p: int) -> tuple:
+    """Sorted irreducible factor degrees of f mod p (the Frobenius cycle
+    type); requires a squarefree reduction."""
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     if f.lc % p == 0:
@@ -395,10 +384,10 @@ def degree_pattern(f: IntPoly, p: int) -> DegreePattern:
     degs = []
     for prod, d in gf_ddf(fp, p):
         degs.extend([d] * ((len(prod) - 1) // d))
-    return DegreePattern(p, tuple(sorted(degs)))
+    return tuple(sorted(degs))
 
 
-def possible_degrees(patterns: Iterable[DegreePattern], d: int) -> frozenset:
+def possible_degrees(patterns: Iterable[tuple], d: int) -> frozenset:
     """Degrees a true factor over Q can have, from modular degree patterns.
 
     Intersection over the patterns of the subset-sum closures of each degree
@@ -408,7 +397,7 @@ def possible_degrees(patterns: Iterable[DegreePattern], d: int) -> frozenset:
     result = None
     for pat in patterns:
         sums = {0}
-        for deg in pat.degrees:
+        for deg in pat:
             sums |= {s + deg for s in sums}
         result = sums if result is None else (result & sums)
     if result is None:
@@ -538,7 +527,7 @@ def _candidate_primes(F: IntPoly):
             pattern = degree_pattern(F, p)
         except BadPrimeError:
             continue
-        out.append((len(pattern.degrees), p))
+        out.append((len(pattern), p))
         patterns.append(pattern)
         allowed = possible_degrees(patterns, F.degree)
         if allowed == {0, F.degree} or len(out) >= _SCREEN_WANT:

@@ -14,9 +14,10 @@ orbits (`theta.theta_data`).  No generic resolvent over Q(t) is ever
 formed; per-fiber recomputation is both simpler and strictly verified.
 
 The discriminant of f_t in x is computed exactly by evaluation and
-Lagrange interpolation: the resultant Res_x(F, F') specializes correctly
-wherever the leading coefficient survives, and its t-degree is bounded by
-(2d - 1) * max coefficient degree.
+interpolation in Newton form: disc_x specializes correctly wherever the
+leading coefficient survives, and, being homogeneous of degree 2d - 2 in
+the coefficients, it has t-degree at most (2d - 2) * max coefficient
+degree.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .certify import (
     digest_text,
 )
 from .certroots import PrecisionExhausted
-from .exactpoly import IntPoly, RatPoly, resultant
+from .exactpoly import IntPoly, RatPoly, discriminant
 from .factorq import rational_roots
 from .theta import theta_data
 from .weierstrass import (
@@ -117,8 +118,6 @@ class ScanOptions:
 @dataclass(frozen=True)
 class ScanReport:
     family: str
-    lo: int
-    hi: int
     exclusions: ExclusionSet
     certified: tuple  # (Fraction, Certificate)
     skipped: tuple  # (Fraction, kind, details tuple)
@@ -127,17 +126,18 @@ class ScanReport:
 # ---------------------------------------------------------------------------
 # exact discriminant of the family in x
 
-def _lagrange(points) -> RatPoly:
-    total = RatPoly()
-    for i, (xi, yi) in enumerate(points):
-        if yi == 0:
-            continue
-        li = RatPoly((yi,))
-        for j, (xj, _) in enumerate(points):
-            if j != i:
-                li = li * RatPoly((-xj, 1)) * Fraction(1, xi - xj)
-        total = total + li
-    return total
+def _interpolate(xs, ys) -> RatPoly:
+    """The polynomial of degree < len(xs) through (xs[i], ys[i]): divided
+    differences, then the Newton form expanded by Horner steps."""
+    coeffs = list(ys)
+    for k in range(1, len(xs)):
+        for i in range(len(xs) - 1, k - 1, -1):
+            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (xs[i] - xs[i - k])
+    poly = [coeffs[-1]]
+    for x0, c in zip(xs[-2::-1], coeffs[-2::-1]):
+        # poly * (t - x0) + c
+        poly = [c - x0 * poly[0]] + [a - x0 * b for a, b in zip(poly, poly[1:])] + [poly[-1]]
+    return RatPoly(poly)
 
 
 def _sample_values():
@@ -158,24 +158,19 @@ def family_discriminant_numerator(fam: FamilyCurve) -> IntPoly:
     d = fam.deg_x
     if d < 1:
         raise ValueError("family must have positive x-degree")
-    lc_t = fam.numerators[-1]
     m = max(c.degree for c in fam.numerators if not c.is_zero)
-    npoints = (2 * d - 1) * m + 1
-    points = []
+    npoints = (2 * d - 2) * m + 1
+    xs, ys = [], []
     for t0 in _sample_values():
-        if lc_t(t0) == 0:
+        if fam.numerators[-1](t0) == 0:
             continue
-        fx = RatPoly([c(t0) for c in fam.numerators])
-        points.append((t0, resultant(fx, fx.derivative())))
-        if len(points) == npoints:
+        xs.append(t0)
+        ys.append(discriminant(RatPoly([c(t0) for c in fam.numerators])))
+        if len(xs) == npoints:
             break
-    res_t = _lagrange(points)
-    if res_t.is_zero:
+    disc = _interpolate(xs, ys)
+    if disc.is_zero:
         raise ValueError("family is generically singular (disc_x vanishes)")
-    sign = -1 if (d * (d - 1) // 2) % 2 else 1
-    disc, rem = divmod(sign * res_t, lc_t)
-    if not rem.is_zero:
-        raise AssertionError("discriminant division failed")
     return disc.to_int()[1]
 
 
@@ -280,8 +275,6 @@ def scan(
             skipped.append((a, SKIP_INCONCLUSIVE, cert.reason_kinds()))
     return ScanReport(
         family=fam.description,
-        lo=lo,
-        hi=hi,
         exclusions=excl,
         certified=tuple(certified),
         skipped=tuple(skipped),

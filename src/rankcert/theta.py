@@ -11,11 +11,13 @@ resolvents and the Frobenius action.  This module owns the rest:
   only on the class size, so the odd and the even piece are unions of
   size strata, and each gets its own resolvent, chi_odd and chi_even;
 - the parity counts 2^(g-1)(2^g -+ 1), checked on every enumeration;
-- `has_rational_theta`: a rational theta characteristic exists iff
-  chi_odd or chi_even has a linear factor, and the witness is the class
-  whose label is that rational root.  Odd-degree models short-circuit:
-  (g-1) times the infinite Weierstrass point doubles to the canonical
-  class, so the answer there is always yes.
+- `theta_data`: the Galois orbit sizes on the odd and on the even piece.
+  A rational theta characteristic exists iff some orbit has size 1, and
+  every pipeline reads the answer off these orbits through `certify.decide`.
+  Odd-degree models need no theta data: (g-1) times the infinite
+  Weierstrass point doubles to the canonical class, so the answer there
+  is always yes, and `cli.pipeline_hyperelliptic` passes that witness
+  (`certify.INFINITY_WITNESS`).
 """
 
 from __future__ import annotations
@@ -23,51 +25,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 
-from .certroots import ComplexBall, isolate_roots
 from .exactpoly import IntPoly, poly_digest
 from .weierstrass import (
-    EVEN,
-    ODD,
     HyperellipticCurve,
     Labeling,
     canonical_masks,
-    class_labels,
     frobenius_cycle_types,
     part_degrees,
     stratified_parts,
-    stratum_factors,
 )
 
 __all__ = [
-    "ThetaClass",
     "ThetaResolvents",
     "enumerate_theta_classes",
     "resolvent_theta",
     "theta_data",
-    "has_rational_theta",
     "theta_class_counts",
     "frobenius_theta_oracle",
 ]
-
-
-@dataclass(frozen=True)
-class ThetaClass:
-    """A branch-point subset modulo complementation with its parity data.
-
-    ``mask`` is the canonical representative over the finite roots (see
-    `weierstrass.canonical_masks`).
-    """
-
-    mask: int
-    h0: int
-
-    @property
-    def parity(self) -> str:
-        return ODD if self.h0 % 2 else EVEN
-
-    @property
-    def is_odd(self) -> bool:
-        return self.h0 % 2 == 1
 
 
 @dataclass(frozen=True)
@@ -106,23 +81,18 @@ def _h0_for_mask(mask: int, curve: HyperellipticCurve) -> int:
 
 
 def enumerate_theta_classes(curve: HyperellipticCurve) -> tuple:
-    """All 2^(2g) theta classes with parity, deterministic ascending order."""
+    """The canonical masks of the 2^(2g) theta classes as two Galois-stable
+    pieces, (odd masks, even masks), each ascending."""
     g = curve.genus
-    out = tuple(
-        ThetaClass(m, _h0_for_mask(m, curve)) for m in canonical_masks(curve, (g + 1) % 2)
-    )
-    odd = sum(1 for t in out if t.is_odd)
-    if (odd, len(out) - odd) != theta_class_counts(g):
+    odd, even = [], []
+    for m in canonical_masks(curve, (g + 1) % 2):
+        (odd if _h0_for_mask(m, curve) % 2 else even).append(m)
+    if (len(odd), len(even)) != theta_class_counts(g):
         raise AssertionError(
             "theta parity counts (%d, %d) disagree with formulas %s"
-            % (odd, len(out) - odd, theta_class_counts(g))
+            % (len(odd), len(even), theta_class_counts(g))
         )
-    return out
-
-
-def _parity_pieces(classes) -> tuple:
-    """The masks of the odd and of the even classes: two Galois-stable pieces."""
-    return tuple(tuple(t.mask for t in classes if t.is_odd == odd) for odd in (True, False))
+    return tuple(odd), tuple(even)
 
 
 def resolvent_theta(curve: HyperellipticCurve) -> ThetaResolvents:
@@ -132,8 +102,9 @@ def resolvent_theta(curve: HyperellipticCurve) -> ThetaResolvents:
     set, full set} (present when its size parity allows) has the label
     exactly zero, which `weierstrass.class_labels` always accepts.
     """
-    pieces = _parity_pieces(enumerate_theta_classes(curve))
-    strata, (odd_parts, even_parts), labeling = stratified_parts(curve, pieces)
+    strata, (odd_parts, even_parts), labeling = stratified_parts(
+        curve, enumerate_theta_classes(curve)
+    )
     chi_odd = prod(odd_parts[1:], start=odd_parts[0])
     chi_even = prod(even_parts[1:], start=even_parts[0])
     if (chi_odd.degree, chi_even.degree) != theta_class_counts(curve.genus):
@@ -156,69 +127,10 @@ def theta_data(curve: HyperellipticCurve) -> tuple:
     )
 
 
-def _witness_class(curve, classes, labeling, value: int, parity_odd: bool):
-    """The theta class whose label equals the given integer root."""
-    prec = 128
-    wanted = [t for t in classes if t.is_odd == parity_odd]
-    while True:
-        iso = isolate_roots(curve.f, prec)
-        target = ComplexBall(-value << iso.precision, 0, iso.precision)
-        labels = class_labels(curve, iso, labeling.c, [t.mask for t in wanted])
-        hits = [t for t, label in zip(wanted, labels) if label.add(target).contains_zero()]
-        if len(hits) == 1:
-            return hits[0]
-        if not hits:
-            raise AssertionError("no theta class carries the rational label")
-        prec = iso.precision * 2
-
-
-def has_rational_theta(
-    curve: HyperellipticCurve, fast_path: bool = True
-) -> tuple[bool, ThetaClass | None]:
-    """Does the curve carry a rational theta characteristic?
-
-    Odd-degree models answer yes immediately: the witness is the class of
-    the empty set or {infinity} (whichever matches the size parity), which
-    encodes (g-1) times the infinite point, and twice that is the canonical
-    class.  Otherwise a linear factor of chi_odd or chi_even yields the
-    witness class (the least one of chi_odd, else of chi_even).  The
-    factors come from `weierstrass.stratum_factors`, so a stratum of more
-    than one class that the Frobenius screen proves one orbit has no
-    linear factor and is never factored.
-    """
-    if fast_path and curve.parity == ODD:
-        if (curve.genus + 1) % 2 == 0:
-            # T = empty set; the stored representative avoids infinity
-            mask = 0
-        else:
-            # T = {infinity}; the infinity-avoiding member is the full root set
-            mask = (1 << curve.nroots) - 1
-        return True, ThetaClass(mask, _h0_for_mask(mask, curve))
-    res = resolvent_theta(curve)
-    classes = enumerate_theta_classes(curve)
-    for strata, parts, parity_odd in (
-        (res.odd_strata, res.odd_parts, True),
-        (res.even_strata, res.even_parts, False),
-    ):
-        # the parts are monic, so every linear factor is x - root
-        roots = [
-            -g.coeffs[0]
-            for factors in stratum_factors(curve, strata, parts)
-            for g in factors
-            if g.degree == 1
-        ]
-        if roots:
-            value = max(roots)
-            witness = _witness_class(curve, classes, res.labeling, value, parity_odd)
-            return True, witness
-    return False, None
-
-
 def frobenius_theta_oracle(curve: HyperellipticCurve, p: int) -> tuple[tuple, tuple]:
     """Frobenius cycle types on (odd, even) theta classes at a good prime.
 
     Where chi_odd and chi_even are squarefree mod p too, the result
     matches their degree patterns mod p.
     """
-    pieces = _parity_pieces(enumerate_theta_classes(curve))
-    return frobenius_cycle_types(curve, p, pieces)
+    return frobenius_cycle_types(curve, p, enumerate_theta_classes(curve))

@@ -26,8 +26,7 @@ The two-torsion is the piece of nonzero even masks: its resolvent chi
 (`resolvent_j2`, degree 2^(2g) - 1) is the product of its parts, whose
 orbit sizes `orbit_decomposition` reads one part at a time, and
 `frobenius_orbit_oracle` cross-checks it against chi mod p.  The theta
-module adds what only theta characteristics know: h^0, parity and the
-rational-theta witness.
+module adds what only theta characteristics know: h^0 and parity.
 """
 
 from __future__ import annotations
@@ -48,7 +47,6 @@ from .certroots import (
 from .exactpoly import IntPoly, RatPoly, make_integral_monic, poly_digest, poly_gcd
 from .factorq import (
     BadPrimeError,
-    DegreePattern,
     _primes_from,
     _zassenhaus,
     degree_pattern,
@@ -61,12 +59,12 @@ __all__ = [
     "ODD",
     "EVEN",
     "HyperellipticCurve",
-    "SubsetClass",
     "Labeling",
     "TwoTorsionResolvent",
     "SingularModelError",
     "NoInjectiveLabelingError",
     "check_genus_cap",
+    "j2_class_count",
     "build_curve",
     "canonical_masks",
     "class_labels",
@@ -107,13 +105,13 @@ class NoInjectiveLabelingError(RuntimeError):
 class HyperellipticCurve:
     """y^2 = f(x) over Q together with its monic integral model.
 
-    `f` is the monic integral polynomial whose roots are `scale` times the
-    roots of the original; genus and parity refer to the original model.
+    `f` is the monic integral polynomial whose roots are a fixed rational
+    multiple of the roots of the original (`make_integral_monic`); genus
+    and parity refer to the original model.
     """
 
     original: RatPoly
     f: IntPoly
-    scale: Fraction
     genus: int
     parity: str
     lc_is_square: bool
@@ -121,18 +119,6 @@ class HyperellipticCurve:
     @property
     def nroots(self) -> int:
         return self.f.degree
-
-
-@dataclass(frozen=True)
-class SubsetClass:
-    """A nonzero two-torsion class: an even subset of the Weierstrass roots
-    modulo complementation, stored as its canonical mask."""
-
-    mask: int
-
-    @property
-    def size(self) -> int:
-        return self.mask.bit_count()
 
 
 @dataclass(frozen=True)
@@ -165,6 +151,11 @@ def _fraction_is_square(q: Fraction) -> bool:
     return isqrt(n) ** 2 == n and isqrt(d) ** 2 == d
 
 
+def j2_class_count(genus: int) -> int:
+    """Nonzero two-torsion classes of a genus-g Jacobian: 2^(2g) - 1."""
+    return (1 << (2 * genus)) - 1
+
+
 def check_genus_cap(d: int) -> None:
     """Reject an x-degree d whose curves would pass the genus cap."""
     if d > 2 * MAX_GENUS + 2:
@@ -188,11 +179,9 @@ def build_curve(f: RatPoly) -> HyperellipticCurve:
             "genus-1 model accepted, but the rank criterion needs genus > 1",
             stacklevel=2,
         )
-    monic, scale = make_integral_monic(f)
     return HyperellipticCurve(
         original=f,
-        f=monic,
-        scale=scale,
+        f=make_integral_monic(f)[0],
         genus=genus,
         parity=ODD if d % 2 else EVEN,
         lc_is_square=_fraction_is_square(f.lc),
@@ -216,8 +205,9 @@ def canonical_masks(curve: HyperellipticCurve, parity: int) -> tuple:
 
 
 def enumerate_j2_classes(curve: HyperellipticCurve) -> tuple:
-    """All 2^(2g) - 1 nonzero two-torsion classes, canonical, ascending."""
-    return tuple(SubsetClass(m) for m in canonical_masks(curve, 0) if m)
+    """The canonical masks of the 2^(2g) - 1 nonzero two-torsion classes,
+    ascending."""
+    return tuple(m for m in canonical_masks(curve, 0) if m)
 
 
 def size_strata(curve: HyperellipticCurve, masks) -> tuple:
@@ -257,9 +247,7 @@ def _subset_sum(uvals, mask: int) -> ComplexBall:
     return acc
 
 
-def class_labels(
-    curve: HyperellipticCurve, iso, c: int, masks, allow_zero: bool = True
-) -> list:
+def class_labels(curve: HyperellipticCurve, iso, c: int, masks, allow_zero: bool) -> list:
     """Ball labels of the classes ``masks`` at labelling index c, from the
     root balls of the isolation ``iso``.
 
@@ -356,10 +344,9 @@ def resolvent_j2(curve: HyperellipticCurve) -> TwoTorsionResolvent:
     >>> resolvent_j2(curve).chi.degree
     15
     """
-    masks = tuple(cl.mask for cl in enumerate_j2_classes(curve))
-    (strata,), (parts,), labeling = stratified_parts(curve, [masks])
+    (strata,), (parts,), labeling = stratified_parts(curve, [enumerate_j2_classes(curve)])
     chi = prod(parts[1:], start=parts[0])
-    expected = (1 << (2 * curve.genus)) - 1
+    expected = j2_class_count(curve.genus)
     if chi.degree != expected:
         raise AssertionError("resolvent degree %d != %d" % (chi.degree, expected))
     return TwoTorsionResolvent(chi, labeling, parts, strata, curve)
@@ -435,7 +422,7 @@ def _root_cycle_type(fp: tuple, p: int) -> tuple:
     ``fp``: the fibers t and t + p of a family share one computation."""
     if not fp[-1]:
         raise BadPrimeError(f"p={p} divides the leading coefficient")
-    return degree_pattern(IntPoly(fp), p).degrees
+    return degree_pattern(IntPoly(fp), p)
 
 
 @lru_cache(maxsize=1024)
@@ -484,7 +471,7 @@ def frobenius_screen(curve: HyperellipticCurve, strata) -> tuple:
     resolvent is squarefree mod p, those cycles are its modular factors.
 
     >>> curve = build_curve(RatPoly([1, 1, 0, 0, 0, 0, 1]))  # y^2 = x^6+x+1
-    >>> strata = size_strata(curve, [cl.mask for cl in enumerate_j2_classes(curve)])
+    >>> strata = size_strata(curve, enumerate_j2_classes(curve))
     >>> [sorted(allowed) for allowed, _primes in frobenius_screen(curve, strata)]
     [[0, 15]]
     """
@@ -503,7 +490,7 @@ def frobenius_screen(curve: HyperellipticCurve, strata) -> tuple:
         except BadPrimeError:
             continue
         for i, t in zip(live, types):
-            allowed[i] &= possible_degrees([DegreePattern(p, t)], len(strata[i]))
+            allowed[i] &= possible_degrees([t], len(strata[i]))
             cycles[i].append((len(t), p))
     return tuple((a, tuple(p for _n, p in sorted(c))) for a, c in zip(allowed, cycles))
 
@@ -533,7 +520,6 @@ def frobenius_orbit_oracle(curve: HyperellipticCurve, p: int) -> tuple:
     """Cycle-length multiset of Frobenius acting on the two-torsion classes.
 
     Where chi is squarefree mod p too, this equals
-    ``degree_pattern(chi, p).degrees``.
+    ``degree_pattern(chi, p)``.
     """
-    masks = tuple(cl.mask for cl in enumerate_j2_classes(curve))
-    return frobenius_cycle_types(curve, p, [masks])[0]
+    return frobenius_cycle_types(curve, p, [enumerate_j2_classes(curve)])[0]

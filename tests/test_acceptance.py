@@ -31,7 +31,7 @@ from rankcert.factorq import (
     possible_degrees,
     _primes_from,
 )
-from rankcert.theta import frobenius_theta_oracle, has_rational_theta, resolvent_theta
+from rankcert.theta import frobenius_theta_oracle, resolvent_theta, theta_data
 from rankcert.weierstrass import build_curve, frobenius_orbit_oracle, orbit_decomposition, resolvent_j2
 
 SEED = 20260809
@@ -192,10 +192,10 @@ def test_criterion_4_oracle_agreement(counting_curves):
             except (BadPrimeError, ValueError):
                 continue
             good.append(p)
-            assert pat_chi.degrees == frobenius_orbit_oracle(curve, p)
+            assert pat_chi == frobenius_orbit_oracle(curve, p)
             odd_cycles, even_cycles = frobenius_theta_oracle(curve, p)
-            assert pat_odd.degrees == odd_cycles
-            assert pat_even.degrees == even_cycles
+            assert pat_odd == odd_cycles
+            assert pat_even == even_cycles
             checked += 3
     _report(
         "criterion 4 - Frobenius oracle matches all degree patterns: "
@@ -215,14 +215,12 @@ def test_criterion_5_odd_model_fast_path():
             theta_reasons = [r for r in cert.reasons if r.kind == RATIONAL_THETA]
             assert len(theta_reasons) == 1
             assert theta_reasons[0].witness == INFINITY_WITNESS
-            # independent confirmation through the linear-factor path
-            ok, witness = has_rational_theta(curve, fast_path=False)
-            assert ok and witness is not None
-            fast_ok, fast_witness = has_rational_theta(curve)
-            assert fast_ok
+            # independent confirmation: a theta orbit of size 1
+            odd, even, _hashes = theta_data(curve)
+            assert 1 in odd + even
     _report(
         "criterion 5 - 10 odd-degree models are Inconclusive(RationalTheta) with "
-        "witness (g-1)*infinity, confirmed by the general linear-factor path"
+        "witness (g-1)*infinity, confirmed by a size-1 theta orbit"
     )
 
 

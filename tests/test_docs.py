@@ -42,8 +42,8 @@ def test_readme_library_snippet():
     exec(compile(_library_block(), "README.md", "exec"), namespace)
     res, curve = namespace["res"], namespace["curve"]
     assert namespace["orbit_decomposition"](res) == (15,)
-    assert namespace["has_rational_theta"](curve) == (False, None)
+    assert namespace["theta_data"](curve)[:2] == ((6,), (10,))
     oracle = namespace["frobenius_orbit_oracle"](curve, 11)
-    assert oracle == degree_pattern(res.chi, 11).degrees
+    assert oracle == degree_pattern(res.chi, 11)
     assert namespace["cert"].verdict == "RankAtLeastOne"
     assert namespace["cert"].path == "transitivity"

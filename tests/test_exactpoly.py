@@ -274,8 +274,8 @@ class TestFormatting:
 
     def test_intpoly_content(self):
         p = IntPoly([6, -9, 12])
-        assert p.content == 3
         assert p.primitive() == IntPoly([2, -3, 4])
+        assert p == IntPoly([3]) * p.primitive()
         assert IntPoly([-2, -4]).primitive() == IntPoly([1, 2])
 
     def test_exact_div(self):

@@ -1,6 +1,11 @@
 import json
+import os
+import subprocess
+import sys
+import time
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -35,6 +40,18 @@ class TestDiscriminant:
         for t0 in (Fraction(2), Fraction(-3), Fraction(1, 2)):
             fiber = X6_T.specialize(t0)
             assert disc.to_rat()(t0) == discriminant(fiber)
+
+    @pytest.mark.parametrize("f_t", ["x^6+(t+1)^30*x+1", "(t^2+1)*x^5+2/3*t^3*x^2+t+7"])
+    def test_interpolation_off_the_sample_points(self, f_t):
+        # the samples are t = 0, 1, -1, 2, -2, ...; the primitive numerator
+        # is disc_x up to one constant factor at every other t as well
+        fam = parse_family(f_t)
+        disc = family_discriminant_numerator(fam).to_rat()
+        ratios = {
+            discriminant(fam.specialize(t0)) / disc(t0)
+            for t0 in (Fraction(1000), Fraction(1, 3), Fraction(-7, 2))
+        }
+        assert len(ratios) == 1 and 0 not in ratios
 
     def test_constant_family(self):
         fam = FamilyCurve(
@@ -199,3 +216,18 @@ def test_asserted_fiber_note(capsys):
     assert doc["certified"][0]["certificate"]["evidence"] == {
         "kind": "user-assertion", "note": "degree-1 class asserted by flag"
     }
+
+
+def test_high_t_degree_scan_is_fast():
+    # 301 discriminant samples; cubic Lagrange interpolation in Fraction
+    # arithmetic ran past 60 s here
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = ["family", "scan", "--f-t", "x^6+(t+1)^30*x+1", "--range=0..0"]
+    code = "import sys; from rankcert.cli import main; sys.exit(main(%r))" % (argv,)
+    start = time.perf_counter()
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=60)
+    elapsed = time.perf_counter() - start
+    assert run.returncode == 0, run.stderr
+    assert b"certified 1 of 1 fibers: 0" in run.stdout
+    assert elapsed < 20

@@ -27,7 +27,7 @@ from rankcert import factorq, weierstrass
 from rankcert.cli import main, parse_poly
 from rankcert.exactpoly import IntPoly
 from rankcert.factorq import _zassenhaus, factor_over_q
-from rankcert.theta import has_rational_theta, resolvent_theta
+from rankcert.theta import resolvent_theta, theta_data
 from rankcert.weierstrass import (
     EVEN,
     ODD,
@@ -107,20 +107,21 @@ def test_reducible_strata_are_never_claimed(f):
     assert reducible >= 1
 
 
-# (mask, h0) of the witness, recorded before `has_rational_theta` took its
-# factors from the screen; None where there is no rational theta class
+# the parities that hold a rational theta class (an orbit of size 1),
+# measured before the witness search was retired; that search returned a
+# class of the first parity listed, odd before even
 THETA_WITNESSES = [
-    ("x^6+x+1", None),
-    ("x^10+x+1", None),
-    ("x^8+x+1", (12, 1)),
-    ("(x^3-2)*(x^3-3)", (28, 0)),
-    ("x^6-1", (1, 1)),
-    ("x^8+3*x^3-x+7", (0, 2)),
+    ("x^6+x+1", ()),
+    ("x^10+x+1", ()),
+    ("x^8+x+1", ("odd", "even")),
+    ("(x^3-2)*(x^3-3)", ("even",)),
+    ("x^6-1", ("odd", "even")),
+    ("x^8+3*x^3-x+7", ("even",)),
 ]
 
 
-@pytest.mark.parametrize("f,witness", THETA_WITNESSES, ids=[f for f, _ in THETA_WITNESSES])
-def test_rational_theta_witness_unchanged(f, witness, monkeypatch):
+@pytest.mark.parametrize("f,parities", THETA_WITNESSES, ids=[f for f, _ in THETA_WITNESSES])
+def test_rational_theta_witness_unchanged(f, parities, monkeypatch):
     factored = []
 
     def counted(F, *args):
@@ -128,9 +129,9 @@ def test_rational_theta_witness_unchanged(f, witness, monkeypatch):
         return _zassenhaus(F, *args)
 
     monkeypatch.setattr(weierstrass, "_zassenhaus", counted)
-    ok, wit = has_rational_theta(build_curve(parse_poly(f)))
-    assert (ok, wit and (wit.mask, wit.h0)) == (witness is not None, witness)
-    if witness is None:
+    odd, even, _hashes = theta_data(build_curve(parse_poly(f)))
+    assert tuple(name for name, orbits in (("odd", odd), ("even", even)) if 1 in orbits) == parities
+    if not parities:
         # every theta stratum is proven one orbit of several classes
         assert factored == []
 

@@ -56,7 +56,7 @@ def _product(polys):
 
 
 def _frobenius_image(curve, p):
-    perm = _perm_from_cycle_type(degree_pattern(curve.f, p).degrees)
+    perm = _perm_from_cycle_type(degree_pattern(curve.f, p))
     full = (1 << curve.nroots) - 1
     if curve.parity == ODD:
         return lambda m: _apply_perm(m, perm)
@@ -94,7 +94,7 @@ def test_corpus_covers_both_parities_and_genera():
 def test_parts_multiply_to_single_group_chi(f):
     curve = build_curve(f)
     res = resolvent_j2(curve)
-    masks = tuple(cl.mask for cl in enumerate_j2_classes(curve))
+    masks = enumerate_j2_classes(curve)
     (whole,), labeling, _prec = build_label_resolvents(
         curve, [masks], start_c=res.labeling.c
     )
@@ -109,11 +109,11 @@ def test_parts_multiply_to_single_group_chi(f):
 def test_part_patterns_match_frobenius_on_stratum(f):
     curve = build_curve(f)
     res = resolvent_j2(curve)
-    strata = size_strata(curve, [cl.mask for cl in enumerate_j2_classes(curve)])
+    strata = size_strata(curve, enumerate_j2_classes(curve))
     for p in _good_primes(curve, res.parts, 2):
         image = _frobenius_image(curve, p)
         for group, part in zip(strata, res.parts):
-            assert degree_pattern(part, p).degrees == _orbit_lengths(group, image)
+            assert degree_pattern(part, p) == _orbit_lengths(group, image)
 
 
 @pytest.mark.parametrize("f", CURVES, ids=str)
@@ -122,9 +122,9 @@ def test_theta_parts_multiply_to_parity_resolvents(f):
     th = resolvent_theta(curve)
     assert _product(th.odd_parts) == th.chi_odd
     assert _product(th.even_parts) == th.chi_even
-    classes = enumerate_theta_classes(curve)
-    for parity_odd, parts in ((True, th.odd_parts), (False, th.even_parts)):
-        groups = size_strata(curve, [t.mask for t in classes if t.is_odd == parity_odd])
+    pieces = enumerate_theta_classes(curve)
+    for piece, parts in zip(pieces, (th.odd_parts, th.even_parts)):
+        groups = size_strata(curve, piece)
         assert [len(group) for group in groups] == [q.degree for q in parts]
 
 

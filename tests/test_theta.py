@@ -3,14 +3,17 @@ import warnings
 
 import pytest
 
+from rankcert.certify import INFINITY_WITNESS, RATIONAL_THETA
+from rankcert.cli import pipeline_hyperelliptic
 from rankcert.exactpoly import RatPoly
 from rankcert.factorq import BadPrimeError, degree_pattern, factor_over_q
 from rankcert.theta import (
+    _h0_for_mask,
     enumerate_theta_classes,
     frobenius_theta_oracle,
-    has_rational_theta,
     resolvent_theta,
     theta_class_counts,
+    theta_data,
 )
 from rankcert.weierstrass import build_curve
 
@@ -44,20 +47,16 @@ class TestEnumeration:
     )
     def test_counts_by_curve(self, coeffs, genus):
         curve = make_curve(coeffs)
-        classes = enumerate_theta_classes(curve)
-        odd = sum(1 for t in classes if t.is_odd)
-        even = len(classes) - odd
-        assert (odd, even) == theta_class_counts(genus)
-        assert len(classes) == 1 << (2 * genus)
+        odd, even = enumerate_theta_classes(curve)
+        assert (len(odd), len(even)) == theta_class_counts(genus)
+        assert len(set(odd + even)) == 1 << (2 * genus)
 
     def test_h0_values_quintic(self):
-        classes = enumerate_theta_classes(build_curve(QUINTIC))
-        by_h0 = {}
-        for t in classes:
-            by_h0.setdefault(t.h0, 0)
-            by_h0[t.h0] += 1
+        curve = build_curve(QUINTIC)
+        odd, even = enumerate_theta_classes(curve)
         # 6 odd classes with h0 = 1, 10 even with h0 = 0
-        assert by_h0 == {0: 10, 1: 6}
+        assert [_h0_for_mask(m, curve) for m in odd] == [1] * 6
+        assert [_h0_for_mask(m, curve) for m in even] == [0] * 10
 
 
 class TestResolvents:
@@ -80,30 +79,36 @@ class TestResolvents:
 
 
 class TestRationalTheta:
+    """A rational theta characteristic is an orbit of size 1 in
+    `theta_data`; odd-degree models skip the theta step and name the class
+    of (g-1)*infinity instead."""
+
     def test_odd_model_fast_path(self):
-        ok, wit = has_rational_theta(build_curve(QUINTIC))
-        assert ok
-        # witness encodes (g-1)*infinity: the class of {infinity}, h0 = 1
-        assert wit.h0 == 1
-        assert wit.mask == (1 << 5) - 1  # infinity-avoiding member = all finite roots
+        cert, _curve = pipeline_hyperelliptic(QUINTIC)
+        theta = [r for r in cert.reasons if r.kind == RATIONAL_THETA]
+        assert [r.witness for r in theta] == [INFINITY_WITNESS]
+        assert "chi_odd" not in dict(cert.hashes)
 
     def test_odd_model_general_path_agrees(self):
-        fast_ok, fast_wit = has_rational_theta(build_curve(QUINTIC))
-        gen_ok, gen_wit = has_rational_theta(build_curve(QUINTIC), fast_path=False)
-        assert fast_ok and gen_ok
-        assert fast_wit == gen_wit
+        # the class of {infinity}, stored as its infinity-avoiding member
+        # (all finite roots), is odd (h0 = 1) and Galois-fixed
+        curve = build_curve(QUINTIC)
+        infinity_class = (1 << 5) - 1
+        assert _h0_for_mask(infinity_class, curve) == 1
+        odd, _even, _hashes = theta_data(curve)
+        assert infinity_class in enumerate_theta_classes(curve)[0]
+        assert 1 in odd
 
     def test_even_model_without_rational_theta(self):
-        ok, wit = has_rational_theta(build_curve(SEXTIC))
-        assert not ok and wit is None
+        odd, even, _hashes = theta_data(build_curve(SEXTIC))
+        assert 1 not in odd + even
 
     def test_galois_stable_triple(self):
         f = RatPoly([-2, 0, 0, 1]) * RatPoly([-3, 0, 0, 1])
         curve = build_curve(f)
-        ok, wit = has_rational_theta(curve)
-        assert ok
-        assert wit.h0 == 0  # |T| = 3 representative, even characteristic
-        assert wit.parity == "even"
+        odd, even, _hashes = theta_data(curve)
+        # the roots of one cubic: |T| = 3, h0 = 0, an even characteristic
+        assert 1 in even and 1 not in odd
         res = resolvent_theta(curve)
         assert any(g.degree == 1 for g, _ in factor_over_q(res.chi_even.to_rat()).factors)
 
@@ -129,8 +134,8 @@ class TestThetaOracle:
         res = resolvent_theta(curve)
         for p in self.good_primes(curve, res):
             odd_cycles, even_cycles = frobenius_theta_oracle(curve, p)
-            assert odd_cycles == degree_pattern(res.chi_odd, p).degrees
-            assert even_cycles == degree_pattern(res.chi_even, p).degrees
+            assert odd_cycles == degree_pattern(res.chi_odd, p)
+            assert even_cycles == degree_pattern(res.chi_even, p)
 
     def test_random_curves(self):
         rng = random.Random(777)
@@ -140,8 +145,8 @@ class TestThetaOracle:
             res = resolvent_theta(curve)
             for p in self.good_primes(curve, res, count=5):
                 odd_cycles, even_cycles = frobenius_theta_oracle(curve, p)
-                assert odd_cycles == degree_pattern(res.chi_odd, p).degrees
-                assert even_cycles == degree_pattern(res.chi_even, p).degrees
+                assert odd_cycles == degree_pattern(res.chi_odd, p)
+                assert even_cycles == degree_pattern(res.chi_even, p)
 
     def test_orbit_sums_match_counts(self):
         curve = build_curve(SEXTIC)
@@ -159,18 +164,18 @@ def test_parity_preserved_by_frobenius_action():
     from rankcert.weierstrass import _apply_perm, _perm_from_cycle_type
 
     curve = build_curve(SEXTIC)
-    classes = enumerate_theta_classes(curve)
-    parity_of = {t.mask: t.is_odd for t in classes}
+    odd, even = enumerate_theta_classes(curve)
+    parity_of = {m: m in odd for m in odd + even}
     full = (1 << curve.nroots) - 1
     for p in (5, 7, 11):
         try:
-            perm = _perm_from_cycle_type(degree_pattern(curve.f, p).degrees)
+            perm = _perm_from_cycle_type(degree_pattern(curve.f, p))
         except Exception:
             continue
-        for t in classes:
-            im = _apply_perm(t.mask, perm)
+        for m, is_odd in parity_of.items():
+            im = _apply_perm(m, perm)
             im = min(im, full ^ im)
-            assert parity_of[im] == t.is_odd
+            assert parity_of[im] == is_odd
 
 
 def test_odd_model_genus3_empty_class_allowed():
