@@ -27,11 +27,9 @@ from .exactpoly import (
     RatPoly,
     discriminant,
     make_integral_monic,
-    poly_gcd,
     resultant,
 )
 from .factorq import (
-    FactorizationQ,
     factor_over_q,
     degree_pattern,
     is_irreducible_over_q,
@@ -53,7 +51,6 @@ __all__ = [
     "Certificate",
     "ComplexBall",
     "Deg1Evidence",
-    "FactorizationQ",
     "FamilyCurve",
     "HyperellipticCurve",
     "IntPoly",
@@ -76,7 +73,6 @@ __all__ = [
     "isolate_roots",
     "make_integral_monic",
     "orbit_decomposition",
-    "poly_gcd",
     "possible_degrees",
     "render_certificate",
     "resolvent_j2",

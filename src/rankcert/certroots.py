@@ -33,7 +33,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .exactpoly import IntPoly, _zmul, poly_gcd
+from .exactpoly import IntPoly, _zmul
+from .factorq import is_squarefree
 
 __all__ = [
     "ComplexBall",
@@ -254,16 +255,15 @@ def _certify(f: IntPoly, zs, P: int):
 def isolate_roots(f: IntPoly, precision: int = 128) -> RootIsolation:
     """Certified disjoint inclusion disks, one per root of f.
 
-    f must be monic and squarefree (checked exactly).  Precision escalates
-    internally until the disks are pairwise disjoint; the hard cap raises
-    PrecisionExhausted.
+    f must be monic and squarefree, which `factorq.is_squarefree` checks
+    exactly.  Precision escalates internally until the disks are pairwise
+    disjoint; the hard cap raises PrecisionExhausted.
     """
     if f.degree < 1:
         raise ValueError("cannot isolate roots of a constant")
     if f.lc != 1:
         raise ValueError("root isolation expects a monic polynomial")
-    fr = f.to_rat()
-    if poly_gcd(fr, fr.derivative()).degree > 0:
+    if not is_squarefree(f):
         raise ValueError("root isolation expects a squarefree polynomial")
     if f.degree == 1:
         P = max(precision, 8)

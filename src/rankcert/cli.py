@@ -55,7 +55,14 @@ from .certify import (
 )
 from .exactpoly import RatPoly, format_poly, poly_digest
 from .factorq import BadPrimeError, _primes_from, degree_pattern, factor_over_q, is_squarefree
-from .family import FamilyCurve, ScanOptions, check_good_fiber, scan
+from .family import (
+    FamilyCurve,
+    ScanOptions,
+    check_good_fiber,
+    check_t_degree_cap,
+    exclusion_sets,
+    scan,
+)
 from .theta import theta_class_counts, theta_data
 from .weierstrass import (
     MAX_GENUS,
@@ -138,6 +145,9 @@ class _BiPoly:
     def deg_x(self):
         return max((a for a, _ in self.terms), default=-1)
 
+    def deg_t(self):
+        return max((b for _, b in self.terms), default=-1)
+
 
 _TOKEN_RE = re.compile(r"(\d+)|([A-Za-z]+)|([-+*^/()])")
 
@@ -190,14 +200,16 @@ class _Parser:
             value = value + rhs if op == "+" else value - rhs
         return value
 
-    # products and powers are checked against the genus cap before they are
-    # expanded, so a huge exponent fails at once instead of after the work
+    # products and powers are checked against the genus cap and the t-degree
+    # cap before they are expanded, so a huge exponent fails at once instead
+    # of after the work
     def term(self) -> _BiPoly:
         value = self.factor()
         while self.peek() == "*":
             self.advance()
             rhs = self.factor()
             check_genus_cap(value.deg_x() + rhs.deg_x())
+            check_t_degree_cap(value.deg_t() + rhs.deg_t())
             value = value * rhs
         return value
 
@@ -211,6 +223,7 @@ class _Parser:
             self.advance()
             n = int(tok)
             check_genus_cap(value.deg_x() * n)
+            check_t_degree_cap(value.deg_t() * n)
             value = value ** n
         return value
 
@@ -394,6 +407,10 @@ def pipeline_hyperelliptic(
     return cert, curve
 
 
+def _factor_degrees(poly: RatPoly) -> tuple:
+    return tuple(g.degree for g in factor_over_q(poly))
+
+
 def _pipeline_chi(chi: RatPoly, genus: int, evidence, theta_odd=None, theta_even=None):
     """Certification from an external chi.  Given theta resolvents are
     checked before any decision and factored only when chi is reducible."""
@@ -424,14 +441,11 @@ def _pipeline_chi(chi: RatPoly, genus: int, evidence, theta_odd=None, theta_even
                 raise ValueError("theta %s resolvent is not squarefree" % name)
             theta_hashes += (("chi_" + name, poly_digest(poly_int.coeffs)),)
     hashes = (("chi", poly_digest(chi_int.coeffs)),)
-    report = OrbitReport(genus, factor_over_q(chi).degrees())
+    report = OrbitReport(genus, _factor_degrees(chi))
     if not report.transitive and theta_hashes:
         hashes += theta_hashes
         report = OrbitReport(
-            genus,
-            report.j2_orbits,
-            factor_over_q(theta_odd).degrees(),
-            factor_over_q(theta_even).degrees(),
+            genus, report.j2_orbits, _factor_degrees(theta_odd), _factor_degrees(theta_even)
         )
     return decide(
         report,
@@ -556,6 +570,7 @@ def _cmd_family_scan(args):
         assert_deg1=args.assert_deg1_class,
     )
     fiber_check = None
+    exclusions = None
     if args.fiber_check is not None:
         try:
             b = Fraction(args.fiber_check)
@@ -563,13 +578,15 @@ def _cmd_family_scan(args):
             raise ValueError(
                 "--fiber-check has a zero denominator: %s" % args.fiber_check
             ) from None
-        transitive, rep = check_good_fiber(fam, b)
+        # computed once, for the check and the scan
+        exclusions = exclusion_sets(fam)
+        transitive, rep = check_good_fiber(fam, b, exclusions)
         fiber_check = {
             "t": str(b),
             "transitive": transitive,
             "j2": list(rep.j2_orbits),
         }
-    report = scan(fam, lo, hi, options)
+    report = scan(fam, lo, hi, options, exclusions)
     doc = {
         "schema_version": 1,
         "tool": {"name": "rankcert", "version": __version__},

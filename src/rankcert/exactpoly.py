@@ -8,8 +8,10 @@ values are immutable after construction and every operation is pure, so
 everything here is safe to share across threads.
 
 The gcd/resultant machinery runs over Z via pseudo-division (primitive PRS
-for gcd, subresultant PRS for resultants) to keep intermediate coefficients
-small.
+for `IntPoly.gcd`, subresultant PRS for resultants) to keep intermediate
+coefficients small.  There is no gcd over Q: squarefreeness is decided by
+`factorq.is_squarefree` alone, which falls back on `IntPoly.gcd` with the
+derivative only when no reduction modulo a prime certifies it.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ Scalar = Union[int, Fraction]
 __all__ = [
     "RatPoly",
     "IntPoly",
-    "poly_gcd",
     "discriminant",
     "resultant",
     "make_integral_monic",
@@ -371,12 +372,6 @@ class RatPoly:
     def derivative(self) -> "RatPoly":
         return RatPoly(tuple(i * c for i, c in enumerate(self.coeffs))[1:])
 
-    def monic(self) -> "RatPoly":
-        if self.is_zero or self.lc == 1:
-            return self
-        inv = 1 / self.lc
-        return RatPoly(tuple(c * inv for c in self.coeffs))
-
     def __divmod__(self, other):
         other = self._coerce(other)
         if other.is_zero:
@@ -447,15 +442,6 @@ class IntPoly:
     def __hash__(self):
         return hash(("IntPoly", self.coeffs))
 
-    def __neg__(self):
-        return IntPoly(tuple(-c for c in self.coeffs))
-
-    def __add__(self, other):
-        return IntPoly(_zadd(list(self.coeffs), list(other.coeffs)))
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, int):
             return IntPoly(tuple(c * other for c in self.coeffs))
@@ -493,20 +479,6 @@ class IntPoly:
 
 # ---------------------------------------------------------------------------
 # the classical operations
-
-def poly_gcd(a: RatPoly, b: RatPoly) -> RatPoly:
-    """Monic gcd over Q; ``poly_gcd(a, 0)`` is the monic normalization of a."""
-    if a.is_zero and b.is_zero:
-        return RatPoly()
-    if a.is_zero:
-        return b.monic()
-    if b.is_zero:
-        return a.monic()
-    A = a.to_int()[1]
-    B = b.to_int()[1]
-    g = _zgcd(list(A.coeffs), list(B.coeffs))
-    return RatPoly(g).monic()
-
 
 def resultant(a: RatPoly, b: RatPoly) -> Fraction:
     """Sylvester resultant over Q with the classical normalization.

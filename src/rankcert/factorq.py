@@ -1,4 +1,13 @@
-"""Factorization of integer polynomials over Q, and degree patterns mod p.
+"""Factorization of squarefree integer polynomials over Q, and degree
+patterns mod p.
+
+Every polynomial factored here is squarefree: the resolvents are, because
+an injective labelling makes them so, and `factor_over_q` checks its input
+and raises ValueError on anything else.  `is_squarefree` is the one
+squarefreeness test of the package: a squarefree reduction modulo a prime
+certifies it, and the exact gcd with the derivative over Z decides only
+when every tried reduction has a repeated factor.  `rational_roots`, which
+reads the family discriminant, factors the squarefree part of its input.
 
 The pipeline is classical Zassenhaus: reduce a primitive squarefree
 polynomial modulo several primes, keep the prime with the fewest modular
@@ -26,7 +35,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
@@ -35,7 +43,6 @@ from .exactpoly import _zmul, _zneg
 from .exactpoly import _strip as gf_strip
 
 __all__ = [
-    "FactorizationQ",
     "BadPrimeError",
     "degree_pattern",
     "possible_degrees",
@@ -260,8 +267,9 @@ def squarefree_by_reduction(F: IntPoly):
 
 
 def is_squarefree(F: IntPoly) -> bool:
-    """Exact squarefreeness of F over Q: a modular certificate first, the
-    exact gcd with F' only when every tried reduction has a repeated factor."""
+    """Exact squarefreeness of F over Q, the package's one squarefreeness
+    test: a modular certificate first, the exact gcd with F' only when
+    every tried reduction has a repeated factor."""
     return bool(squarefree_by_reduction(F)) or F.gcd(F.derivative()).degree == 0
 
 
@@ -480,30 +488,6 @@ def _hensel_lift_list(p, f, f_list, l):
 # ---------------------------------------------------------------------------
 # factorization over Q
 
-@dataclass(frozen=True)
-class FactorizationQ:
-    """unit * prod(factor**multiplicity) == the input, exactly.
-
-    Factors are primitive irreducible integer polynomials with positive
-    leading coefficient, sorted by (degree, coefficient tuple).
-    """
-
-    unit: Fraction
-    factors: tuple  # of (IntPoly, int)
-
-    def expand(self) -> RatPoly:
-        acc = RatPoly((self.unit,))
-        for g, mult in self.factors:
-            acc = acc * (g.to_rat() ** mult)
-        return acc
-
-    def degrees(self) -> tuple:
-        out = []
-        for g, mult in self.factors:
-            out.extend([g.degree] * mult)
-        return tuple(sorted(out))
-
-
 def _mignotte_bound(F: IntPoly) -> int:
     """2**deg * l2norm * |lc|, rounded up; bounds any factor's coefficients."""
     n = F.degree
@@ -605,73 +589,58 @@ def _zassenhaus(F: IntPoly, allowed=None, p=None) -> list[IntPoly]:
     return factors
 
 
-def _int_squarefree_decomposition(F: IntPoly):
-    """Yun's algorithm over Z on a primitive F with lc > 0: [(part, mult)]."""
-    if squarefree_by_reduction(F):
-        return [(F, 1)]
-    out = []
-    u = F.gcd(F.derivative())
-    if u.degree == 0:
-        return [(F, 1)]
-    v = F.exact_div(u)
-    w = F.derivative().exact_div(u)
-    i = 1
-    while v.degree > 0:
-        z = w - v.derivative()
-        h = v.gcd(z) if not z.is_zero else v
-        if h.degree > 0:
-            out.append((h, i))
-        v_next = v.exact_div(h)
-        if z.is_zero:
-            w_next = w  # unused: v_next is constant next round
-        else:
-            w_next = z.exact_div(h)
-        v, w = v_next, w_next
-        i += 1
-    return out
+def factor_over_q(f: RatPoly) -> tuple:
+    """Irreducible factors over Q of a squarefree f, which is checked.
 
+    Returns the primitive factors with positive leading coefficient,
+    sorted by (degree, coefficient tuple); their product is the primitive
+    part of f, and a nonzero constant has none.  A zero or non-squarefree
+    f raises ValueError.
 
-def factor_over_q(f: RatPoly) -> FactorizationQ:
-    """Complete factorization of f into irreducibles over Q.
-
-    >>> fac = factor_over_q(RatPoly([-1, 0, 1]))
-    >>> [str(g) for g, m in fac.factors]
+    >>> [str(g) for g in factor_over_q(RatPoly([-1, 0, 1]))]
     ['x - 1', 'x + 1']
+    >>> factor_over_q(RatPoly([1, 2, 1]))
+    Traceback (most recent call last):
+    ...
+    ValueError: factor_over_q needs a squarefree polynomial
     """
     if f.is_zero:
         raise ValueError("cannot factor the zero polynomial")
-    content, F = f.to_int()
+    F = f.to_int()[1]
     if F.degree == 0:
-        return FactorizationQ(content, ())
-    factors = []
-    for part, mult in _int_squarefree_decomposition(F):
-        for g in _zassenhaus(part):
-            factors.append((g, mult))
-    factors.sort(key=lambda t: (t[0].degree, t[0].coeffs))
-    result = FactorizationQ(content, tuple(factors))
-    if result.expand() != f:
+        return ()
+    if not is_squarefree(F):
+        raise ValueError("factor_over_q needs a squarefree polynomial")
+    factors = tuple(sorted(_zassenhaus(F), key=lambda g: (g.degree, g.coeffs)))
+    if math.prod(factors, start=IntPoly([1])) != F:
         raise RuntimeError("factorization identity check failed")
-    return result
+    return factors
 
 
 def is_irreducible_over_q(f: RatPoly) -> bool:
     """True iff f is irreducible over Q (degree >= 1).
 
-    A thin wrapper over `factor_over_q`, whose prime screen stops as soon
-    as the degree patterns prove irreducibility.
+    A squarefree f goes to `_zassenhaus`, whose prime screen stops as soon
+    as the degree patterns prove irreducibility; any other f is reducible.
     """
     if f.degree < 1:
         raise ValueError("irreducibility needs degree >= 1")
-    fac = factor_over_q(f)
-    return len(fac.factors) == 1 and fac.factors[0][1] == 1
+    F = f.to_int()[1]
+    return is_squarefree(F) and len(_zassenhaus(F)) == 1
 
 
 def rational_roots(f: RatPoly) -> tuple:
-    """All rational roots of a nonzero f, sorted, via its linear factors."""
+    """The distinct rational roots of a nonzero f, sorted.
+
+    They are the roots of the linear factors of its squarefree part: F
+    itself when a reduction certifies it squarefree, else F / gcd(F, F').
+    """
     if f.is_zero:
         raise ValueError("zero polynomial")
-    roots = []
-    for g, _mult in factor_over_q(f).factors:
-        if g.degree == 1:
-            roots.append(Fraction(-g.coeffs[0], g.coeffs[1]))
-    return tuple(sorted(set(roots)))
+    F = f.to_int()[1]
+    if F.degree < 1:
+        return ()
+    if not squarefree_by_reduction(F):
+        F = F.exact_div(F.gcd(F.derivative()))
+    linear = [g.coeffs for g in _zassenhaus(F) if g.degree == 1]
+    return tuple(sorted(Fraction(-c0, c1) for c0, c1 in linear))

@@ -17,7 +17,7 @@ The discriminant of f_t in x is computed exactly by evaluation and
 interpolation in Newton form: disc_x specializes correctly wherever the
 leading coefficient survives, and, being homogeneous of degree 2d - 2 in
 the coefficients, it has t-degree at most (2d - 2) * max coefficient
-degree.
+degree.  That coefficient degree is capped at MAX_T_DEGREE.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from .weierstrass import (
     NoInjectiveLabelingError,
     SingularModelError,
     build_curve,
+    check_curve_degree,
     two_torsion_data,
 )
 
@@ -49,6 +50,7 @@ __all__ = [
     "ExclusionSet",
     "ScanOptions",
     "ScanReport",
+    "check_t_degree_cap",
     "exclusion_sets",
     "check_good_fiber",
     "scan",
@@ -58,6 +60,19 @@ SKIP_IN_Z1 = "InZ1"
 SKIP_IN_Z2 = "InZ2"
 SKIP_INCONCLUSIVE = "Inconclusive"
 SKIP_ERROR = "Error"
+
+# the discriminant has t-degree up to (2d - 2) times the t-degree of the
+# coefficients, and its interpolation and factoring grow with that
+MAX_T_DEGREE = 30
+
+
+def check_t_degree_cap(m: int) -> None:
+    """Reject a family whose coefficients have t-degree m above the cap."""
+    if m > MAX_T_DEGREE:
+        raise ValueError(
+            "t-degree %d exceeds the family cap of %d (the discriminant in t "
+            "would be too large to interpolate and factor)" % (m, MAX_T_DEGREE)
+        )
 
 
 @dataclass(frozen=True)
@@ -152,13 +167,14 @@ def _sample_values():
 def family_discriminant_numerator(fam: FamilyCurve) -> IntPoly:
     """disc_x(f_t) as a polynomial in t, scaled to a primitive integer one.
 
-    Raises when the discriminant vanishes identically (generically
-    singular family).
+    Raises before any sample on an x-degree outside the curve range or a
+    t-degree above the family cap, and when the discriminant vanishes
+    identically (generically singular family).
     """
     d = fam.deg_x
-    if d < 1:
-        raise ValueError("family must have positive x-degree")
-    m = max(c.degree for c in fam.numerators if not c.is_zero)
+    check_curve_degree(d)
+    m = max(c.degree for c in fam.numerators)
+    check_t_degree_cap(m)
     npoints = (2 * d - 2) * m + 1
     xs, ys = [], []
     for t0 in _sample_values():
@@ -178,7 +194,8 @@ def exclusion_sets(fam: FamilyCurve) -> ExclusionSet:
     """z1: discriminant vanishing; z2: bad fibers (disc or lc).
 
     Every member provably annihilates its defining polynomial: the sets are
-    the exact rational root sets, found through complete factorization.
+    the exact rational root sets, read off the linear factors of the
+    squarefree parts (`factorq.rational_roots`).
     """
     disc_num = family_discriminant_numerator(fam)
     disc_roots = set(rational_roots(disc_num.to_rat()))
@@ -227,14 +244,17 @@ def certify_fiber(
     )
 
 
-def check_good_fiber(fam: FamilyCurve, b: Fraction) -> tuple[bool, OrbitReport]:
+def check_good_fiber(
+    fam: FamilyCurve, b: Fraction, exclusions: ExclusionSet | None = None
+) -> tuple[bool, OrbitReport]:
     """Is the Galois action on the fiber's nonzero two-torsion transitive?
 
-    b must avoid the exclusion sets.  Returns the flag together with the
-    fiber's two-torsion orbit report.
+    b must avoid the exclusion sets, computed here unless the caller
+    passes them.  Returns the flag together with the fiber's two-torsion
+    orbit report.
     """
     b = Fraction(b)
-    excl = exclusion_sets(fam)
+    excl = exclusion_sets(fam) if exclusions is None else exclusions
     kind = excl.excluded(b)
     if kind is not None:
         raise ValueError(f"t={b} is excluded ({kind})")
@@ -249,13 +269,15 @@ def scan(
     lo: int,
     hi: int,
     options: ScanOptions = ScanOptions(),
+    exclusions: ExclusionSet | None = None,
 ) -> ScanReport:
-    """Certify every integer fiber in [lo, hi] outside the exclusion sets.
+    """Certify every integer fiber in [lo, hi] outside the exclusion sets,
+    computed here unless the caller passes them.
 
     Per-fiber failures are recorded as skips, never raised; the report
     lists every scanned value exactly once, ordered by parameter value.
     """
-    excl = exclusion_sets(fam)
+    excl = exclusion_sets(fam) if exclusions is None else exclusions
     certified = []
     skipped = []
     for n in range(lo, hi + 1):

@@ -44,7 +44,7 @@ from .certroots import (
     root_product,
     snap_to_integer,
 )
-from .exactpoly import IntPoly, RatPoly, make_integral_monic, poly_digest, poly_gcd
+from .exactpoly import IntPoly, RatPoly, make_integral_monic, poly_digest
 from .factorq import (
     BadPrimeError,
     _primes_from,
@@ -52,6 +52,7 @@ from .factorq import (
     degree_pattern,
     gf_from_int,
     gf_sqf_p,
+    is_squarefree,
     possible_degrees,
 )
 
@@ -64,6 +65,7 @@ __all__ = [
     "SingularModelError",
     "NoInjectiveLabelingError",
     "check_genus_cap",
+    "check_curve_degree",
     "j2_class_count",
     "build_curve",
     "canonical_masks",
@@ -165,13 +167,18 @@ def check_genus_cap(d: int) -> None:
         )
 
 
-def build_curve(f: RatPoly) -> HyperellipticCurve:
-    """Validate and normalize y^2 = f(x)."""
-    d = f.degree
+def check_curve_degree(d: int) -> None:
+    """Reject an x-degree d outside 3..2 * MAX_GENUS + 2."""
     if d < 3:
         raise ValueError("need deg f >= 3 (genus >= 1); got degree %d" % d)
     check_genus_cap(d)
-    if poly_gcd(f, f.derivative()).degree > 0:
+
+
+def build_curve(f: RatPoly) -> HyperellipticCurve:
+    """Validate and normalize y^2 = f(x)."""
+    d = f.degree
+    check_curve_degree(d)
+    if not is_squarefree(f.to_int()[1]):
         raise SingularModelError("f has a repeated root: singular model")
     genus = (d - 1) // 2
     if genus < 2:

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from rankcert.exactpoly import RatPoly, poly_gcd
+from rankcert.exactpoly import RatPoly
+from rankcert.factorq import is_squarefree
 
 
 def random_squarefree_poly(rng: random.Random, degree: int, coeff_bound: int = 10) -> RatPoly:
@@ -11,7 +12,7 @@ def random_squarefree_poly(rng: random.Random, degree: int, coeff_bound: int = 1
         coeffs = [rng.randint(-coeff_bound, coeff_bound) for _ in range(degree)]
         coeffs.append(rng.choice([c for c in range(-coeff_bound, coeff_bound + 1) if c]))
         f = RatPoly(coeffs)
-        if poly_gcd(f, f.derivative()).degree == 0:
+        if is_squarefree(f.to_int()[1]):
             return f
 
 
@@ -19,7 +20,7 @@ def random_monic_squarefree(rng: random.Random, degree: int, coeff_bound: int = 
     while True:
         coeffs = [rng.randint(-coeff_bound, coeff_bound) for _ in range(degree)] + [1]
         f = RatPoly(coeffs)
-        if poly_gcd(f, f.derivative()).degree == 0:
+        if is_squarefree(f.to_int()[1]):
             return f
 
 

@@ -14,10 +14,12 @@ sources with ``ast``, so it needs no lint tool.
 """
 
 import ast
+import importlib.util
 from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "rankcert"
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 # names no module of the package calls, each kept for a reason outside it
 KEPT = (
@@ -104,6 +106,17 @@ def test_no_unreferenced_definitions():
     assert [d for d in unreferenced if d.split(" ")[0] not in kept] == []
     # a kept name that gained a caller, or was deleted, leaves the list
     assert sorted(d.split(" ")[0] for d in unreferenced) == sorted(kept)
+
+
+def test_tracer_reasons_name_tracer_entry_points():
+    # a name kept for the tracer leaves KEPT once the tracer stops wrapping it
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    wrapped = {attr for _name, _module, attr, _info in tracer.ENTRY_POINTS}
+    cited = [name for name, reason in KEPT if "perfbench/tracer.py" in reason]
+    assert cited
+    assert [name for name in cited if name not in wrapped] == []
 
 
 def test_guard_finds_unreferenced_definitions(tmp_path):

@@ -10,9 +10,9 @@ from rankcert.exactpoly import (
     discriminant,
     format_poly,
     make_integral_monic,
-    poly_gcd,
     resultant,
 )
+from rankcert.factorq import is_squarefree
 
 
 def sylvester_det(a, b):
@@ -97,38 +97,40 @@ class TestKroneckerProduct:
 
 
 class TestPolyGcd:
+    """`IntPoly.gcd`, the exact fallback of `factorq.is_squarefree`."""
+
     def test_common_root(self):
-        a = RatPoly([-1, 0, 1])        # x^2 - 1
-        b = RatPoly([1, -2, 1])        # (x - 1)^2
-        assert poly_gcd(a, b) == RatPoly([-1, 1])
+        a = IntPoly([-1, 0, 1])        # x^2 - 1
+        b = IntPoly([1, -2, 1])        # (x - 1)^2
+        assert a.gcd(b) == IntPoly([-1, 1])
 
     def test_gcd_with_zero(self):
-        assert poly_gcd(RatPoly([0, 0, 0, 1]), RatPoly()) == RatPoly([0, 0, 0, 1])
-        assert poly_gcd(RatPoly(), RatPoly()) == RatPoly()
+        assert IntPoly([0, 0, 0, 2]).gcd(IntPoly()) == IntPoly([0, 0, 0, 1])
+        assert IntPoly().gcd(IntPoly()) == IntPoly()
 
     def test_coprime_certified_by_sylvester(self):
         # oracle first: nonzero resultant forces gcd = 1
         a = RatPoly([1, 0, 1])
         b = RatPoly([1, 1, 1])
         assert sylvester_det(a, b) != 0
-        assert poly_gcd(a, b) == RatPoly.one()
+        assert a.to_int()[1].gcd(b.to_int()[1]) == IntPoly([1])
 
     def test_gcd_divides_both_exactly(self):
         rng = random.Random(11)
         for _ in range(25):
-            a = RatPoly([rng.randint(-9, 9) for _ in range(rng.randint(1, 7))])
-            b = RatPoly([rng.randint(-9, 9) for _ in range(rng.randint(1, 7))])
+            a = IntPoly([rng.randint(-9, 9) for _ in range(rng.randint(1, 7))])
+            b = IntPoly([rng.randint(-9, 9) for _ in range(rng.randint(1, 7))])
             if a.is_zero or b.is_zero:
                 continue
-            g = poly_gcd(a, b)
-            if g.is_zero:
-                continue
-            assert (a % g).is_zero
-            assert (b % g).is_zero
+            g = a.gcd(b)
+            assert a.exact_div(g) is not None
+            assert b.exact_div(g) is not None
 
     def test_monic_output(self):
-        g = poly_gcd(RatPoly([-4, 0, 4]), RatPoly([2, -4, 2]))
-        assert g.lc == 1
+        # contents and signs drop out: the common factor x - 1 comes back
+        # primitive with a positive leading coefficient
+        g = IntPoly([4, 0, -4]).gcd(IntPoly([2, -4, 2]))
+        assert g == IntPoly([-1, 1]) and g.lc == 1
 
 
 class TestDiscriminant:
@@ -152,8 +154,7 @@ class TestDiscriminant:
             f = RatPoly([rng.randint(-6, 6) for _ in range(rng.randint(2, 7))])
             if f.degree < 1:
                 continue
-            squarish = poly_gcd(f, f.derivative()).degree >= 1
-            assert (discriminant(f) == 0) == squarish
+            assert (discriminant(f) == 0) == (not is_squarefree(f.to_int()[1]))
 
     def test_constant_rejected(self):
         with pytest.raises(ValueError):
@@ -250,7 +251,7 @@ class TestMakeIntegralMonic:
                 [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(4)]
                 + [Fraction(rng.randint(1, 5), rng.randint(1, 3))]
             )
-            if poly_gcd(f, f.derivative()).degree > 0:
+            if not is_squarefree(f.to_int()[1]):
                 continue
             g, s = make_integral_monic(f)
             iso = isolate_roots(g, 128)

@@ -19,6 +19,7 @@ from rankcert.factorq import (
     gf_sqf_p,
     gf_strip,
     is_irreducible_over_q,
+    is_squarefree,
     possible_degrees,
     rational_roots,
 )
@@ -211,7 +212,7 @@ class TestHenselLift:
         assert len(lifted) == 2
         prod = IntPoly(lifted[0]) * IntPoly(lifted[1])
         m = 3 ** 5
-        assert all(c % m == 0 for c in (prod - f).coeffs)
+        assert all((a - b) % m == 0 for a, b in zip(prod.coeffs, f.coeffs))
 
     def test_irreducible_image_lifts_to_self(self):
         f = IntPoly([1, 1, 1])  # irreducible mod 5
@@ -229,21 +230,26 @@ class TestHenselLift:
 class TestFactorOverQ:
     def test_difference_of_squares(self):
         fac = factor_over_q(RatPoly([-1, 0, 1]))
-        assert fac.unit == 1
-        assert [(g.coeffs, m) for g, m in fac.factors] == [((-1, 1), 1), ((1, 1), 1)]
+        assert [g.coeffs for g in fac] == [(-1, 1), (1, 1)]
 
-    def test_unit_and_multiplicity(self):
-        f = RatPoly([-1, 1]) ** 2 * RatPoly([2, 1]) * Fraction(3, 2)
-        fac = factor_over_q(f)
-        assert fac.unit == Fraction(3, 2)
-        assert [(g.coeffs, m) for g, m in fac.factors] == [((-1, 1), 2), ((2, 1), 1)]
-        assert fac.expand() == f
+    def test_non_squarefree_rejected(self):
+        f = RatPoly([-1, 1]) ** 2 * RatPoly([2, 1])  # (x - 1)^2 (x + 2)
+        with pytest.raises(ValueError):
+            factor_over_q(f)
+        with pytest.raises(ValueError):
+            factor_over_q(f * Fraction(3, 2))
+
+    def test_content_dropped(self):
+        # 3/2 * (x - 1)(x + 2): the factors of the primitive part
+        fac = factor_over_q(RatPoly([-1, 1]) * RatPoly([2, 1]) * Fraction(3, 2))
+        assert [g.coeffs for g in fac] == [(-1, 1), (2, 1)]
+        assert factor_over_q(RatPoly([Fraction(-5, 3)])) == ()
 
     def test_non_monic_content(self):
-        f = RatPoly([2, 7, 6])  # (2x + 3)(3x + 2) / ... = 6x^2 + 7x + 2
+        f = RatPoly([2, 7, 6])  # (2x + 1)(3x + 2) = 6x^2 + 7x + 2
         fac = factor_over_q(f)
-        assert fac.expand() == f
-        assert all(g.lc > 0 and g == g.primitive() for g, _ in fac.factors)
+        assert fac[0] * fac[1] == f.to_int()[1]
+        assert all(g.lc > 0 and g == g.primitive() for g in fac)
 
     def test_roundtrip_random_products(self):
         rng = random.Random(101)
@@ -261,8 +267,7 @@ class TestFactorOverQ:
             for g in parts:
                 prod = prod * g.to_rat()
             fac = factor_over_q(prod)
-            got = sorted(g.coeffs for g, m in fac.factors for _ in range(m))
-            assert got == sorted(g.coeffs for g in parts)
+            assert sorted(g.coeffs for g in fac) == sorted(g.coeffs for g in parts)
 
     def test_degrees_within_possible_degrees(self):
         rng = random.Random(55)
@@ -281,28 +286,8 @@ class TestFactorOverQ:
                 if len(pats) == 3:
                     break
             allowed = possible_degrees(pats, F.degree)
-            for d in factor_over_q(f).degrees():
+            for d in (g.degree for g in factor_over_q(f)):
                 assert d in allowed
-
-    def test_multiplicities_recovered(self):
-        rng = random.Random(909)
-        for _ in range(6):
-            parts = []
-            while len(parts) < rng.randint(2, 3):
-                d = rng.randint(1, 4)
-                g = RatPoly([rng.randint(-9, 9) for _ in range(d)] + [rng.randint(1, 9)])
-                if g.degree < 1 or not is_irreducible_over_q(g):
-                    continue
-                gi = g.to_int()[1]
-                if all(gi != other for other, _ in parts):
-                    parts.append((gi, rng.randint(1, 4)))
-            prod = RatPoly.one()
-            for g, mult in parts:
-                prod = prod * g.to_rat() ** mult
-            fac = factor_over_q(prod)
-            assert sorted((g.coeffs, m) for g, m in fac.factors) == sorted(
-                (g.coeffs, m) for g, m in parts
-            )
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -314,7 +299,7 @@ class TestIrreducibility:
         assert is_irreducible_over_q(RatPoly([1, 0, 1]))
         assert not is_irreducible_over_q(RatPoly([-1, 0, 1]))
         assert is_irreducible_over_q(RatPoly([7, 1]))
-        assert not is_irreducible_over_q(RatPoly([1, 2, 1]))
+        assert not is_irreducible_over_q(RatPoly([1, 2, 1]))  # (x + 1)^2
 
     def test_agrees_with_full_factorization(self):
         rng = random.Random(77)
@@ -327,11 +312,20 @@ class TestIrreducibility:
                 f = a * b
             if f.degree < 1:
                 continue
-            fac = factor_over_q(f)
-            expect = len(fac.factors) == 1 and fac.factors[0][1] == 1
+            F = f.to_int()[1]
+            expect = is_squarefree(F) and len(factor_over_q(f)) == 1
             assert is_irreducible_over_q(f) == expect
 
 
 def test_rational_roots():
     f = RatPoly([-1, 0, 1]) * RatPoly([1, 3]) * RatPoly([1, 0, 0, 1, 1])
     assert rational_roots(f) == (Fraction(-1), Fraction(-1, 3), Fraction(1))
+
+
+def test_rational_roots_of_the_squarefree_part():
+    # (x - 1)^2 (3x + 1) (x^2 + 1)^3: each root once, whatever its multiplicity
+    f = RatPoly([-1, 1]) ** 2 * RatPoly([1, 3]) * RatPoly([1, 0, 1]) ** 3
+    assert not is_squarefree(f.to_int()[1])
+    assert rational_roots(f) == (Fraction(-1, 3), Fraction(1))
+    assert rational_roots(RatPoly([0, 0, 0, 2])) == (Fraction(0),)
+    assert rational_roots(RatPoly([7])) == ()

@@ -9,10 +9,11 @@ from pathlib import Path
 
 import pytest
 
-from rankcert import factorq
+from rankcert import factorq, family
 from rankcert.certify import verify_certificate, certificate_doc
 from rankcert.cli import main, parse_family, parse_poly, pipeline_hyperelliptic
 from rankcert.exactpoly import IntPoly, RatPoly, discriminant
+from rankcert.factorq import is_squarefree
 from rankcert.family import (
     FamilyCurve,
     ScanOptions,
@@ -95,6 +96,94 @@ class TestExclusions:
         for a in excl.z2:
             lc = fam.numerators[-1](a)
             assert lc == 0 or disc.to_rat()(a) == 0
+
+
+# (family, z1, z2, whether the discriminant numerator is squarefree),
+# recorded while rational_roots still ran Yun's squarefree decomposition;
+# the non-squarefree numerators take the gcd branch of rational_roots
+PINNED_EXCLUSIONS = [
+    ("x^6+t*x+1", (), (), True),
+    ("x^6+t*x+2", (), (), True),
+    ("x^5+t*x+1", (), (), True),
+    ("x^5-t*x^2+t", ("0",), ("0",), False),
+    ("x^6+t^2*x+1", (), (), True),
+    ("x^6-t*x^2+1", (), (), False),
+    ("x^7+t*x+2", (), (), True),
+    ("x^3+t*x+1", (), (), True),
+    ("x^3-3*x+t", ("-2", "2"), ("-2", "2"), True),
+    ("x^4+t*x^2+1", ("-2", "2"), ("-2", "2"), False),
+    ("x^5-5*x+t", ("-4", "4"), ("-4", "4"), True),
+    ("x^6+x^3+t", ("0", "1/4"), ("0", "1/4"), False),
+    ("x^6-t^2", ("0",), ("0",), False),
+    ("(t^2-1)*x^6+x+1", ("-1", "1"), ("-1", "1"), False),
+    ("t*x^6+x+1", ("0", "3125/46656"), ("0", "3125/46656"), False),
+    ("t^2*x^5+x+1", ("0",), ("0",), False),
+    ("(t-1)^2*(t+2)*x^6+x^2+1", ("-2", "1"), ("-2", "1"), False),
+    ("(2*t+1)^3*x^5+t*x+1", ("-1/2",), ("-1/2",), False),
+    ("(t^2+1)*x^5+2/3*t^3*x^2+t+7", ("-7",), ("-7",), False),
+    ("x^5+(t^2-4)*x+t", (), (), True),
+    ("x^8+t*x+1", (), (), True),
+    ("x^6+(t+1)^3*x+1", (), (), True),
+    ("(x^2-t)*(x^3-2)", ("0",), ("0",), False),
+    ("x^5+1/2*t*x^3-t^2*x+3", (), (), True),
+    ("t*x^6+x^5+1", (), ("0",), True),
+    ("(t-2)*x^5+x^4+t", ("0",), ("0", "2"), False),
+    ("(t^2+t)^2*x^6+x^5+x+1", (), ("-1", "0"), True),
+]
+
+
+@pytest.mark.parametrize("f_t,z1,z2,squarefree", PINNED_EXCLUSIONS)
+def test_pinned_exclusion_sets(f_t, z1, z2, squarefree):
+    fam = parse_family(f_t)
+    assert is_squarefree(family_discriminant_numerator(fam)) is squarefree
+    excl = exclusion_sets(fam)
+    assert tuple(sorted(str(v) for v in excl.z1)) == z1
+    assert tuple(sorted(str(v) for v in excl.z2)) == z2
+
+
+class TestFamilyShape:
+    @pytest.mark.parametrize("f_t,degree", [("x^2+t", 2), ("t*x+1", 1)])
+    def test_x_degree_below_three_rejected_up_front(self, capsys, f_t, degree):
+        # the message of build_curve, before any exclusion set or fiber
+        code = main(["family", "scan", "--f-t", f_t, "--range=0..1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: need deg f >= 3 (genus >= 1); got degree %d\n" % degree
+
+    @pytest.mark.parametrize("f_t", ["x^6+t^31*x+1", "x^6+t^16*t^15*x+1", "x^6+(t+1)^4000*x+1"])
+    def test_t_degree_above_cap_rejected_before_expanding(self, capsys, f_t):
+        start = time.perf_counter()
+        code = main(["family", "scan", "--f-t", f_t, "--range=0..0"])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: t-degree ")
+        assert "exceeds the family cap of 30" in captured.err
+        assert elapsed < 1
+
+    def test_caps_hold_for_families_built_directly(self):
+        # no discriminant sample is taken past either cap
+        fam = FamilyCurve((RatPoly([1]), RatPoly([0] * 31 + [1]), RatPoly(), RatPoly([1])))
+        with pytest.raises(ValueError, match="t-degree 31"):
+            exclusion_sets(fam)
+        with pytest.raises(ValueError, match="need deg f >= 3"):
+            scan(FamilyCurve((RatPoly([0, 1]), RatPoly([1]))), 0, 1)
+
+    def test_fiber_check_computes_exclusions_once(self, monkeypatch, capsys):
+        calls = []
+        original = family.family_discriminant_numerator
+
+        def counting(fam):
+            calls.append(fam)
+            return original(fam)
+
+        monkeypatch.setattr(family, "family_discriminant_numerator", counting)
+        code = main(["family", "scan", "--f-t", "x^6+t*x+1", "--range=1..1", "--fiber-check", "1"])
+        assert code == 0
+        assert "fiber check t=1: transitive (orbits 15)" in capsys.readouterr().out
+        assert len(calls) == 1
 
 
 class TestFibers:

@@ -75,7 +75,7 @@ def _check(f):
         for (allowed, primes), masks, part, factors in zip(screen, strata, parts, factored):
             n = len(masks)
             assert part.degree == n
-            degrees = factor_over_q(part.to_rat()).degrees()
+            degrees = tuple(g.degree for g in factor_over_q(part.to_rat()))
             assert set(degrees) <= allowed
             assert tuple(sorted(g.degree for g in factors)) == degrees
             if allowed == {0, n}:
