@@ -12,6 +12,15 @@ genus > 1 curve already excludes both obstructions.  Every pipeline
 gathers its data (`deg1_evidence`, the orbit steps in `weierstrass` and
 `theta`, or external resolvents) and calls `decide`.
 
+The degree-1 class of an even model with a non-square leading
+coefficient comes from a rational point.  `find_deg1_class` finds the
+least one up to a height bound with a sieve in the manner of Stoll's
+ratpoints: bit masks of the numerators p at which the homogenized f is a
+square modulo small primes, ANDed a row q at a time, leave a few
+candidates that are tested exactly.  The point found is the one the
+plain walk through all x in height order would find, and it is checked
+on the original model before it is returned.
+
 Certificates are self-contained: `verify_certificate` re-checks the
 embedded arithmetic facts (orbit sums, count formulas, hash shapes) and
 replays the document's data through the same `decide` call, without
@@ -24,7 +33,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 
 from . import __version__
 from .exactpoly import RatPoly
@@ -218,26 +227,141 @@ class Certificate:
 # ---------------------------------------------------------------------------
 # evidence search
 
-def _square_root_of_fraction(q: Fraction):
-    if q < 0:
-        return None
-    rn, rd = isqrt(q.numerator), isqrt(q.denominator)
-    if rn * rn == q.numerator and rd * rd == q.denominator:
-        return Fraction(rn, rd)
+# odd primes whose square patterns sieve the numerators p, set up one at
+# a time as a search reaches them
+_SIEVE_PRIMES = (
+    3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71,
+    73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127,
+)
+# numerators sieved at once, so that the memory does not grow with the
+# height bound
+_WINDOW = 1 << 16
+# a window's masks are ANDed until at most this many candidates are left
+_FEW = 2
+# the heights of the first band; each later band doubles its upper end
+_FIRST_BAND = 8
+
+
+class _PointSieve:
+    """The x = p/q at which f is a rational square, for f of even degree d.
+
+    With L the lcm of the denominators of f, the integer
+    F(p, q) = L^2 q^d f(p/q) is a square exactly when f(p/q) is, and
+    `root` tests that exactly.  `survivors` lists the p of a row q that
+    pass the square test modulo small odd primes l.  Whether F(p, q) is a
+    square mod l depends on p mod l and q mod l only: for q prime to l it
+    is F(p/q, 1) times the nonzero square q^d, so the mask of a row is
+    the set of x*q with F(x, 1) a square; for q divisible by l only p
+    prime to l is in lowest terms, and F(p, q) is A_d p^d mod l.  Each
+    l-bit mask is tiled across a window of p by one multiplication.
+    """
+
+    def __init__(self, f: RatPoly):
+        self.den = lcm(*(c.denominator for c in f.coeffs))
+        self.coeffs = tuple(int(c * self.den * self.den) for c in f.coeffs)
+        self.half = f.degree // 2
+        self.primes = []  # per prime: (l, x with F(x, 1) square, A_d square), or None
+        self.masks = {}  # (l, q mod l) -> l-bit mask
+        self.repunits = {}  # (l, b) -> sum of 2^(k l) over at least 2^b bits
+
+    def root(self, p: int, q: int) -> Fraction | None:
+        """y >= 0 with y^2 = f(p/q), for p/q in lowest terms; else None."""
+        if gcd(p, q) != 1:
+            return None
+        v, qk = self.coeffs[-1], 1
+        for a in reversed(self.coeffs[:-1]):
+            qk *= q
+            v = v * p + a * qk
+        if v < 0:
+            return None
+        r = isqrt(v)
+        return Fraction(r, self.den * q**self.half) if r * r == v else None
+
+    def _prime(self, i: int):
+        while len(self.primes) <= i:
+            l = _SIEVE_PRIMES[len(self.primes)]
+            squares = {x * x % l for x in range(l)}
+            cs = [a % l for a in self.coeffs]
+            ok = []
+            for x in range(l):
+                v = 0
+                for a in reversed(cs):
+                    v = (v * x + a) % l
+                if v in squares:
+                    ok.append(x)
+            # a prime at which every F(x, 1) is a square rules nothing out
+            self.primes.append(None if len(ok) == l else (l, ok, cs[-1] in squares))
+        return self.primes[i]
+
+    def _mask(self, prime: tuple, q: int) -> int:
+        l, ok, lc_square = prime
+        key = (l, q % l)
+        mask = self.masks.get(key)
+        if mask is None:
+            r = key[1]
+            if r:
+                mask = sum(1 << (x * r % l) for x in ok)
+            else:
+                mask = ((1 << l) - 2) if lc_square else 0
+            self.masks[key] = mask
+        return mask
+
+    def survivors(self, q: int, lo: int, hi: int):
+        """The p in [lo, hi], ascending, that no prime rules out."""
+        for start in range(lo, hi + 1, _WINDOW):
+            width = min(_WINDOW, hi + 1 - start)
+            size = (width - 1).bit_length()
+            cand = (1 << width) - 1
+            i = 0
+            while cand.bit_count() > _FEW and i < len(_SIEVE_PRIMES):
+                prime = self._prime(i)
+                i += 1
+                if prime is None:
+                    continue
+                l = prime[0]
+                mask = self._mask(prime, q)
+                s = start % l  # rotate: bit j of the window is p = start + j
+                mask = (mask >> s) | ((mask << (l - s)) & ((1 << l) - 1))
+                rep = self.repunits.get((l, size))
+                if rep is None:
+                    n = (1 << size) // l + 1
+                    rep = self.repunits[l, size] = ((1 << (n * l)) - 1) // ((1 << l) - 1)
+                cand &= mask * rep
+            while cand:
+                low = cand & -cand
+                yield start + low.bit_length() - 1
+                cand ^= low
+
+
+def _least_point(f: RatPoly, bound: int):
+    """The first x = p/q in lowest terms with max(|p|, q) <= bound and
+    f(x) a rational square, as (x, y) with y >= 0, or None.
+
+    The order is x = 0 first, then by the key (max(|p|, q), q, p).  The
+    heights are searched in bands (0, 8], (8, 16], (16, 32], ...: every
+    point of a band is found, and the band's least point is returned.
+    """
+    sieve = _PointSieve(f)
+    y = sieve.root(0, 1)
+    if y is not None:
+        return Fraction(0), y
+    h0 = 0
+    while h0 < bound:
+        h1 = min(bound, max(_FIRST_BAND, 2 * h0))
+        found = []
+        for q in range(1, h1 + 1):
+            # the p with h0 < max(|p|, q) <= h1
+            rows = ((-h1, h1),) if q > h0 else ((-h1, -h0 - 1), (h0 + 1, h1))
+            for lo, hi in rows:
+                for p in sieve.survivors(q, lo, hi):
+                    y = sieve.root(p, q)
+                    if y is not None:
+                        found.append((max(abs(p), q), q, p, y))
+        if found:
+            _, q, p, y = min(found, key=lambda point: point[:3])
+            return Fraction(p, q), y
+        h0 = h1
     return None
-
-
-def _height_points(bound: int):
-    """Rationals p/q in lowest terms ordered by max(|p|, q), then (q, p)."""
-    from math import gcd
-
-    yield Fraction(0)
-    for h in range(1, bound + 1):
-        for q in range(1, h + 1):
-            ps = range(-h, h + 1) if q == h else (-h, h)
-            for p in ps:
-                if gcd(abs(p), q) == 1:
-                    yield Fraction(p, q)
 
 
 def find_deg1_class(
@@ -246,8 +370,10 @@ def find_deg1_class(
     """A rational degree-1 divisor class, when one is visible.
 
     Odd-degree models and even-degree models with square leading
-    coefficient have a rational place at infinity; otherwise x = p/q with
-    |p|, q <= height_bound is searched for f(x) a rational square.
+    coefficient have a rational place at infinity.  Otherwise the least
+    x = p/q (lowest terms, x = 0 first, then by max(|p|, q), q, p) with
+    max(|p|, q) <= height_bound and f(x) a rational square is found by a
+    sieve (`_least_point`), and checked exactly on the original model.
     """
     if curve.parity == ODD:
         return Deg1Evidence("infinite-place", note="odd-degree model")
@@ -255,12 +381,13 @@ def find_deg1_class(
         return Deg1Evidence(
             "infinite-place", note="even-degree model with square leading coefficient"
         )
-    f = curve.original
-    for x in _height_points(height_bound):
-        y = _square_root_of_fraction(f(x))
-        if y is not None:
-            return Deg1Evidence("rational-point", x=x, y=y)
-    return None
+    point = _least_point(curve.original, height_bound)
+    if point is None:
+        return None
+    evidence = Deg1Evidence("rational-point", x=point[0], y=point[1])
+    if not validate_point(curve.original, evidence):
+        raise RuntimeError("point search returned (%s, %s), which is not on the curve" % point)
+    return evidence
 
 
 def deg1_evidence(

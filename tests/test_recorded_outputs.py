@@ -1,10 +1,10 @@
 """The benchmark's recorded stdout, reproduced in the ordinary suite.
 
 perfbench/expected.json records the sha256 of the `--json` stdout of every
-benchmark command.  The commands that take under about a second are run
-here in-process, from the repository root (their paths are relative to
-it), so a change to certificate bytes fails tier-1 and not only the
-benchmark.  These tests only read perfbench/.
+benchmark command.  Every one of them is run here in-process, from the
+repository root (their paths are relative to it), so a change to
+certificate bytes fails tier-1 and not only the benchmark.  These tests
+only read perfbench/.
 """
 
 import hashlib
@@ -18,17 +18,11 @@ from rankcert.cli import main
 ROOT = Path(__file__).resolve().parents[1]
 EXPECTED = ROOT / "perfbench" / "expected.json"
 
-# over a second: a rational-point search that finds no point up to
-# height 200
-SLOW = {
-    "certify hyperelliptic --f=-x^6+4*x^5-12*x^3-4*x-15 --height-bound 200",
-}
-
 
 def _recorded():
     with open(EXPECTED, encoding="utf-8") as fh:
         expected = json.load(fh)
-    return sorted((key, rec["sha256"]) for key, rec in expected.items() if key not in SLOW)
+    return sorted((key, rec["sha256"]) for key, rec in expected.items())
 
 
 RECORDED = _recorded()
