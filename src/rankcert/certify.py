@@ -31,14 +31,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+from typing import NamedTuple
 
 from . import __version__
 from .exactpoly import RatPoly
 from .theta import theta_class_counts
-from .weierstrass import ODD, HyperellipticCurve, j2_class_count
+from .weierstrass import MAX_GENUS, ODD, HyperellipticCurve, j2_class_count
 
 __all__ = [
     "Deg1Evidence",
@@ -87,8 +87,7 @@ class MalformedReportError(ValueError):
     """Orbit sums contradict the genus formulas."""
 
 
-@dataclass(frozen=True)
-class Deg1Evidence:
+class Deg1Evidence(NamedTuple):
     """Why a rational degree-1 divisor class exists.
 
     kind is one of "rational-point" (x, y with y^2 = f(x)),
@@ -121,8 +120,7 @@ class Deg1Evidence:
         return cls(kind=doc["kind"], x=x, y=y, note=doc.get("note", ""))
 
 
-@dataclass(frozen=True)
-class Reason:
+class Reason(NamedTuple):
     kind: str
     witness: str | None = None
 
@@ -133,26 +131,41 @@ class Reason:
         return doc
 
 
-@dataclass(frozen=True)
-class OrbitReport:
-    """Galois orbit-size multisets of the resolvents."""
-
+class _OrbitReportFields(NamedTuple):
     genus: int
     j2_orbits: tuple
     theta_odd: tuple | None = None
     theta_even: tuple | None = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "j2_orbits", tuple(sorted(self.j2_orbits)))
-        if self.theta_odd is not None:
-            object.__setattr__(self, "theta_odd", tuple(sorted(self.theta_odd)))
-        if self.theta_even is not None:
-            object.__setattr__(self, "theta_even", tuple(sorted(self.theta_even)))
+
+class OrbitReport(_OrbitReportFields):
+    """Galois orbit-size multisets of the resolvents, each sorted."""
+
+    __slots__ = ()
+
+    def __new__(cls, genus, j2_orbits, theta_odd=None, theta_even=None):
+        return super().__new__(
+            cls,
+            genus,
+            tuple(sorted(j2_orbits)),
+            None if theta_odd is None else tuple(sorted(theta_odd)),
+            None if theta_even is None else tuple(sorted(theta_even)),
+        )
+
+    @classmethod
+    def _make(cls, iterable):
+        # `_replace` builds through `_make`: sort its orbits as well
+        return cls(*iterable)
 
     def validate(self):
         g = self.genus
         if g < 1:
             raise MalformedReportError("genus must be >= 1")
+        # the class counts below have 2g bits
+        if g > MAX_GENUS:
+            raise MalformedReportError(
+                "genus %d exceeds the genus cap g <= %d" % (g, MAX_GENUS)
+            )
         want_j2 = j2_class_count(g)
         if sum(self.j2_orbits) != want_j2:
             raise MalformedReportError(
@@ -201,8 +214,7 @@ class OrbitReport:
         )
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """Machine-checkable verdict with the provenance of every hypothesis."""
 
     verdict: str

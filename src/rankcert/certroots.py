@@ -30,8 +30,8 @@ tests these disks and the class-label balls of `weierstrass` alike.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .exactpoly import IntPoly, _zmul
 from .factorq import is_squarefree
@@ -164,8 +164,7 @@ def pairwise_disjoint(balls) -> bool:
 # ---------------------------------------------------------------------------
 # isolation
 
-@dataclass(frozen=True)
-class RootIsolation:
+class RootIsolation(NamedTuple):
     """Pairwise disjoint certified disks, one per root of a monic poly."""
 
     balls: tuple

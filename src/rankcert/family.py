@@ -22,8 +22,8 @@ degree.  That coefficient degree is capped at MAX_T_DEGREE.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .certify import (
     DEFAULT_HEIGHT_BOUND,
@@ -75,16 +75,25 @@ def check_t_degree_cap(m: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class FamilyCurve:
-    """y^2 = f_t(x); the coefficient of x^i is the polynomial numerators[i] in t."""
-
+class _FamilyCurveFields(NamedTuple):
     numerators: tuple
     description: str = ""
 
-    def __post_init__(self):
-        if not self.numerators or self.numerators[-1].is_zero:
+
+class FamilyCurve(_FamilyCurveFields):
+    """y^2 = f_t(x); the coefficient of x^i is the polynomial numerators[i] in t."""
+
+    __slots__ = ()
+
+    def __new__(cls, numerators, description=""):
+        if not numerators or numerators[-1].is_zero:
             raise ValueError("zero generic leading coefficient")
+        return super().__new__(cls, numerators, description)
+
+    @classmethod
+    def _make(cls, iterable):
+        # `_replace` builds through `_make`: check its numerators as well
+        return cls(*iterable)
 
     @property
     def deg_x(self) -> int:
@@ -107,8 +116,7 @@ class FamilyCurve:
         return self.description or "<family of x-degree %d>" % self.deg_x
 
 
-@dataclass(frozen=True)
-class ExclusionSet:
+class ExclusionSet(NamedTuple):
     """Parameter values where the fiber pipeline is undefined or degenerate."""
 
     z1: frozenset
@@ -123,15 +131,13 @@ class ExclusionSet:
         return None
 
 
-@dataclass(frozen=True)
-class ScanOptions:
+class ScanOptions(NamedTuple):
     full_theta: bool = False
     height_bound: int = DEFAULT_HEIGHT_BOUND
     assert_deg1: bool = False
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(NamedTuple):
     family: str
     exclusions: ExclusionSet
     certified: tuple  # (Fraction, Certificate)

@@ -22,8 +22,8 @@ resolvents and the Frobenius action.  This module owns the rest:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
+from typing import NamedTuple
 
 from .exactpoly import IntPoly, poly_digest
 from .weierstrass import (
@@ -45,8 +45,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ThetaResolvents:
+class ThetaResolvents(NamedTuple):
     """Exact squarefree resolvents of the odd and even theta characteristics.
 
     ``odd_parts`` and ``even_parts`` hold one factor per class size, in

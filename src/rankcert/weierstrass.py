@@ -32,10 +32,10 @@ module adds what only theta characteristics know: h^0 and parity.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
 from math import isqrt, prod
+from typing import NamedTuple
 
 from .certroots import (
     ComplexBall,
@@ -103,8 +103,7 @@ class NoInjectiveLabelingError(RuntimeError):
     """No labeling index c <= 64 gave pairwise disjoint label balls."""
 
 
-@dataclass(frozen=True)
-class HyperellipticCurve:
+class HyperellipticCurve(NamedTuple):
     """y^2 = f(x) over Q together with its monic integral model.
 
     `f` is the monic integral polynomial whose roots are a fixed rational
@@ -123,15 +122,13 @@ class HyperellipticCurve:
         return self.f.degree
 
 
-@dataclass(frozen=True)
-class Labeling:
+class Labeling(NamedTuple):
     """Index c of the labeling map u_c(x) = x + c*x^2."""
 
     c: int
 
 
-@dataclass(frozen=True)
-class TwoTorsionResolvent:
+class TwoTorsionResolvent(NamedTuple):
     """Squarefree chi in Z[x] of degree 2^(2g) - 1 labeling J[2] \\ {0}.
 
     ``parts`` holds one Galois-stable factor of chi per class size, in

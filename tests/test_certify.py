@@ -228,6 +228,18 @@ class TestFindDeg1Class:
         assert f(ev.x) == ev.y ** 2
 
 
+def test_orbit_report_is_a_sorted_immutable_value():
+    rep = OrbitReport(3, [48, 3, 12], [24, 4], [24, 12])
+    assert rep == QUARTIC_REPORT
+    assert hash(rep) == hash(QUARTIC_REPORT)
+    assert repr(rep) == (
+        "OrbitReport(genus=3, j2_orbits=(3, 12, 48), theta_odd=(4, 24), theta_even=(12, 24))"
+    )
+    assert rep._replace(j2_orbits=(1, 62, 0)).j2_orbits == (0, 1, 62)
+    with pytest.raises(AttributeError):
+        rep.genus = 2
+
+
 class TestSerialization:
     def test_doc_roundtrip(self):
         cert = decide(QUARTIC_REPORT, ASSERTED, inputs_digest="a" * 64)

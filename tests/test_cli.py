@@ -467,6 +467,40 @@ class TestCommands:
         assert captured.err == "error: genus 5 exceeds the genus cap g <= 4\n"
         assert elapsed < 0.5
 
+    def test_certify_orbits_rejects_genus_above_cap(self, capsys):
+        # the class counts of genus 10^12 have 2 * 10^12 bits: the cap is
+        # checked before any of them is computed
+        start = time.perf_counter()
+        code = main([
+            "certify", "orbits", "--j2", "15", "--theta-odd", "6", "--theta-even", "10",
+            "--genus", "1000000000000",
+        ])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: genus 1000000000000 exceeds the genus cap g <= 4\n"
+        assert elapsed < 1.0
+
+    def test_verify_rejects_genus_above_cap(self, capsys, tmp_path):
+        _, out = run_cli(
+            capsys,
+            "certify", "orbits", "--j2", "15", "--theta-odd", "6", "--theta-even", "10",
+            "--genus", "2", "--assert-deg1-class", "--json",
+        )
+        doc = json.loads(out)
+        doc["genus"] = doc["subject"]["genus"] = 10**12
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        code = main(["verify", "--certificate", str(path)])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == "FAIL: genus 1000000000000 exceeds the genus cap g <= 4\n"
+        assert captured.err == ""
+        assert elapsed < 1.0
+
     @pytest.mark.parametrize("argv, degree", [
         (["certify", "hyperelliptic", "--f", "(x+1)^4000"], 4000),
         (["certify", "hyperelliptic", "--f", "(x^3+1)^2*(x^3+x+1)^2"], 12),

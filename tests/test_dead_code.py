@@ -1,16 +1,18 @@
-"""Every function, method, class and dataclass field under src/rankcert is
+"""Every function, method, class and record field under src/rankcert is
 referenced.
 
 A module-level or nested function or class counts as used when its name
 appears anywhere else in the package: as a name, an attribute, an imported
-name or a string.  A method, property or dataclass field counts as used
+name or a string.  A method, property or record field counts as used
 only when it is read as an attribute (``obj.name`` in a load context), so
 a local variable or a string of the same name does not keep it alive.
 Exports are not uses: neither an ``__all__`` entry nor a re-export in
 ``__init__.py`` counts, so a public name must have a caller in the
 package or be listed in ``KEPT`` with the reason it stays.  Dunder
-methods are called by the language and are exempt.  The check parses the
-sources with ``ast``, so it needs no lint tool.
+methods are called by the language and are exempt.  A record is a
+``@dataclass``, a ``NamedTuple`` or a subclass of a record, and its fields
+are its annotated class attributes.  The check parses the sources with
+``ast``, so it needs no lint tool.
 """
 
 import ast
@@ -27,6 +29,8 @@ KEPT = (
     ("is_irreducible_over_q", "an entry point that perfbench/tracer.py wraps"),
     ("frobenius_theta_oracle", "the reference the tests compare theta degree patterns against"),
     ("fixture_path", "how the tests find the shipped fixtures"),
+    ("OrbitReport._make", "NamedTuple._replace builds through it, so a replaced report is sorted"),
+    ("FamilyCurve._make", "NamedTuple._replace builds through it, so a replaced family is checked"),
 )
 
 
@@ -44,36 +48,76 @@ def _exports(path: Path, tree: ast.Module) -> set:
     return nodes
 
 
-def _is_dataclass(node: ast.ClassDef) -> bool:
+def _is_record(node: ast.ClassDef, records: set) -> bool:
+    """A ``@dataclass``, a ``NamedTuple``, or a subclass of a class in
+    ``records``."""
     for d in node.decorator_list:
         target = d.func if isinstance(d, ast.Call) else d
         if isinstance(target, ast.Name) and target.id == "dataclass":
             return True
-    return False
+    return any(
+        isinstance(base, ast.Name) and (base.id == "NamedTuple" or base.id in records)
+        for base in node.bases
+    )
 
 
-def _members(node: ast.ClassDef):
-    """(member node, name) of the methods, properties and dataclass fields
+def _record_names(trees) -> set:
+    """The names of the records among the classes of ``trees``."""
+    classes = [n for tree in trees for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]
+    records = set()
+    while True:
+        found = {node.name for node in classes if _is_record(node, records)}
+        if found == records:
+            return records
+        records = found
+
+
+def _members(node: ast.ClassDef, records: set):
+    """(member node, name) of the methods, properties and record fields
     of a class."""
     for item in node.body:
         if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
             yield item, item.name
         elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
-            if _is_dataclass(node):
+            if node.name in records:
                 yield item, item.target.id
+
+
+def _parse(package: Path) -> dict:
+    return {
+        path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for path in sorted(package.glob("*.py"))
+    }
+
+
+def record_fields(package: Path) -> list:
+    """The "Class.field" name of every record field the guard checks."""
+    trees = _parse(package)
+    records = _record_names(trees.values())
+    return [
+        "%s.%s" % (node.name, name)
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        for item, name in _members(node, records)
+        if isinstance(item, ast.AnnAssign)
+    ]
 
 
 def unreferenced_definitions(package: Path) -> list:
     definitions = []  # (name, file, line, is a member)
     uses = Counter()
     reads = Counter()
-    for path in sorted(package.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    trees = _parse(package)
+    records = _record_names(trees.values())
+    for path, tree in trees.items():
         exports = _exports(path, tree)
         members = {}
         for node in ast.walk(tree):
             if isinstance(node, ast.ClassDef):
-                members.update((id(m), "%s.%s" % (node.name, name)) for m, name in _members(node))
+                members.update(
+                    (id(m), "%s.%s" % (node.name, name)) for m, name in _members(node, records)
+                )
         for node in ast.walk(tree):
             if id(node) in exports:
                 continue
@@ -106,6 +150,23 @@ def test_no_unreferenced_definitions():
     assert [d for d in unreferenced if d.split(" ")[0] not in kept] == []
     # a kept name that gained a caller, or was deleted, leaves the list
     assert sorted(d.split(" ")[0] for d in unreferenced) == sorted(kept)
+
+
+def test_guard_checks_every_record_field():
+    # the fields that the record classes of the package declare at run
+    # time, each under the class that declares it
+    declared = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        module = importlib.import_module("rankcert." + path.stem)
+        for cls in vars(module).values():
+            if isinstance(cls, type) and cls.__module__ == module.__name__:
+                own = vars(cls)
+                fields = own.get("_fields") or tuple(own.get("__dataclass_fields__", ()))
+                declared += ["%s.%s" % (cls.__name__, name) for name in fields]
+    assert declared
+    assert sorted(record_fields(SRC)) == sorted(declared)
 
 
 def test_tracer_reasons_name_tracer_entry_points():
@@ -150,12 +211,29 @@ def test_guard_finds_unreferenced_definitions(tmp_path):
         "    return content + span.lo\n"
         "total(Box(), 1)\n"
     )
+    (tmp_path / "c.py").write_text(
+        "from typing import NamedTuple\n"
+        "class Point(NamedTuple):\n"
+        "    x: int\n"
+        "    y: int\n"
+        "class _RangeFields(NamedTuple):\n"
+        "    start: int\n"
+        "    stop: int\n"
+        "class Range(_RangeFields):\n"
+        "    unit: str = 'm'\n"
+        "    def width(self):\n"
+        "        return self.stop - self.start\n"
+        "Range(0, 1).width() + Point(1, 2).x\n"
+    )
     # `content` occurs as a local name, `hi` as a keyword and an
-    # assignment target; neither is read as an attribute
+    # assignment target; neither is read as an attribute.  The fields of
+    # a NamedTuple, and of a subclass of one, are record fields.
     assert unreferenced_definitions(tmp_path) == [
         "unused (a.py:7)",
         "only_exported (a.py:16)",
         "Box.size (a.py:12)",
         "Box.content (a.py:14)",
         "Span.hi (a.py:21)",
+        "Point.y (c.py:4)",
+        "Range.unit (c.py:9)",
     ]

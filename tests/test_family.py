@@ -3,7 +3,6 @@ import os
 import subprocess
 import sys
 import time
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -171,6 +170,14 @@ class TestFamilyShape:
         with pytest.raises(ValueError, match="need deg f >= 3"):
             scan(FamilyCurve((RatPoly([0, 1]), RatPoly([1]))), 0, 1)
 
+    def test_zero_leading_coefficient_rejected(self):
+        # by the constructor, and by _replace, which builds a new record
+        with pytest.raises(ValueError, match="zero generic leading coefficient"):
+            FamilyCurve((RatPoly([1]), RatPoly()))
+        with pytest.raises(ValueError, match="zero generic leading coefficient"):
+            X6_T._replace(numerators=X6_T.numerators[:-1] + (RatPoly(),))
+        assert X6_T._replace(description="") == FamilyCurve(X6_T.numerators)
+
     def test_fiber_check_computes_exclusions_once(self, monkeypatch, capsys):
         calls = []
         original = family.family_discriminant_numerator
@@ -291,7 +298,7 @@ def test_fiber_and_curve_pipelines_agree(f_t, t, f, full_theta):
     curve_cert, _ = pipeline_hyperelliptic(parse_poly(f), full_theta=full_theta)
     assert fiber.path == ("direct" if full_theta else "transitivity")
     assert fiber.inputs_digest != curve_cert.inputs_digest
-    assert replace(fiber, inputs_digest="") == replace(curve_cert, inputs_digest="")
+    assert fiber._replace(inputs_digest="") == curve_cert._replace(inputs_digest="")
 
 
 def test_asserted_fiber_note(capsys):
