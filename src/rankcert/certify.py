@@ -24,7 +24,9 @@ on the original model before it is returned.
 Certificates are self-contained: `verify_certificate` re-checks the
 embedded arithmetic facts (orbit sums, count formulas, hash shapes) and
 replays the document's data through the same `decide` call, without
-recomputing any resolvent.
+recomputing any resolvent.  That data includes the subject (the curve,
+fiber, external chi or orbit data), whose `inputs_text` has the sha256
+that `decide` records as the inputs digest.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ __all__ = [
     "OrbitReport",
     "Certificate",
     "MalformedReportError",
+    "MalformedSubjectError",
     "VERDICT_RANK_AT_LEAST_ONE",
     "VERDICT_INCONCLUSIVE",
     "PATH_DIRECT",
@@ -59,6 +62,7 @@ __all__ = [
     "find_deg1_class",
     "deg1_evidence",
     "decide",
+    "inputs_text",
     "render_certificate",
     "certificate_doc",
     "certificate_from_doc",
@@ -85,6 +89,10 @@ DEFAULT_HEIGHT_BOUND = 1000
 
 class MalformedReportError(ValueError):
     """Orbit sums contradict the genus formulas."""
+
+
+class MalformedSubjectError(ValueError):
+    """A subject of unknown kind, or without the fields its kind needs."""
 
 
 class Deg1Evidence(NamedTuple):
@@ -226,6 +234,7 @@ class Certificate(NamedTuple):
     chi_irreducible: bool | None = None
     hashes: tuple = ()  # pairs (name, sha256 hex)
     labeling: int | None = None
+    subject: tuple = ()  # pairs (key, value)
     inputs_digest: str = ""
 
     @property
@@ -442,7 +451,7 @@ def decide(
     theta_witness: str | None = None,
     hashes: tuple = (),
     labeling: int | None = None,
-    inputs_digest: str = "",
+    subject: tuple = (),
 ) -> Certificate:
     """Apply the rank criterion to orbit data; the one way to a certificate.
 
@@ -461,6 +470,9 @@ def decide(
     ``theta_witness`` names a rational theta characteristic known without
     theta data (the odd-model shortcut) and stands in for that data; with
     neither, the theta side is NeedsThetaData.
+
+    ``subject``, (key, value) pairs, names what the data is about; the
+    inputs digest is the sha256 of its `inputs_text` ("" without one).
     """
     report.validate()
     reasons = []
@@ -510,8 +522,34 @@ def decide(
         chi_irreducible=chi_irreducible,
         hashes=tuple(hashes),
         labeling=labeling,
-        inputs_digest=inputs_digest,
+        subject=tuple(subject),
+        inputs_digest=digest_text(inputs_text(subject, hashes, report)) if subject else "",
     )
+
+
+def inputs_text(subject: tuple, hashes: tuple, report: OrbitReport) -> str:
+    """The text whose sha256 is the inputs digest of a certificate on
+    ``subject``: f names a curve, the family and t a fiber, the genus and
+    the hashes of chi, then of the theta resolvents if given, an external
+    chi, and the genus and the orbit lists orbit data."""
+    fields, named = dict(subject), dict(hashes)
+    kind = fields.get("kind")
+    try:
+        if kind == "hyperelliptic":
+            return "hyperelliptic;f=%s" % fields["f"]
+        if kind == "family-fiber":
+            return "family:%s;t=%s" % (fields["family"], fields["t"])
+        if kind == "external-chi":
+            theta = "chi_odd" in named or "chi_even" in named
+            names = ("chi", "chi_odd", "chi_even") if theta else ("chi",)
+            return ";".join(["chi;g=%d" % fields["genus"]] + [named[n] for n in names])
+        if kind == "orbit-data":
+            return "orbits;g=%d;j2=%s;odd=%s;even=%s" % (
+                fields["genus"], report.j2_orbits, report.theta_odd, report.theta_even
+            )
+    except (KeyError, TypeError) as exc:
+        raise MalformedSubjectError(exc) from None
+    raise MalformedSubjectError("unknown subject kind %r" % kind)
 
 
 # ---------------------------------------------------------------------------
@@ -526,12 +564,12 @@ def digest_text(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def certificate_doc(cert: Certificate, subject: dict | None = None) -> dict:
+def certificate_doc(cert: Certificate) -> dict:
     """Canonical structured form; timings are never embedded (deterministic bytes)."""
     return {
         "schema_version": 1,
         "tool": {"name": "rankcert", "version": __version__},
-        "subject": subject or {},
+        "subject": dict(cert.subject),
         "genus": cert.genus,
         "verdict": cert.verdict,
         "path": cert.path,
@@ -551,8 +589,8 @@ def certificate_from_doc(doc: dict) -> Certificate:
 
     The inputs are the orbit report, the evidence, the chi_irreducible
     flag, the witness of a RationalTheta reason, and the hashes, labelling
-    index and inputs digest.  For a document that `certificate_doc`
-    emitted, the result is the original certificate.
+    index and subject.  For a document that `certificate_doc` emitted, the
+    result is the original certificate.
     """
     report = OrbitReport.from_doc(doc["genus"], doc["orbits"])
     theta_witness = next(
@@ -565,7 +603,7 @@ def certificate_from_doc(doc: dict) -> Certificate:
         theta_witness=theta_witness,
         hashes=tuple(sorted(doc.get("hashes", {}).items())),
         labeling=doc.get("labeling"),
-        inputs_digest=doc.get("inputs_digest", ""),
+        subject=tuple((doc.get("subject") or {}).items()),
     )
 
 
@@ -639,8 +677,8 @@ def verify_certificate(doc: dict) -> tuple[bool, list]:
     chi_irreducible flag set on the transitivity path and only there, then
     replays the embedded data through `decide` (via `certificate_from_doc`,
     which also checks the orbit sums and that the flag agrees with the
-    two-torsion orbits).  The path, verdict and reasons must reproduce
-    exactly.
+    two-torsion orbits).  The path, verdict and reasons, and then the
+    inputs digest recomputed from the subject, must reproduce exactly.
     """
     problems = []
     for key in ("schema_version", "tool", "genus", "verdict", "path", "reasons"):
@@ -666,14 +704,19 @@ def verify_certificate(doc: dict) -> tuple[bool, list]:
             ch not in "0123456789abcdef" for ch in value
         ):
             problems.append("hash %s is not sha256 hex" % name)
+    if not isinstance(doc.get("subject") or {}, dict):
+        problems.append("unreadable subject: subject is not an object")
     if problems:
         return False, problems
     try:
-        replay = certificate_doc(certificate_from_doc(doc))
+        cert = certificate_from_doc(doc)
     except MalformedReportError as exc:
         return False, [str(exc)]
+    except MalformedSubjectError as exc:
+        return False, ["unreadable subject: %s" % exc]
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         return False, ["unparseable certificate: %s" % exc]
+    replay = certificate_doc(cert)
     for key, problem in (
         ("path", "path does not replay from embedded data"),
         ("verdict", "verdict does not replay from embedded data"),
@@ -681,4 +724,10 @@ def verify_certificate(doc: dict) -> tuple[bool, list]:
     ):
         if doc[key] != replay[key]:
             problems.append(problem)
-    return (not problems), problems
+    if problems or doc.get("inputs_digest", "") == cert.inputs_digest:
+        return (not problems), problems
+    try:
+        inputs = inputs_text(cert.subject, cert.hashes, cert.report)
+    except MalformedSubjectError as exc:  # a digest without a subject
+        return False, ["unreadable subject: %s" % exc]
+    return False, ["inputs_digest does not match the subject (%s)" % inputs]

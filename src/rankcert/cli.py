@@ -48,7 +48,6 @@ from .certify import (
     certificate_doc,
     decide,
     deg1_evidence,
-    digest_text,
     render_certificate,
     validate_point,
     verify_certificate,
@@ -402,7 +401,7 @@ def pipeline_hyperelliptic(
         theta_witness=INFINITY_WITNESS if curve.parity == ODD else None,
         hashes=hashes,
         labeling=labeling,
-        inputs_digest=digest_text("hyperelliptic;f=%s" % f),
+        subject=(("kind", "hyperelliptic"), ("f", str(f)), ("genus", curve.genus)),
     )
     return cert, curve
 
@@ -452,16 +451,15 @@ def _pipeline_chi(chi: RatPoly, genus: int, evidence, theta_odd=None, theta_even
         evidence,
         chi_irreducible=True if report.transitive else None,
         hashes=hashes,
-        inputs_digest=digest_text(";".join(["chi;g=%d" % genus] + [h for _, h in hashes])),
+        subject=(("kind", "external-chi"), ("chi_degree", chi.degree), ("genus", genus)),
     )
 
 
 # ---------------------------------------------------------------------------
 # command handlers: each returns (exit_code, text)
 
-def _emit_certificate(cert, subject, as_json: bool):
-    doc = certificate_doc(cert, subject=subject)
-    text = canonical_json(doc) + "\n" if as_json else render_certificate(cert)
+def _emit_certificate(cert, as_json: bool):
+    text = canonical_json(certificate_doc(cert)) + "\n" if as_json else render_certificate(cert)
     return (0 if cert.certified else 2), text
 
 
@@ -473,14 +471,13 @@ def _check_height_bound(args):
 def _cmd_certify_hyperelliptic(args):
     _check_height_bound(args)
     f = parse_poly(args.f)
-    cert, curve = pipeline_hyperelliptic(
+    cert, _ = pipeline_hyperelliptic(
         f,
         assert_deg1=args.assert_deg1_class,
         height_bound=args.height_bound,
         full_theta=args.full_criterion,
     )
-    subject = {"kind": "hyperelliptic", "f": str(f), "genus": curve.genus}
-    return _emit_certificate(cert, subject, args.json)
+    return _emit_certificate(cert, args.json)
 
 
 def _cmd_certify_chi(args):
@@ -491,8 +488,7 @@ def _cmd_certify_chi(args):
     if (theta_odd is None) != (theta_even is None):
         raise ValueError("--theta-odd and --theta-even must be given together")
     cert = _pipeline_chi(chi, args.genus, evidence, theta_odd, theta_even)
-    subject = {"kind": "external-chi", "chi_degree": chi.degree, "genus": args.genus}
-    return _emit_certificate(cert, subject, args.json)
+    return _emit_certificate(cert, args.json)
 
 
 def _parse_orbit_list(text: str) -> tuple:
@@ -513,13 +509,8 @@ def _cmd_certify_orbits(args):
         theta_even=_parse_orbit_list(args.theta_even),
     )
     evidence = deg1_evidence(None, 0, args.assert_deg1_class)
-    digest = digest_text(
-        "orbits;g=%d;j2=%s;odd=%s;even=%s"
-        % (args.genus, report.j2_orbits, report.theta_odd, report.theta_even)
-    )
-    cert = decide(report, evidence, inputs_digest=digest)
-    subject = {"kind": "orbit-data", "genus": args.genus}
-    return _emit_certificate(cert, subject, args.json)
+    cert = decide(report, evidence, subject=(("kind", "orbit-data"), ("genus", args.genus)))
+    return _emit_certificate(cert, args.json)
 
 
 def _cmd_orbits_hyperelliptic(args):
@@ -604,7 +595,7 @@ def _cmd_family_scan(args):
             "skipped": len(report.skipped),
         },
         "certified": [
-            {"t": str(a), "certificate": certificate_doc(c, subject={"kind": "family-fiber", "family": report.family, "t": str(a)})}
+            {"t": str(a), "certificate": certificate_doc(c)}
             for a, c in report.certified
         ],
         "skipped": [
@@ -694,44 +685,18 @@ def _cmd_oracle(args):
     return (0 if all_match else 2), "\n".join(lines) + "\n"
 
 
-def _subject_inputs(doc) -> str:
-    """The text whose digest is the certificate's inputs_digest, rebuilt
-    from the subject the way the certify command built it."""
-    subject = doc.get("subject") or {}
-    kind = subject.get("kind")
-    if kind == "hyperelliptic":
-        return "hyperelliptic;f=%s" % subject["f"]
-    if kind == "family-fiber":
-        return "family:%s;t=%s" % (subject["family"], subject["t"])
-    if kind == "external-chi":
-        hashes = doc.get("hashes") or {}
-        parts = ["chi;g=%d" % subject["genus"], hashes["chi"]]
-        if "chi_odd" in hashes or "chi_even" in hashes:
-            parts += [hashes["chi_odd"], hashes["chi_even"]]
-        return ";".join(parts)
-    if kind == "orbit-data":
-        report = OrbitReport.from_doc(doc["genus"], doc["orbits"])
-        return "orbits;g=%d;j2=%s;odd=%s;even=%s" % (
-            subject["genus"], report.j2_orbits, report.theta_odd, report.theta_even
-        )
-    raise ValueError("unknown subject kind %r" % kind)
-
-
 def _certificate_problems(doc) -> list:
-    """`verify_certificate`, then the inputs digest recomputed from the
-    subject, then rational-point evidence checked exactly against the curve
-    the subject names."""
+    """`verify_certificate` on a certificate that names its subject, then
+    rational-point evidence checked exactly against the curve the subject
+    names."""
     if not isinstance(doc, dict):
         return ["certificate is not a JSON object"]
     ok, problems = verify_certificate(doc)
     if not ok:
         return problems
-    try:
-        inputs = _subject_inputs(doc)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        return ["unreadable subject: %s" % exc]
-    if digest_text(inputs) != doc.get("inputs_digest"):
-        return ["inputs_digest does not match the subject (%s)" % inputs]
+    if not doc.get("subject"):
+        # unlike one on bare orbit data, a command's certificate names its subject
+        return ["unreadable subject: unknown subject kind None"]
     ev = Deg1Evidence.from_doc(doc.get("evidence"))
     if ev is None or ev.kind != "rational-point":
         return []

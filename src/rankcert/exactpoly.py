@@ -3,7 +3,10 @@
 Coefficients are stored densely in ascending order (constant term first)
 with no trailing zeros; the zero polynomial has an empty coefficient
 sequence.  Rational scalars are `fractions.Fraction` (always reduced,
-positive denominator), integer polynomials keep plain Python ints.  All
+positive denominator), integer polynomials keep plain Python ints.
+`RatPoly` is a rational coefficient vector: it evaluates, differentiates
+and splits into a content times a primitive `IntPoly`, and the polynomial
+arithmetic (products, exact division, gcd) is `IntPoly`'s.  All
 values are immutable after construction and every operation is pure, so
 everything here is safe to share across threads.
 
@@ -145,7 +148,7 @@ def _zprimitive(f):
 
 
 def _long_division(f, g, digit):
-    """Schoolbook division of f by g, shared by Z, Q and Z/m.
+    """Schoolbook division of f by g, shared by Z and Z/m.
 
     ``digit(c)`` is the quotient coefficient that cancels a top coefficient
     c, or None when there is none (an inexact division over Z, which stops
@@ -295,10 +298,6 @@ class RatPoly:
         cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
         self.coeffs = tuple(_strip(cs))
 
-    @classmethod
-    def one(cls) -> "RatPoly":
-        return cls((1,))
-
     @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
@@ -323,46 +322,6 @@ class RatPoly:
     def __hash__(self):
         return hash(("RatPoly", self.coeffs))
 
-    def __neg__(self):
-        return RatPoly(tuple(-c for c in self.coeffs))
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return RatPoly(_zadd(list(self.coeffs), list(other.coeffs)))
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return RatPoly()
-            return RatPoly(tuple(c * other for c in self.coeffs))
-        ca, A = self.to_int()
-        cb, B = self._coerce(other).to_int()
-        c = ca * cb
-        return RatPoly([c * v for v in _zmul(A.coeffs, B.coeffs)])
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        result = RatPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, RatPoly):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return RatPoly((other,))
-        raise TypeError(f"cannot coerce {other!r} to RatPoly")
-
     def __call__(self, x: Scalar) -> Fraction:
         acc = Fraction(0)
         for c in reversed(self.coeffs):
@@ -371,20 +330,6 @@ class RatPoly:
 
     def derivative(self) -> "RatPoly":
         return RatPoly(tuple(i * c for i, c in enumerate(self.coeffs))[1:])
-
-    def __divmod__(self, other):
-        other = self._coerce(other)
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        lc = other.lc
-        q, r = _long_division(self.coeffs, other.coeffs, lambda c: c / lc)
-        return RatPoly(q), RatPoly(r)
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
 
     def to_int(self) -> tuple[Fraction, "IntPoly"]:
         """Split into content * primitive integer polynomial (positive lc).
@@ -443,17 +388,7 @@ class IntPoly:
         return hash(("IntPoly", self.coeffs))
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return IntPoly(tuple(c * other for c in self.coeffs))
         return IntPoly(_zmul(self.coeffs, other.coeffs))
-
-    __rmul__ = __mul__
-
-    def __call__(self, x: Scalar):
-        acc = 0 if isinstance(x, int) else Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     def derivative(self) -> "IntPoly":
         return IntPoly(_zderiv(list(self.coeffs)))

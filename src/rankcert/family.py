@@ -7,7 +7,8 @@ leading coefficient (degenerate or bad-reduction fibers).  Away from them each
 integer fiber is certified independently by the steps the curve pipeline
 uses: build the curve, find a degree-1 class (`certify.deg1_evidence`),
 read the two-torsion orbits (`weierstrass.two_torsion_data`), and call
-`certify.decide`.  A transitive action concludes through the
+`certify.decide` with the fiber's subject, the family and t, from which
+it computes the inputs digest.  A transitive action concludes through the
 transitivity shortcut; a reducible chi is reported as NeedsThetaData on
 that path, or, on request, decided on the direct path from the theta
 orbits (`theta.theta_data`).  No generic resolvent over Q(t) is ever
@@ -31,7 +32,6 @@ from .certify import (
     OrbitReport,
     decide,
     deg1_evidence,
-    digest_text,
 )
 from .certroots import PrecisionExhausted
 from .exactpoly import IntPoly, RatPoly, discriminant
@@ -99,10 +99,6 @@ class FamilyCurve(_FamilyCurveFields):
     def deg_x(self) -> int:
         return len(self.numerators) - 1
 
-    @property
-    def genus(self) -> int:
-        return (self.deg_x - 1) // 2
-
     def specialize(self, a: Fraction) -> RatPoly:
         """The fiber polynomial f_a(x); fails on a vanishing leading
         coefficient (such values belong to the exclusion sets)."""
@@ -111,9 +107,6 @@ class FamilyCurve(_FamilyCurveFields):
         if f.degree != self.deg_x:
             raise SingularModelError(f"leading coefficient vanishes at t={a}")
         return f
-
-    def __str__(self):
-        return self.description or "<family of x-degree %d>" % self.deg_x
 
 
 class ExclusionSet(NamedTuple):
@@ -215,10 +208,6 @@ def exclusion_sets(fam: FamilyCurve) -> ExclusionSet:
 # ---------------------------------------------------------------------------
 # fibers
 
-def _fiber_inputs_digest(fam: FamilyCurve, a: Fraction) -> str:
-    return digest_text("family:%s;t=%s" % (fam.description or "?", a))
-
-
 def certify_fiber(
     fam: FamilyCurve,
     a: Fraction,
@@ -246,7 +235,7 @@ def certify_fiber(
         chi_irreducible=chi_irreducible,
         hashes=hashes,
         labeling=labeling,
-        inputs_digest=_fiber_inputs_digest(fam, a),
+        subject=(("kind", "family-fiber"), ("family", fam.description), ("t", str(a))),
     )
 
 

@@ -238,7 +238,7 @@ def test_criterion_6_rational_two_torsion():
             h = RatPoly([rng.randint(-9, 9) for _ in range(4)] + [rng.randint(1, 9)])
             if h.degree != 4 or not is_irreducible_over_q(h):
                 continue
-            f = RatPoly([-r, 1]) * RatPoly([-s, 1]) * h
+            f = (IntPoly([-r, 1]) * IntPoly([-s, 1]) * IntPoly(h.coeffs)).to_rat()
             if not is_squarefree(f.to_int()[1]):
                 continue
             built += 1
@@ -270,9 +270,7 @@ def test_criterion_7_factorization_stack():
             gi = g.to_int()[1]
             if gi not in parts:
                 parts.append(gi)
-        prod = RatPoly.one()
-        for g in parts:
-            prod = prod * g.to_rat()
+        prod = math.prod(parts, start=IntPoly([1])).to_rat()
         fac = factor_over_q(prod)  # raises internally if the product != input
         assert math.prod(fac, start=IntPoly([1])).to_rat() == prod
         got = sorted(g.coeffs for g in fac)

@@ -242,14 +242,15 @@ def test_orbit_report_is_a_sorted_immutable_value():
 
 class TestSerialization:
     def test_doc_roundtrip(self):
-        cert = decide(QUARTIC_REPORT, ASSERTED, inputs_digest="a" * 64)
-        doc = certificate_doc(cert, subject={"kind": "orbit-data"})
+        cert = decide(QUARTIC_REPORT, ASSERTED, subject=(("kind", "orbit-data"), ("genus", 3)))
+        doc = certificate_doc(cert)
         assert certificate_from_doc(doc) == cert
 
     def test_roundtrip_with_hashes_and_labeling(self):
         cert = decide(
             OrbitReport(2, (15,)), ASSERTED, chi_irreducible=True,
-            hashes=(("chi", "b" * 64),), labeling=1, inputs_digest="c" * 64,
+            hashes=(("chi", "b" * 64),), labeling=1,
+            subject=(("kind", "hyperelliptic"), ("f", "x^5 + x + 1"), ("genus", 2)),
         )
         assert certificate_from_doc(certificate_doc(cert)) == cert
 

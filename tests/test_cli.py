@@ -182,6 +182,31 @@ def run_cli(capsys, *argv):
     return code, out
 
 
+@pytest.mark.parametrize(
+    "argv, fiber, section, key, value, inputs",
+    [
+        (["certify", "hyperelliptic", "--f", "x^6+x+1"], None, "subject", "f",
+         "x^6 - x^2 + 5", "hyperelliptic;f=x^6 - x^2 + 5"),
+        (["family", "scan", "--f-t", "x^6+t*x+1", "--range=3..4"], 1, "subject", "t",
+         "5", "family:x^6 + t*x + 1;t=5"),
+        (["certify", "chi", "--file", str(fixture_path("chi1.txt")), "--genus", "3",
+          "--assert-deg1-class"], None, "hashes", "chi", "0" * 64, "chi;g=3;" + "0" * 64),
+    ],
+    ids=["curve", "fiber", "chi"],
+)
+def test_library_verify_rejects_swapped_inputs(capsys, argv, fiber, section, key, value, inputs):
+    # `verify_certificate` alone, the check the benchmark runs on every
+    # document, recomputes the inputs digest from the subject
+    _, out = run_cli(capsys, *argv, "--json")
+    doc = json.loads(out)
+    cert = doc if fiber is None else doc["certified"][fiber]["certificate"]
+    assert json_verify(cert) == (True, [])
+    cert[section][key] = value
+    assert json_verify(cert) == (
+        False, ["inputs_digest does not match the subject (%s)" % inputs]
+    )
+
+
 class TestCommands:
     def test_certify_hyperelliptic_certifies(self, capsys):
         code, out = run_cli(capsys, "certify", "hyperelliptic", "--f", "x^6+x+1")
@@ -393,6 +418,25 @@ class TestCommands:
         code, out2 = run_cli(capsys, "verify", "--certificate", str(path))
         assert code == 1
         assert out2.startswith("FAIL: unreadable subject")
+
+    def test_verify_rejects_certificate_without_subject(self, capsys, tmp_path):
+        # the library accepts a certificate on bare orbit data, with no
+        # subject and no digest; `verify` requires what a command writes
+        _, out = run_cli(capsys, "certify", "hyperelliptic", "--f", "x^6+x+1", "--json")
+        path = tmp_path / "cert.json"
+        for subject in (None, {}):
+            for digest in (True, False):
+                doc = json.loads(out)
+                doc.pop("subject")
+                if subject is not None:
+                    doc["subject"] = subject
+                if not digest:
+                    doc["inputs_digest"] = ""
+                    assert json_verify(doc) == (True, [])
+                path.write_text(json.dumps(doc))
+                assert run_cli(capsys, "verify", "--certificate", str(path)) == (
+                    1, "FAIL: unreadable subject: unknown subject kind None\n"
+                ), (subject, digest)
 
     def test_verify_rejects_point_without_coordinates(self, capsys, tmp_path):
         f = "2*x^6+2*x^5+3*x^4+6*x^3-3*x^2+2*x-8"

@@ -1,9 +1,11 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from rankcert.cli import parse_poly
 from rankcert.exactpoly import IntPoly, RatPoly
 from rankcert.factorq import (
     BadPrimeError,
@@ -233,15 +235,14 @@ class TestFactorOverQ:
         assert [g.coeffs for g in fac] == [(-1, 1), (1, 1)]
 
     def test_non_squarefree_rejected(self):
-        f = RatPoly([-1, 1]) ** 2 * RatPoly([2, 1])  # (x - 1)^2 (x + 2)
         with pytest.raises(ValueError):
-            factor_over_q(f)
+            factor_over_q(parse_poly("(x-1)^2*(x+2)"))
         with pytest.raises(ValueError):
-            factor_over_q(f * Fraction(3, 2))
+            factor_over_q(parse_poly("3/2*(x-1)^2*(x+2)"))
 
     def test_content_dropped(self):
         # 3/2 * (x - 1)(x + 2): the factors of the primitive part
-        fac = factor_over_q(RatPoly([-1, 1]) * RatPoly([2, 1]) * Fraction(3, 2))
+        fac = factor_over_q(parse_poly("3/2*(x-1)*(x+2)"))
         assert [g.coeffs for g in fac] == [(-1, 1), (2, 1)]
         assert factor_over_q(RatPoly([Fraction(-5, 3)])) == ()
 
@@ -263,10 +264,7 @@ class TestFactorOverQ:
                 gi = g.to_int()[1]
                 if gi not in parts:
                     parts.append(gi)
-            prod = RatPoly.one()
-            for g in parts:
-                prod = prod * g.to_rat()
-            fac = factor_over_q(prod)
+            fac = factor_over_q(math.prod(parts, start=IntPoly([1])).to_rat())
             assert sorted(g.coeffs for g in fac) == sorted(g.coeffs for g in parts)
 
     def test_degrees_within_possible_degrees(self):
@@ -307,9 +305,9 @@ class TestIrreducibility:
             if rng.random() < 0.5:
                 f = RatPoly([rng.randint(-30, 30) for _ in range(rng.randint(1, 20))] + [rng.randint(1, 30)])
             else:
-                a = RatPoly([rng.randint(-9, 9) for _ in range(rng.randint(1, 10))] + [1])
-                b = RatPoly([rng.randint(-9, 9) for _ in range(rng.randint(1, 10))] + [1])
-                f = a * b
+                a = IntPoly([rng.randint(-9, 9) for _ in range(rng.randint(1, 10))] + [1])
+                b = IntPoly([rng.randint(-9, 9) for _ in range(rng.randint(1, 10))] + [1])
+                f = (a * b).to_rat()
             if f.degree < 1:
                 continue
             F = f.to_int()[1]
@@ -318,13 +316,13 @@ class TestIrreducibility:
 
 
 def test_rational_roots():
-    f = RatPoly([-1, 0, 1]) * RatPoly([1, 3]) * RatPoly([1, 0, 0, 1, 1])
+    f = parse_poly("(x^2-1)*(3*x+1)*(x^4+x^3+1)")
     assert rational_roots(f) == (Fraction(-1), Fraction(-1, 3), Fraction(1))
 
 
 def test_rational_roots_of_the_squarefree_part():
     # (x - 1)^2 (3x + 1) (x^2 + 1)^3: each root once, whatever its multiplicity
-    f = RatPoly([-1, 1]) ** 2 * RatPoly([1, 3]) * RatPoly([1, 0, 1]) ** 3
+    f = parse_poly("(x-1)^2*(3*x+1)*(x^2+1)^3")
     assert not is_squarefree(f.to_int()[1])
     assert rational_roots(f) == (Fraction(-1, 3), Fraction(1))
     assert rational_roots(RatPoly([0, 0, 0, 2])) == (Fraction(0),)

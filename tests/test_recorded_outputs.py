@@ -3,7 +3,9 @@
 perfbench/expected.json records the sha256 of the `--json` stdout of every
 benchmark command.  Every one of them is run here in-process, from the
 repository root (their paths are relative to it), so a change to
-certificate bytes fails tier-1 and not only the benchmark.  These tests
+certificate bytes fails tier-1 and not only the benchmark.  Each
+certificate, and each fiber certificate of a scan, must also pass
+`verify_certificate`, the check the benchmark runs on it.  These tests
 only read perfbench/.
 """
 
@@ -13,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from rankcert.certify import verify_certificate
 from rankcert.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -34,3 +37,9 @@ def test_stdout_matches_recording(key, sha256, capsys, monkeypatch):
     main(key.split(" ") + ["--json"])
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha256
+    doc = json.loads(out)
+    if doc.get("command") == "family-scan":
+        certs = [entry["certificate"] for entry in doc["certified"]]
+    else:
+        certs = [doc]
+    assert [verify_certificate(cert) for cert in certs] == [(True, [])] * len(certs)

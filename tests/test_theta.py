@@ -4,7 +4,7 @@ import warnings
 import pytest
 
 from rankcert.certify import INFINITY_WITNESS, RATIONAL_THETA
-from rankcert.cli import pipeline_hyperelliptic
+from rankcert.cli import parse_poly, pipeline_hyperelliptic
 from rankcert.exactpoly import RatPoly
 from rankcert.factorq import BadPrimeError, degree_pattern, factor_over_q
 from rankcert.theta import (
@@ -104,8 +104,7 @@ class TestRationalTheta:
         assert 1 not in odd + even
 
     def test_galois_stable_triple(self):
-        f = RatPoly([-2, 0, 0, 1]) * RatPoly([-3, 0, 0, 1])
-        curve = build_curve(f)
+        curve = build_curve(parse_poly("(x^3-2)*(x^3-3)"))
         odd, even, _hashes = theta_data(curve)
         # the roots of one cubic: |T| = 3, h0 = 0, an even characteristic
         assert 1 in even and 1 not in odd

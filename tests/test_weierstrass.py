@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from rankcert.cli import parse_poly
 from rankcert.exactpoly import IntPoly, RatPoly
 from rankcert.factorq import BadPrimeError, degree_pattern, factor_over_q
 from rankcert.weierstrass import (
@@ -51,9 +52,8 @@ class TestBuildCurve:
         assert (c.genus, c.parity) == (2, ODD)
 
     def test_singular_rejected(self):
-        f = RatPoly([-1, 1]) ** 2 * RatPoly([2, 1])
         with pytest.raises(SingularModelError):
-            build_curve(f)
+            build_curve(parse_poly("(x-1)^2*(x+2)"))
 
     def test_degree_bounds(self):
         with pytest.raises(ValueError):
@@ -108,8 +108,7 @@ class TestResolvent:
         assert sum(orbit_decomposition(r)) == 15
 
     def test_rational_two_torsion_gives_linear_factor(self):
-        f = RatPoly([0, 1]) * RatPoly([-1, 1]) * RatPoly([2, 1, 0, 0, 1])
-        r = resolvent_j2(build_curve(f))
+        r = resolvent_j2(build_curve(parse_poly("x*(x-1)*(x^4+x+2)")))
         orbits = orbit_decomposition(r)
         assert 1 in orbits
         assert any(g.degree == 1 for g in factor_over_q(r.chi.to_rat()))
