@@ -36,14 +36,14 @@ from .factorq import (
     possible_degrees,
 )
 from .family import FamilyCurve, ScanOptions, check_good_fiber, exclusion_sets, scan
-from .theta import enumerate_theta_classes, resolvent_theta, theta_data
+from .theta import enumerate_theta_classes, theta_data
 from .weierstrass import (
     HyperellipticCurve,
     build_curve,
+    class_orbits,
     enumerate_j2_classes,
     frobenius_orbit_oracle,
-    orbit_decomposition,
-    resolvent_j2,
+    two_torsion_data,
 )
 
 __all__ = [
@@ -60,6 +60,7 @@ __all__ = [
     "ScanOptions",
     "build_curve",
     "check_good_fiber",
+    "class_orbits",
     "decide",
     "degree_pattern",
     "discriminant",
@@ -72,14 +73,12 @@ __all__ = [
     "is_irreducible_over_q",
     "isolate_roots",
     "make_integral_monic",
-    "orbit_decomposition",
     "possible_degrees",
     "render_certificate",
-    "resolvent_j2",
-    "resolvent_theta",
     "resultant",
     "scan",
     "snap_to_integer",
     "theta_data",
+    "two_torsion_data",
     "verify_certificate",
 ]

@@ -180,8 +180,6 @@ class OrbitReport(_OrbitReportFields):
                 "two-torsion orbit sizes sum to %d, expected 2^(2g)-1 = %d"
                 % (sum(self.j2_orbits), want_j2)
             )
-        if any(v < 1 for v in self.j2_orbits):
-            raise MalformedReportError("orbit sizes must be positive")
         if (self.theta_odd is None) != (self.theta_even is None):
             raise MalformedReportError("odd and even theta orbits must be given together")
         want_odd, want_even = theta_class_counts(g)
@@ -195,6 +193,9 @@ class OrbitReport(_OrbitReportFields):
                 "even theta orbit sizes sum to %d, expected 2^(g-1)(2^g+1) = %d"
                 % (sum(self.theta_even), want_even)
             )
+        for orbits in (self.j2_orbits, self.theta_odd or (), self.theta_even or ()):
+            if any(v < 1 for v in orbits):
+                raise MalformedReportError("orbit sizes must be positive")
 
     @property
     def theta_present(self) -> bool:
@@ -601,7 +602,7 @@ def certificate_from_doc(doc: dict) -> Certificate:
         Deg1Evidence.from_doc(doc.get("evidence")),
         chi_irreducible=doc.get("chi_irreducible"),
         theta_witness=theta_witness,
-        hashes=tuple(sorted(doc.get("hashes", {}).items())),
+        hashes=tuple(doc.get("hashes", {}).items()),
         labeling=doc.get("labeling"),
         subject=tuple((doc.get("subject") or {}).items()),
     )

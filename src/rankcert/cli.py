@@ -35,8 +35,10 @@ import argparse
 import json
 import re
 import sys
+import warnings
 from fractions import Fraction
 from importlib import resources
+from math import prod
 
 from . import __version__
 from .certify import (
@@ -68,9 +70,10 @@ from .weierstrass import (
     ODD,
     build_curve,
     check_genus_cap,
+    enumerate_j2_classes,
     frobenius_orbit_oracle,
     j2_class_count,
-    resolvent_j2,
+    stratified_parts,
     two_torsion_data,
 )
 
@@ -640,7 +643,8 @@ def _cmd_oracle(args):
         raise ValueError("--primes must be at least 1; got %d" % args.primes)
     f = parse_poly(args.f)
     curve = build_curve(f)
-    res = resolvent_j2(curve)
+    _strata, (parts,), _labeling = stratified_parts(curve, [enumerate_j2_classes(curve)])
+    chi = prod(parts[1:], start=parts[0])
     rows = []
     all_match = True
     for p in _primes_from(2):
@@ -649,7 +653,7 @@ def _cmd_oracle(args):
         if p > 100000:
             raise RuntimeError("ran out of primes below 100000")
         try:
-            pat = degree_pattern(res.chi, p)
+            pat = degree_pattern(chi, p)
             oracle = frobenius_orbit_oracle(curve, p)
         except BadPrimeError:
             continue
@@ -661,7 +665,7 @@ def _cmd_oracle(args):
         "tool": {"name": "rankcert", "version": __version__},
         "command": "oracle",
         "f": str(f),
-        "chi_degree": res.chi.degree,
+        "chi_degree": chi.degree,
         "rows": [
             {
                 "p": p,
@@ -675,7 +679,7 @@ def _cmd_oracle(args):
     }
     if args.json:
         return (0 if all_match else 2), canonical_json(doc) + "\n"
-    lines = ["curve: y^2 = %s" % doc["f"], "chi degree: %d" % res.chi.degree]
+    lines = ["curve: y^2 = %s" % doc["f"], "chi degree: %d" % chi.degree]
     for p, pat, orc, match in rows:
         lines.append(
             "p=%d: chi mod p %s | subset action %s | %s"
@@ -820,12 +824,17 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
-    try:
-        code, text = args.func(args)
-    except (ValueError, RuntimeError, OSError, ZeroDivisionError) as exc:
-        sys.stderr.write("error: %s\n" % exc)
-        return 1
-    sys.stdout.write(text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code, text = args.func(args)
+            stream = sys.stdout
+        except (ValueError, RuntimeError, OSError, ZeroDivisionError) as exc:
+            code, text, stream = 1, "error: %s\n" % exc, sys.stderr
+    # one line per distinct message, free of source paths and line numbers
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        sys.stderr.write("warning: %s\n" % message)
+    stream.write(text)
     return code
 
 

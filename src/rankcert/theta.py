@@ -11,9 +11,10 @@ resolvents and the Frobenius action.  This module owns the rest:
   only on the class size, so the odd and the even piece are unions of
   size strata, and each gets its own resolvent, chi_odd and chi_even;
 - the parity counts 2^(g-1)(2^g -+ 1), checked on every enumeration;
-- `theta_data`: the Galois orbit sizes on the odd and on the even piece.
-  A rational theta characteristic exists iff some orbit has size 1, and
-  every pipeline reads the answer off these orbits through `certify.decide`.
+- `theta_data`: the Galois orbit sizes on the odd and on the even piece,
+  both read by one `weierstrass.class_orbits` call.  A rational theta
+  characteristic exists iff some orbit has size 1, and every pipeline
+  reads the answer off these orbits through `certify.decide`.
   Odd-degree models need no theta data: (g-1) times the infinite
   Weierstrass point doubles to the canonical class, so the answer there
   is always yes, and `cli.pipeline_hyperelliptic` passes that witness
@@ -22,45 +23,20 @@ resolvents and the Frobenius action.  This module owns the rest:
 
 from __future__ import annotations
 
-from math import prod
-from typing import NamedTuple
-
-from .exactpoly import IntPoly, poly_digest
+from .exactpoly import poly_digest
 from .weierstrass import (
     HyperellipticCurve,
-    Labeling,
     canonical_masks,
+    class_orbits,
     frobenius_cycle_types,
-    part_degrees,
-    stratified_parts,
 )
 
 __all__ = [
-    "ThetaResolvents",
     "enumerate_theta_classes",
-    "resolvent_theta",
     "theta_data",
     "theta_class_counts",
     "frobenius_theta_oracle",
 ]
-
-
-class ThetaResolvents(NamedTuple):
-    """Exact squarefree resolvents of the odd and even theta characteristics.
-
-    ``odd_parts`` and ``even_parts`` hold one factor per class size, in
-    ascending size; chi_odd and chi_even are their products.  The masks of
-    the classes labelled by the roots of each part are in ``odd_strata``
-    and ``even_strata``.
-    """
-
-    chi_odd: IntPoly
-    chi_even: IntPoly
-    labeling: Labeling
-    odd_parts: tuple
-    even_parts: tuple
-    odd_strata: tuple
-    even_strata: tuple
 
 
 def theta_class_counts(genus: int) -> tuple[int, int]:
@@ -94,36 +70,23 @@ def enumerate_theta_classes(curve: HyperellipticCurve) -> tuple:
     return tuple(odd), tuple(even)
 
 
-def resolvent_theta(curve: HyperellipticCurve) -> ThetaResolvents:
-    """Squarefree chi_odd, chi_even whose roots label the theta classes.
+def theta_data(curve: HyperellipticCurve) -> tuple:
+    """The theta step of every pipeline: (odd orbit sizes, even orbit
+    sizes, hashes of chi_odd and chi_even).
 
-    Degrees are 2^(g-1)(2^g - 1) and 2^(g-1)(2^g + 1).  The class {empty
+    chi_odd and chi_even, the squarefree resolvents of the two pieces,
+    have degrees 2^(g-1)(2^g - 1) and 2^(g-1)(2^g + 1).  The class {empty
     set, full set} (present when its size parity allows) has the label
     exactly zero, which `weierstrass.class_labels` always accepts.
     """
-    strata, (odd_parts, even_parts), labeling = stratified_parts(
-        curve, enumerate_theta_classes(curve)
-    )
-    chi_odd = prod(odd_parts[1:], start=odd_parts[0])
-    chi_even = prod(even_parts[1:], start=even_parts[0])
+    (odd, even), (chi_odd, chi_even), _c = class_orbits(curve, enumerate_theta_classes(curve))
     if (chi_odd.degree, chi_even.degree) != theta_class_counts(curve.genus):
         raise AssertionError("theta resolvent degrees mismatch")
-    return ThetaResolvents(chi_odd, chi_even, labeling, odd_parts, even_parts, *strata)
-
-
-def theta_data(curve: HyperellipticCurve) -> tuple:
-    """The theta step of every pipeline: (odd orbit sizes, even orbit
-    sizes, hashes of chi_odd and chi_even)."""
-    res = resolvent_theta(curve)
     hashes = (
-        ("chi_odd", poly_digest(res.chi_odd.coeffs)),
-        ("chi_even", poly_digest(res.chi_even.coeffs)),
+        ("chi_odd", poly_digest(chi_odd.coeffs)),
+        ("chi_even", poly_digest(chi_even.coeffs)),
     )
-    return (
-        part_degrees(curve, res.odd_strata, res.odd_parts),
-        part_degrees(curve, res.even_strata, res.even_parts),
-        hashes,
-    )
+    return odd, even, hashes
 
 
 def frobenius_theta_oracle(curve: HyperellipticCurve, p: int) -> tuple[tuple, tuple]:

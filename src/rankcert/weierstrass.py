@@ -20,13 +20,15 @@ set, for both class sets:
   stratum.  Every orbit is a union of Frobenius cycles, so the cycle types
   at good primes of f bound the orbit sizes, and most strata are proven
   one orbit without factoring their part.  The other parts go to
-  Zassenhaus with those bounds and a screened prime.
+  Zassenhaus with those bounds and a screened prime;
+- `class_orbits`: the one place where orbit sizes are read off a class
+  set: per piece, the orbit sizes and the resolvent, the product of the
+  piece's parts.
 
-The two-torsion is the piece of nonzero even masks: its resolvent chi
-(`resolvent_j2`, degree 2^(2g) - 1) is the product of its parts, whose
-orbit sizes `orbit_decomposition` reads one part at a time, and
-`frobenius_orbit_oracle` cross-checks it against chi mod p.  The theta
-module adds what only theta characteristics know: h^0 and parity.
+The two-torsion is the piece of nonzero even masks: `two_torsion_data`
+reads its orbits and its resolvent chi, of degree 2^(2g) - 1, and
+`frobenius_orbit_oracle` cross-checks chi mod p.  The theta module adds
+what only theta characteristics know: h^0 and parity.
 """
 
 from __future__ import annotations
@@ -61,7 +63,6 @@ __all__ = [
     "EVEN",
     "HyperellipticCurve",
     "Labeling",
-    "TwoTorsionResolvent",
     "SingularModelError",
     "NoInjectiveLabelingError",
     "check_genus_cap",
@@ -71,10 +72,8 @@ __all__ = [
     "canonical_masks",
     "class_labels",
     "enumerate_j2_classes",
-    "resolvent_j2",
-    "orbit_decomposition",
+    "class_orbits",
     "two_torsion_data",
-    "part_degrees",
     "size_strata",
     "stratified_parts",
     "frobenius_cycle_types",
@@ -126,21 +125,6 @@ class Labeling(NamedTuple):
     """Index c of the labeling map u_c(x) = x + c*x^2."""
 
     c: int
-
-
-class TwoTorsionResolvent(NamedTuple):
-    """Squarefree chi in Z[x] of degree 2^(2g) - 1 labeling J[2] \\ {0}.
-
-    ``parts`` holds one Galois-stable factor of chi per class size, in
-    ascending size; chi is their product, and ``strata`` holds the masks
-    of the classes whose labels are the roots of each part.
-    """
-
-    chi: IntPoly
-    labeling: Labeling
-    parts: tuple
-    strata: tuple
-    curve: HyperellipticCurve
 
 
 def _fraction_is_square(q: Fraction) -> bool:
@@ -341,44 +325,38 @@ def stratified_parts(curve: HyperellipticCurve, pieces) -> tuple:
     return tuple(groups), tuple(out), labeling
 
 
-def resolvent_j2(curve: HyperellipticCurve) -> TwoTorsionResolvent:
-    """Exact squarefree chi in Z[x] of degree 2^(2g) - 1 for J[2] \\ {0}.
+def class_orbits(curve: HyperellipticCurve, pieces) -> tuple:
+    """Galois orbit sizes and resolvents of Galois-stable mask pieces.
+
+    One `stratified_parts` call labels every piece; the orbit sizes of a
+    piece are the degrees of the irreducible factors of its parts
+    (`stratum_factors`: a part proven one orbit by `frobenius_screen` is
+    not factored), and its resolvent is the product of its parts.  Returns
+    (sorted orbit sizes of each piece, resolvent of each piece, labelling
+    index c).
 
     >>> curve = build_curve(RatPoly([1, 1, 0, 0, 0, 0, 1]))  # y^2 = x^6+x+1
-    >>> resolvent_j2(curve).chi.degree
-    15
+    >>> (orbits,), (chi,), c = class_orbits(curve, [enumerate_j2_classes(curve)])
+    >>> orbits, chi.degree
+    ((15,), 15)
     """
-    (strata,), (parts,), labeling = stratified_parts(curve, [enumerate_j2_classes(curve)])
-    chi = prod(parts[1:], start=parts[0])
-    expected = j2_class_count(curve.genus)
-    if chi.degree != expected:
-        raise AssertionError("resolvent degree %d != %d" % (chi.degree, expected))
-    return TwoTorsionResolvent(chi, labeling, parts, strata, curve)
-
-
-def part_degrees(curve: HyperellipticCurve, strata, parts) -> tuple:
-    """Sorted degrees of the irreducible factors over Q of the product of
-    pairwise coprime parts, ``parts[i]`` being the resolvent of the classes
-    ``strata[i]``: the sizes of the Galois orbits on the classes.
-
-    A part that `frobenius_screen` proves irreducible contributes its
-    degree without any factoring; the others are factored one at a time
-    by `stratum_factors`.
-    """
-    factors = stratum_factors(curve, strata, parts)
-    return tuple(sorted(g.degree for group in factors for g in group))
-
-
-def orbit_decomposition(r: TwoTorsionResolvent) -> tuple:
-    """Sorted degrees of the irreducible factors of chi over Q."""
-    return part_degrees(r.curve, r.strata, r.parts)
+    strata, parts, labeling = stratified_parts(curve, pieces)
+    orbits = tuple(
+        tuple(sorted(g.degree for group in stratum_factors(curve, s, ps) for g in group))
+        for s, ps in zip(strata, parts)
+    )
+    return orbits, tuple(prod(ps[1:], start=ps[0]) for ps in parts), labeling.c
 
 
 def two_torsion_data(curve: HyperellipticCurve) -> tuple:
     """The two-torsion step of every pipeline: (orbit sizes, hashes,
-    labelling index), with hashes ``(("chi", sha256 of chi),)``."""
-    res = resolvent_j2(curve)
-    return orbit_decomposition(res), (("chi", poly_digest(res.chi.coeffs)),), res.labeling.c
+    labelling index), with hashes ``(("chi", sha256 of chi),)`` for the
+    squarefree chi in Z[x] of degree 2^(2g) - 1 labelling J[2] \\ {0}."""
+    (orbits,), (chi,), c = class_orbits(curve, [enumerate_j2_classes(curve)])
+    expected = j2_class_count(curve.genus)
+    if chi.degree != expected:
+        raise AssertionError("resolvent degree %d != %d" % (chi.degree, expected))
+    return orbits, (("chi", poly_digest(chi.coeffs)),), c
 
 
 # ---------------------------------------------------------------------------

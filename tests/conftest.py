@@ -1,9 +1,11 @@
 import random
+from math import prod
 
 import pytest
 
 from rankcert.exactpoly import RatPoly
 from rankcert.factorq import is_squarefree
+from rankcert.weierstrass import stratified_parts
 
 
 def random_squarefree_poly(rng: random.Random, degree: int, coeff_bound: int = 10) -> RatPoly:
@@ -22,6 +24,14 @@ def random_monic_squarefree(rng: random.Random, degree: int, coeff_bound: int = 
         f = RatPoly(coeffs)
         if is_squarefree(f.to_int()[1]):
             return f
+
+
+def resolvents(curve, pieces):
+    """The resolvent of each Galois-stable mask piece, as `class_orbits`
+    returns it, and the labelling index: the products of the
+    `stratified_parts` parts, with nothing factored."""
+    _strata, parts, labeling = stratified_parts(curve, pieces)
+    return tuple(prod(ps[1:], start=ps[0]) for ps in parts), labeling.c
 
 
 @pytest.fixture(scope="session")

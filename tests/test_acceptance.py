@@ -33,8 +33,15 @@ from rankcert.factorq import (
     possible_degrees,
     _primes_from,
 )
-from rankcert.theta import frobenius_theta_oracle, resolvent_theta, theta_data
-from rankcert.weierstrass import build_curve, frobenius_orbit_oracle, orbit_decomposition, resolvent_j2
+from rankcert.theta import enumerate_theta_classes, frobenius_theta_oracle, theta_data
+from rankcert.weierstrass import (
+    build_curve,
+    class_orbits,
+    enumerate_j2_classes,
+    frobenius_orbit_oracle,
+)
+
+from conftest import resolvents
 
 SEED = 20260809
 FROZEN_SCAN_CERTIFIED = 98          # derived by running the pipeline, then pinned
@@ -56,17 +63,17 @@ def _random_squarefree(rng, degree, bound=10):
 
 @pytest.fixture(scope="module")
 def counting_curves():
-    """10 random genus-2 sextics and 3 genus-3 octics with their resolvents."""
+    """10 random genus-2 sextics and 3 genus-3 octics with their resolvents:
+    (curve, chi, (chi_odd, chi_even))."""
     rng = random.Random(SEED)
     out = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        for _ in range(10):
-            curve = build_curve(_random_squarefree(rng, 6))
-            out.append((curve, resolvent_j2(curve), resolvent_theta(curve)))
-        for _ in range(3):
-            curve = build_curve(_random_squarefree(rng, 8))
-            out.append((curve, resolvent_j2(curve), resolvent_theta(curve)))
+        for degree in [6] * 10 + [8] * 3:
+            curve = build_curve(_random_squarefree(rng, degree))
+            (chi,), _c = resolvents(curve, [enumerate_j2_classes(curve)])
+            theta, _c = resolvents(curve, enumerate_theta_classes(curve))
+            out.append((curve, chi, theta))
     return out
 
 
@@ -158,17 +165,17 @@ def test_criterion_2_orbit_mode_reproduction():
 
 
 def test_criterion_3_counting_invariants(counting_curves):
-    for curve, res, theta in counting_curves:
+    for curve, chi, (chi_odd, chi_even) in counting_curves:
         g = curve.genus
         want_chi = (1 << (2 * g)) - 1
         want_odd = (1 << (g - 1)) * ((1 << g) - 1)
         want_even = (1 << (g - 1)) * ((1 << g) + 1)
-        assert res.chi.degree == want_chi
-        assert res.chi.gcd(res.chi.derivative()).degree == 0
-        assert theta.chi_odd.degree == want_odd
-        assert theta.chi_even.degree == want_even
-        for chi in (theta.chi_odd, theta.chi_even):
-            assert chi.gcd(chi.derivative()).degree == 0
+        assert chi.degree == want_chi
+        assert chi.gcd(chi.derivative()).degree == 0
+        assert chi_odd.degree == want_odd
+        assert chi_even.degree == want_even
+        for theta_chi in (chi_odd, chi_even):
+            assert theta_chi.gcd(theta_chi.derivative()).degree == 0
     genus_counts = [c.genus for c, _, _ in counting_curves]
     assert genus_counts.count(2) == 10 and genus_counts.count(3) == 3
     _report(
@@ -179,7 +186,7 @@ def test_criterion_3_counting_invariants(counting_curves):
 
 def test_criterion_4_oracle_agreement(counting_curves):
     checked = 0
-    for curve, res, theta in counting_curves:
+    for curve, chi, (chi_odd, chi_even) in counting_curves:
         good = []
         p = 2
         while len(good) < 20:
@@ -187,9 +194,9 @@ def test_criterion_4_oracle_agreement(counting_curves):
             assert p < 500, "fewer than 20 good primes below 500"
             try:
                 degree_pattern(curve.f, p)
-                pat_chi = degree_pattern(res.chi, p)
-                pat_odd = degree_pattern(theta.chi_odd, p)
-                pat_even = degree_pattern(theta.chi_even, p)
+                pat_chi = degree_pattern(chi, p)
+                pat_odd = degree_pattern(chi_odd, p)
+                pat_even = degree_pattern(chi_even, p)
             except (BadPrimeError, ValueError):
                 continue
             good.append(p)
@@ -243,10 +250,9 @@ def test_criterion_6_rational_two_torsion():
                 continue
             built += 1
             curve = build_curve(f)
-            res = resolvent_j2(curve)
-            orbits = orbit_decomposition(res)
+            (orbits,), (chi,), _c = class_orbits(curve, [enumerate_j2_classes(curve)])
             assert 1 in orbits
-            assert any(g.degree == 1 for g in factor_over_q(res.chi.to_rat()))
+            assert any(g.degree == 1 for g in factor_over_q(chi.to_rat()))
             cert, _ = pipeline_hyperelliptic(f)
             assert cert.verdict == VERDICT_INCONCLUSIVE
             assert RATIONAL_TWO_TORSION in cert.reason_kinds()

@@ -154,6 +154,12 @@ class TestDecideFromOrbits:
         with pytest.raises(MalformedReportError):
             decide(OrbitReport(3, (3, 12, 48), (4, 23), (12, 24)), ASSERTED)
 
+    @pytest.mark.parametrize("odd,even", [((7, -1), (11, -1)), ((6, 0), (10,)), ((6,), (0, 10))])
+    def test_nonpositive_theta_orbits_rejected(self, odd, even):
+        # the sums are right, so only the sign check catches them
+        with pytest.raises(MalformedReportError, match="^orbit sizes must be positive$"):
+            decide(OrbitReport(2, (5, 10), odd, even), Deg1Evidence("user-assertion"))
+
     def test_monotone(self):
         # removing the reason-triggering orbit never downgrades the verdict
         bad = OrbitReport(2, (1, 14), (6,), (10,))
@@ -254,6 +260,17 @@ class TestSerialization:
         )
         assert certificate_from_doc(certificate_doc(cert)) == cert
 
+    def test_roundtrip_keeps_the_hash_order(self):
+        from rankcert.cli import parse_family, parse_poly, pipeline_hyperelliptic
+        from rankcert.family import ScanOptions, certify_fiber
+
+        curve_cert, _curve = pipeline_hyperelliptic(parse_poly("x^6+x+1"), full_theta=True)
+        # a fiber with a reducible chi, so the full criterion adds theta hashes
+        fiber_cert = certify_fiber(parse_family("x^6+t*x+1"), 2, ScanOptions(full_theta=True))
+        for cert in (curve_cert, fiber_cert):
+            assert [name for name, _hash in cert.hashes] == ["chi", "chi_odd", "chi_even"]
+            assert certificate_from_doc(certificate_doc(cert)) == cert
+
     def test_render_deterministic(self):
         cert = decide(QUARTIC_REPORT, ASSERTED)
         assert render_certificate(cert) == render_certificate(cert)
@@ -280,6 +297,12 @@ class TestVerifier:
         ok, problems = verify_certificate(doc)
         assert not ok
         assert problems == ["verdict does not replay from embedded data"]
+
+    @pytest.mark.parametrize("odd,even", [([7, -1], [11, -1]), ([6, 0], [10])])
+    def test_rejects_nonpositive_theta_orbits(self, odd, even):
+        doc = certificate_doc(decide(OrbitReport(2, (5, 10), (6,), (10,)), ASSERTED))
+        doc["orbits"]["theta_odd"], doc["orbits"]["theta_even"] = odd, even
+        assert verify_certificate(doc) == (False, ["orbit sizes must be positive"])
 
     def test_rejects_bad_sums(self):
         cert = decide(QUARTIC_REPORT, ASSERTED)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -617,14 +618,16 @@ class TestCommands:
         # for an odd quintic and feed them back through the file interface
         import warnings
 
-        from rankcert.theta import resolvent_theta
-        from rankcert.weierstrass import build_curve, resolvent_j2
+        from rankcert.theta import enumerate_theta_classes
+        from rankcert.weierstrass import build_curve, enumerate_j2_classes
+
+        from conftest import resolvents
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             curve = build_curve(parse_poly("x^5 - x + 1"))
-            chi = resolvent_j2(curve).chi
-            theta = resolvent_theta(curve)
+            (chi,), _c = resolvents(curve, [enumerate_j2_classes(curve)])
+            (chi_odd, chi_even), _c = resolvents(curve, enumerate_theta_classes(curve))
 
         def dump(name, poly):
             path = tmp_path / name
@@ -638,8 +641,8 @@ class TestCommands:
             "certify", "chi",
             "--file", dump("chi.txt", chi),
             "--genus", "2", "--assert-deg1-class",
-            "--theta-odd", dump("odd.txt", theta.chi_odd),
-            "--theta-even", dump("even.txt", theta.chi_even),
+            "--theta-odd", dump("odd.txt", chi_odd),
+            "--theta-even", dump("even.txt", chi_even),
             "--json",
         )
         assert code == 2
@@ -654,9 +657,12 @@ class TestCommands:
     def test_certify_chi_reducible_without_theta(self, capsys, tmp_path):
         # reducible chi and no theta data: inconclusive with the gap reported
         p = tmp_path / "chi.txt"
-        from rankcert.weierstrass import build_curve, resolvent_j2
+        from rankcert.weierstrass import build_curve, enumerate_j2_classes
 
-        chi = resolvent_j2(build_curve(parse_poly("x^6 - x^5 + x^3 + x^2 - 2*x"))).chi
+        from conftest import resolvents
+
+        curve = build_curve(parse_poly("x^6 - x^5 + x^3 + x^2 - 2*x"))
+        (chi,), _c = resolvents(curve, [enumerate_j2_classes(curve)])
         p.write_text("order: ascending\n" + " ".join(str(c) for c in chi.coeffs) + "\n")
         code, out = run_cli(
             capsys,
@@ -749,3 +755,25 @@ def test_inseparable_labels_fail_fast(f):
     assert run.stdout == b""
     assert run.stderr == b"error: no injective labeling found with c <= 64\n"
     assert elapsed < 5
+
+
+# sha256 of the stdout recorded when the warning still went out in
+# Python's default format
+@pytest.mark.parametrize("argv,stdout_sha256", [
+    (["certify", "hyperelliptic", "--f", "x^3+x+1"],
+     "bcbafd3bb77590d179557e37fde17b5d4ca49cd90179b5348537daed54e36f00"),
+    (["family", "scan", "--f-t", "x^3+t", "--range=1..2"],
+     "b187e231a9928031f7e2f03de09d9e6c7ef0312cd9286770bdfd80e4c22475a3"),
+])
+def test_genus_one_warning_is_one_deterministic_line(argv, stdout_sha256):
+    # the default format named the source path and line of the caller of
+    # build_curve, so stderr moved with every edit to that module
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys; from rankcert.cli import main; sys.exit(main(%r))" % (argv,)
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=60)
+    assert run.returncode == 2
+    assert hashlib.sha256(run.stdout).hexdigest() == stdout_sha256
+    assert run.stderr == (
+        b"warning: genus-1 model accepted, but the rank criterion needs genus > 1\n"
+    )

@@ -26,7 +26,7 @@ def test_module_doctests():
         for name in MODULES
     }
     assert {name: r.failed for name, r in results.items() if r.failed} == {}
-    # the examples of parse_poly, resolvent_j2, frobenius_screen,
+    # the examples of parse_poly, class_orbits, frobenius_screen,
     # factor_over_q and make_integral_monic
     assert sum(r.attempted for r in results.values()) >= 10
 
@@ -40,10 +40,10 @@ def _library_block() -> str:
 def test_readme_library_snippet():
     namespace = {}
     exec(compile(_library_block(), "README.md", "exec"), namespace)
-    res, curve = namespace["res"], namespace["curve"]
-    assert namespace["orbit_decomposition"](res) == (15,)
+    chi, curve = namespace["chi"], namespace["curve"]
+    assert namespace["j2"] == namespace["orbits"] == (15,)
     assert namespace["theta_data"](curve)[:2] == ((6,), (10,))
     oracle = namespace["frobenius_orbit_oracle"](curve, 11)
-    assert oracle == degree_pattern(res.chi, 11)
+    assert oracle == degree_pattern(chi, 11)
     assert namespace["cert"].verdict == "RankAtLeastOne"
     assert namespace["cert"].path == "transitivity"

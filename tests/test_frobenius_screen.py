@@ -27,14 +27,15 @@ from rankcert import factorq, weierstrass
 from rankcert.cli import main, parse_poly
 from rankcert.exactpoly import IntPoly
 from rankcert.factorq import _zassenhaus, factor_over_q
-from rankcert.theta import resolvent_theta, theta_data
+from rankcert.theta import enumerate_theta_classes, theta_data
 from rankcert.weierstrass import (
     EVEN,
     ODD,
     SCREEN_PRIMES,
     build_curve,
+    enumerate_j2_classes,
     frobenius_screen,
-    resolvent_j2,
+    stratified_parts,
     stratum_factors,
 )
 
@@ -56,13 +57,9 @@ CONTROLS = [parse_poly(s) for s in ("x^7+x+2", "x^10-2", "x^6-1", "x^8+x+1")]
 
 def _pieces(curve):
     """(strata, parts) of the two-torsion, the odd and the even theta piece."""
-    j2 = resolvent_j2(curve)
-    th = resolvent_theta(curve)
-    return [
-        (j2.strata, j2.parts),
-        (th.odd_strata, th.odd_parts),
-        (th.even_strata, th.even_parts),
-    ]
+    (j2_strata,), (j2_parts,), _labeling = stratified_parts(curve, [enumerate_j2_classes(curve)])
+    th_strata, th_parts, _labeling = stratified_parts(curve, enumerate_theta_classes(curve))
+    return [(j2_strata, j2_parts), *zip(th_strata, th_parts)]
 
 
 def _check(f):

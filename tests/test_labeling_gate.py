@@ -15,8 +15,10 @@ import pytest
 
 from rankcert.cli import parse_poly
 from rankcert.exactpoly import poly_digest
-from rankcert.theta import resolvent_theta
-from rankcert.weierstrass import build_curve, resolvent_j2
+from rankcert.theta import enumerate_theta_classes
+from rankcert.weierstrass import build_curve, enumerate_j2_classes
+
+from conftest import resolvents
 
 # (f, c of the two-torsion, c of the theta characteristics,
 #  sha256 of chi, chi_odd, chi_even)
@@ -133,9 +135,9 @@ def test_corpus_covers_genera_parities_and_indices():
 def test_labelling_index_and_hashes(row):
     f, c_j2, c_theta, chi, chi_odd, chi_even = row
     curve = build_curve(parse_poly(f))
-    res = resolvent_j2(curve)
-    th = resolvent_theta(curve)
-    assert (res.labeling.c, th.labeling.c) == (c_j2, c_theta)
-    assert poly_digest(res.chi.coeffs) == chi
-    assert poly_digest(th.chi_odd.coeffs) == chi_odd
-    assert poly_digest(th.chi_even.coeffs) == chi_even
+    (j2_chi,), j2_c = resolvents(curve, [enumerate_j2_classes(curve)])
+    (theta_odd, theta_even), theta_c = resolvents(curve, enumerate_theta_classes(curve))
+    assert (j2_c, theta_c) == (c_j2, c_theta)
+    assert poly_digest(j2_chi.coeffs) == chi
+    assert poly_digest(theta_odd.coeffs) == chi_odd
+    assert poly_digest(theta_even.coeffs) == chi_even

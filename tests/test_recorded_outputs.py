@@ -3,10 +3,12 @@
 perfbench/expected.json records the sha256 of the `--json` stdout of every
 benchmark command.  Every one of them is run here in-process, from the
 repository root (their paths are relative to it), so a change to
-certificate bytes fails tier-1 and not only the benchmark.  Each
-certificate, and each fiber certificate of a scan, must also pass
-`verify_certificate`, the check the benchmark runs on it.  These tests
-only read perfbench/.
+certificate bytes fails tier-1 and not only the benchmark.  The rest of
+the byte gate is checked too: stderr is empty, and the exit code is 0 for
+a document that certifies (verdict RankAtLeastOne, or a scan with a
+certified fiber) and 2 otherwise.  Each certificate, and each fiber
+certificate of a scan, must also pass `verify_certificate`, the check the
+benchmark runs on it.  These tests only read perfbench/.
 """
 
 import hashlib
@@ -34,12 +36,16 @@ RECORDED = _recorded()
 @pytest.mark.parametrize("key,sha256", RECORDED, ids=[key for key, _ in RECORDED])
 def test_stdout_matches_recording(key, sha256, capsys, monkeypatch):
     monkeypatch.chdir(ROOT)
-    main(key.split(" ") + ["--json"])
-    out = capsys.readouterr().out
+    code = main(key.split(" ") + ["--json"])
+    out, err = capsys.readouterr()
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha256
+    assert err == ""
     doc = json.loads(out)
     if doc.get("command") == "family-scan":
         certs = [entry["certificate"] for entry in doc["certified"]]
+        certifies = doc["counts"]["certified"] > 0
     else:
         certs = [doc]
+        certifies = doc["verdict"] == "RankAtLeastOne"
+    assert code == (0 if certifies else 2)
     assert [verify_certificate(cert) for cert in certs] == [(True, [])] * len(certs)

@@ -20,7 +20,7 @@ from rankcert.factorq import (
     degree_pattern,
     squarefree_by_reduction,
 )
-from rankcert.theta import enumerate_theta_classes, resolvent_theta
+from rankcert.theta import enumerate_theta_classes
 from rankcert.weierstrass import (
     EVEN,
     ODD,
@@ -29,9 +29,10 @@ from rankcert.weierstrass import (
     _perm_from_cycle_type,
     build_curve,
     build_label_resolvents,
+    class_orbits,
     enumerate_j2_classes,
-    resolvent_j2,
     size_strata,
+    stratified_parts,
 )
 
 from conftest import random_squarefree_poly
@@ -46,6 +47,11 @@ def _curves():
 
 
 CURVES = _curves()
+
+
+def _j2_parts(curve):
+    (_strata,), (parts,), labeling = stratified_parts(curve, [enumerate_j2_classes(curve)])
+    return parts, labeling
 
 
 def _product(polys):
@@ -93,37 +99,39 @@ def test_corpus_covers_both_parities_and_genera():
 @pytest.mark.parametrize("f", CURVES, ids=str)
 def test_parts_multiply_to_single_group_chi(f):
     curve = build_curve(f)
-    res = resolvent_j2(curve)
+    parts, labeling = _j2_parts(curve)
     masks = enumerate_j2_classes(curve)
-    (whole,), labeling, _prec = build_label_resolvents(
-        curve, [masks], start_c=res.labeling.c
+    _orbits, (chi,), c = class_orbits(curve, [masks])
+    (whole,), whole_labeling, _prec = build_label_resolvents(
+        curve, [masks], start_c=labeling.c
     )
-    assert labeling == res.labeling
-    assert _product(res.parts) == res.chi == whole
+    assert whole_labeling == labeling and c == labeling.c
+    assert _product(parts) == chi == whole
     strata = size_strata(curve, masks)
-    assert [len(group) for group in strata] == [q.degree for q in res.parts]
+    assert [len(group) for group in strata] == [q.degree for q in parts]
     assert sorted(m for group in strata for m in group) == sorted(masks)
 
 
 @pytest.mark.parametrize("f", CURVES, ids=str)
 def test_part_patterns_match_frobenius_on_stratum(f):
     curve = build_curve(f)
-    res = resolvent_j2(curve)
+    parts, _labeling = _j2_parts(curve)
     strata = size_strata(curve, enumerate_j2_classes(curve))
-    for p in _good_primes(curve, res.parts, 2):
+    for p in _good_primes(curve, parts, 2):
         image = _frobenius_image(curve, p)
-        for group, part in zip(strata, res.parts):
+        for group, part in zip(strata, parts):
             assert degree_pattern(part, p) == _orbit_lengths(group, image)
 
 
 @pytest.mark.parametrize("f", CURVES, ids=str)
 def test_theta_parts_multiply_to_parity_resolvents(f):
     curve = build_curve(f)
-    th = resolvent_theta(curve)
-    assert _product(th.odd_parts) == th.chi_odd
-    assert _product(th.even_parts) == th.chi_even
     pieces = enumerate_theta_classes(curve)
-    for piece, parts in zip(pieces, (th.odd_parts, th.even_parts)):
+    _strata, (odd_parts, even_parts), _labeling = stratified_parts(curve, pieces)
+    _orbits, (chi_odd, chi_even), _c = class_orbits(curve, pieces)
+    assert _product(odd_parts) == chi_odd
+    assert _product(even_parts) == chi_even
+    for piece, parts in zip(pieces, (odd_parts, even_parts)):
         groups = size_strata(curve, piece)
         assert [len(group) for group in groups] == [q.degree for q in parts]
 
@@ -133,12 +141,14 @@ def test_parts_pass_modular_squarefree_and_coprime_checks(f):
     # disjoint label balls replaced these checks as the injectivity
     # certificate; the parts they accept must still pass them
     curve = build_curve(f)
-    th = resolvent_theta(curve)
-    for parts in (resolvent_j2(curve).parts, th.odd_parts + th.even_parts):
+    _strata, (odd_parts, even_parts), _labeling = stratified_parts(
+        curve, enumerate_theta_classes(curve)
+    )
+    for parts in (_j2_parts(curve)[0], odd_parts + even_parts):
         assert all(squarefree_by_reduction(q) for q in parts)
         assert all(coprime_by_reduction(a, b) for a, b in itertools.combinations(parts, 2))
 
 
 def test_single_stratum_for_genus_two_sextics():
     curve = build_curve(RatPoly([1, 1, 0, 0, 0, 0, 1]))  # x^6 + x + 1
-    assert len(resolvent_j2(curve).parts) == 1
+    assert len(_j2_parts(curve)[0]) == 1

@@ -11,13 +11,12 @@ from rankcert.theta import (
     _h0_for_mask,
     enumerate_theta_classes,
     frobenius_theta_oracle,
-    resolvent_theta,
     theta_class_counts,
     theta_data,
 )
 from rankcert.weierstrass import build_curve
 
-from conftest import random_squarefree_poly
+from conftest import random_squarefree_poly, resolvents
 
 SEXTIC = RatPoly([1, 1, 0, 0, 0, 0, 1])
 QUINTIC = RatPoly([1, -1, 0, 0, 0, 1])
@@ -27,6 +26,12 @@ def make_curve(coeffs):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return build_curve(RatPoly(coeffs))
+
+
+def theta_chis(curve):
+    """(chi_odd, chi_even), nothing factored."""
+    chis, _c = resolvents(curve, enumerate_theta_classes(curve))
+    return chis
 
 
 class TestEnumeration:
@@ -61,19 +66,19 @@ class TestEnumeration:
 
 class TestResolvents:
     def test_quintic_degrees(self):
-        res = resolvent_theta(build_curve(QUINTIC))
-        assert (res.chi_odd.degree, res.chi_even.degree) == (6, 10)
+        chi_odd, chi_even = theta_chis(build_curve(QUINTIC))
+        assert (chi_odd.degree, chi_even.degree) == (6, 10)
 
     def test_squarefree_and_coprime(self):
-        res = resolvent_theta(build_curve(SEXTIC))
-        for chi in (res.chi_odd, res.chi_even):
+        chi_odd, chi_even = theta_chis(build_curve(SEXTIC))
+        for chi in (chi_odd, chi_even):
             assert chi.gcd(chi.derivative()).degree == 0
-        assert res.chi_odd.gcd(res.chi_even).degree == 0
+        assert chi_odd.gcd(chi_even).degree == 0
 
     def test_factor_degree_sum(self):
-        res = resolvent_theta(build_curve(SEXTIC))
-        total = sum(g.degree for g in factor_over_q(res.chi_odd.to_rat())) + sum(
-            g.degree for g in factor_over_q(res.chi_even.to_rat())
+        chi_odd, chi_even = theta_chis(build_curve(SEXTIC))
+        total = sum(g.degree for g in factor_over_q(chi_odd.to_rat())) + sum(
+            g.degree for g in factor_over_q(chi_even.to_rat())
         )
         assert total == 16
 
@@ -108,20 +113,20 @@ class TestRationalTheta:
         odd, even, _hashes = theta_data(curve)
         # the roots of one cubic: |T| = 3, h0 = 0, an even characteristic
         assert 1 in even and 1 not in odd
-        res = resolvent_theta(curve)
-        assert any(g.degree == 1 for g in factor_over_q(res.chi_even.to_rat()))
+        _chi_odd, chi_even = theta_chis(curve)
+        assert any(g.degree == 1 for g in factor_over_q(chi_even.to_rat()))
 
 
 class TestThetaOracle:
-    def good_primes(self, curve, res, count=8):
+    def good_primes(self, curve, chis, count=8):
         out = []
         p = 2
         while len(out) < count and p < 10000:
             p += 1
             try:
                 degree_pattern(curve.f, p)
-                degree_pattern(res.chi_odd, p)
-                degree_pattern(res.chi_even, p)
+                for chi in chis:
+                    degree_pattern(chi, p)
             except (BadPrimeError, ValueError):
                 continue
             out.append(p)
@@ -130,27 +135,26 @@ class TestThetaOracle:
     @pytest.mark.parametrize("coeffs", [[1, 1, 0, 0, 0, 0, 1], [1, -1, 0, 0, 0, 1]])
     def test_matches_degree_patterns(self, coeffs):
         curve = make_curve(coeffs)
-        res = resolvent_theta(curve)
-        for p in self.good_primes(curve, res):
+        chi_odd, chi_even = chis = theta_chis(curve)
+        for p in self.good_primes(curve, chis):
             odd_cycles, even_cycles = frobenius_theta_oracle(curve, p)
-            assert odd_cycles == degree_pattern(res.chi_odd, p)
-            assert even_cycles == degree_pattern(res.chi_even, p)
+            assert odd_cycles == degree_pattern(chi_odd, p)
+            assert even_cycles == degree_pattern(chi_even, p)
 
     def test_random_curves(self):
         rng = random.Random(777)
         for _ in range(3):
             f = random_squarefree_poly(rng, rng.choice([5, 6]))
             curve = make_curve(list(f.coeffs))
-            res = resolvent_theta(curve)
-            for p in self.good_primes(curve, res, count=5):
+            chi_odd, chi_even = chis = theta_chis(curve)
+            for p in self.good_primes(curve, chis, count=5):
                 odd_cycles, even_cycles = frobenius_theta_oracle(curve, p)
-                assert odd_cycles == degree_pattern(res.chi_odd, p)
-                assert even_cycles == degree_pattern(res.chi_even, p)
+                assert odd_cycles == degree_pattern(chi_odd, p)
+                assert even_cycles == degree_pattern(chi_even, p)
 
     def test_orbit_sums_match_counts(self):
         curve = build_curve(SEXTIC)
-        res = resolvent_theta(curve)
-        for p in self.good_primes(curve, res, count=3):
+        for p in self.good_primes(curve, theta_chis(curve), count=3):
             odd_cycles, even_cycles = frobenius_theta_oracle(curve, p)
             assert sum(odd_cycles) == 6
             assert sum(even_cycles) == 10
@@ -180,9 +184,9 @@ def test_parity_preserved_by_frobenius_action():
 def test_odd_model_genus3_empty_class_allowed():
     # odd septic: the empty finite representative labels zero structurally
     curve = make_curve([1, 2, 0, 0, 0, 0, 0, 1])
-    res = resolvent_theta(curve)
-    assert (res.chi_odd.degree, res.chi_even.degree) == (28, 36)
+    chi_odd, chi_even = theta_chis(curve)
+    assert (chi_odd.degree, chi_even.degree) == (28, 36)
     # chi_even has the root 0 from the empty-set class
-    assert res.chi_even.coeffs[0] == 0 or any(
-        g.degree == 1 and g.coeffs[0] == 0 for g in factor_over_q(res.chi_even.to_rat())
+    assert chi_even.coeffs[0] == 0 or any(
+        g.degree == 1 and g.coeffs[0] == 0 for g in factor_over_q(chi_even.to_rat())
     )

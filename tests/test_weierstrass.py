@@ -12,16 +12,27 @@ from rankcert.weierstrass import (
     SingularModelError,
     build_curve,
     build_label_resolvents,
+    class_orbits,
     enumerate_j2_classes,
     frobenius_orbit_oracle,
-    orbit_decomposition,
-    resolvent_j2,
 )
 
-from conftest import random_squarefree_poly
+from conftest import random_squarefree_poly, resolvents
 
 SEXTIC = RatPoly([1, 1, 0, 0, 0, 0, 1])      # x^6 + x + 1
 QUINTIC = RatPoly([1, -1, 0, 0, 0, 1])       # x^5 - x + 1
+
+
+def j2_orbits(curve):
+    """(orbit sizes, chi, labelling index) of the two-torsion piece."""
+    (orbits,), (chi,), c = class_orbits(curve, [enumerate_j2_classes(curve)])
+    return orbits, chi, c
+
+
+def j2_chi(curve):
+    """(chi, labelling index), nothing factored."""
+    (chi,), c = resolvents(curve, [enumerate_j2_classes(curve)])
+    return chi, c
 
 
 def good_primes_for(curve, polys, count, start=2, bound=100000):
@@ -98,44 +109,43 @@ class TestClassEnumeration:
 
 class TestResolvent:
     def test_sextic_irreducible(self):
-        r = resolvent_j2(build_curve(SEXTIC))
-        assert r.chi.degree == 15
-        assert orbit_decomposition(r) == (15,)
+        orbits, chi, _c = j2_orbits(build_curve(SEXTIC))
+        assert chi.degree == 15
+        assert orbits == (15,)
 
     def test_quintic_degree(self):
-        r = resolvent_j2(build_curve(QUINTIC))
-        assert r.chi.degree == 15
-        assert sum(orbit_decomposition(r)) == 15
+        orbits, chi, _c = j2_orbits(build_curve(QUINTIC))
+        assert chi.degree == 15
+        assert sum(orbits) == 15
 
     def test_rational_two_torsion_gives_linear_factor(self):
-        r = resolvent_j2(build_curve(parse_poly("x*(x-1)*(x^4+x+2)")))
-        orbits = orbit_decomposition(r)
+        orbits, chi, _c = j2_orbits(build_curve(parse_poly("x*(x-1)*(x^4+x+2)")))
         assert 1 in orbits
-        assert any(g.degree == 1 for g in factor_over_q(r.chi.to_rat()))
+        assert any(g.degree == 1 for g in factor_over_q(chi.to_rat()))
 
     def test_chi_squarefree_exact(self):
         for f in (SEXTIC, QUINTIC):
-            r = resolvent_j2(build_curve(f))
-            assert r.chi.gcd(r.chi.derivative()).degree == 0
+            chi, _c = j2_chi(build_curve(f))
+            assert chi.gcd(chi.derivative()).degree == 0
 
     def test_zero_label_retry(self):
         # 6th roots of unity come in +-pairs, so plain root sums collide;
         # the labeling index must move past c = 0
         curve = build_curve(RatPoly([-1, 0, 0, 0, 0, 0, 1]))
-        r = resolvent_j2(curve)
-        assert r.chi.degree == 15
-        assert r.labeling.c >= 1
-        ps = good_primes_for(curve, [r.chi], 6)
+        chi, c = j2_chi(curve)
+        assert chi.degree == 15
+        assert c >= 1
+        ps = good_primes_for(curve, [chi], 6)
         for p in ps:
-            assert degree_pattern(r.chi, p) == frobenius_orbit_oracle(curve, p)
+            assert degree_pattern(chi, p) == frobenius_orbit_oracle(curve, p)
 
     def test_labeling_independence(self):
         curve = build_curve(SEXTIC)
         masks = enumerate_j2_classes(curve)
-        base = resolvent_j2(curve)
-        polys, labeling, _ = build_label_resolvents(curve, [masks], start_c=base.labeling.c + 1)
-        assert labeling.c > base.labeling.c
-        assert tuple(g.degree for g in factor_over_q(polys[0].to_rat())) == orbit_decomposition(base)
+        orbits, _chi, c = j2_orbits(curve)
+        polys, labeling, _ = build_label_resolvents(curve, [masks], start_c=c + 1)
+        assert labeling.c > c
+        assert tuple(g.degree for g in factor_over_q(polys[0].to_rat())) == orbits
 
 
 def test_genus_four_cap():
@@ -143,9 +153,9 @@ def test_genus_four_cap():
     # are the subset-size strata C(9,8), C(9,2), C(9,6), C(9,4)
     curve = build_curve(RatPoly([1, 1, 0, 0, 0, 0, 0, 0, 0, 1]))
     assert curve.genus == 4
-    r = resolvent_j2(curve)
-    assert r.chi.degree == 255
-    assert orbit_decomposition(r) == (9, 36, 84, 126)
+    orbits, chi, _c = j2_orbits(curve)
+    assert chi.degree == 255
+    assert orbits == (9, 36, 84, 126)
 
 
 class TestFrobeniusOracle:
@@ -177,9 +187,9 @@ class TestFrobeniusOracle:
         for _ in range(4):
             f = random_squarefree_poly(rng, rng.choice([5, 6]))
             curve = build_curve(f)
-            r = resolvent_j2(curve)
-            for p in good_primes_for(curve, [r.chi], 10):
-                assert degree_pattern(r.chi, p) == frobenius_orbit_oracle(curve, p)
+            chi, _c = j2_chi(curve)
+            for p in good_primes_for(curve, [chi], 10):
+                assert degree_pattern(chi, p) == frobenius_orbit_oracle(curve, p)
 
     def test_bad_prime_rejected(self):
         curve = build_curve(SEXTIC)
