@@ -16,12 +16,17 @@ A snap to an integer succeeds only when 2(|im| + rad) < 2**P and
 Roots are approximated by the Weierstrass (Durand-Kerner) iteration
 z_i <- z_i - W_i with W_i = f(z_i) / prod_{j != i} (z_i - z_j), started
 from the result at half the precision, or else on a circle of
-Fujiwara-bound radius.  f(z_i) and the products are evaluated
-exactly on the dyadic midpoints, and only W_i is rounded to the nearest
-ulp.  The step count is bounded; an iteration that does not converge
-returns None and the precision doubles.  The approximation needs no rigor:
-the final midpoints are certified a posteriori by the disks
-D(z_i, n*|W_i|), with |W_i| an upper bound computed exactly in integers.
+Fujiwara-bound radius.  The bottom rung of that ladder (P <= 64) takes
+its first steps from that circle in double precision, as MPSolve starts
+from floats (Bini & Fiorentino, 2000), within the same step bound; it
+starts exactly from the circle when a coefficient or an iterate is not a
+finite float, or the float steps do not settle.  The exact steps
+evaluate f(z_i) and the products exactly on the dyadic midpoints, and
+only W_i is rounded to the nearest ulp.  The step count is bounded; an
+iteration that does not converge returns None and the precision doubles.
+The approximation needs no rigor: the final midpoints are certified a
+posteriori by the disks D(z_i, n*|W_i|), with |W_i| an upper bound
+computed exactly in integers.
 These disks jointly contain all n roots, and when they are pairwise
 disjoint each contains exactly one (Carstensen, 1991).  `pairwise_disjoint`
 tests these disks and the class-label balls of `weierstrass` alike.
@@ -194,31 +199,98 @@ def _weierstrass(f: IntPoly, zs, P: int):
     return out
 
 
+def _circle(f: IntPoly):
+    """(e, [(cos t_k, sin t_k)]) with t_k = (2 pi k + 0.4) / n: the start
+    points of the iteration lie on the circle of radius 2**e, a Fujiwara
+    bound on the moduli of the roots."""
+    n = f.degree
+    # Fujiwara: every root has modulus < 2 * max |a_k|^(1/(n-k)) <= 2^e
+    e = 1 + max(-(-abs(c).bit_length() // (n - k)) for k, c in enumerate(f.coeffs[:-1]))
+    return e, [(math.cos(t), math.sin(t)) for t in ((2 * math.pi * k + 0.4) / n for k in range(n))]
+
+
+def _float_roots(f: IntPoly, circle, steps: int):
+    """Double-precision Durand-Kerner from the circle: (complex roots, steps
+    taken), or None when a coefficient or an iterate is not a finite float
+    or the iteration does not settle within `steps` steps.
+
+    Like `_iterate` it returns the iterate after the first step whose
+    corrections are all small, here at most 2**-32 times the radius.
+    """
+    e, points = circle
+    try:
+        cs = [float(c) for c in reversed(f.coeffs)]
+        zs = [complex(math.ldexp(x, e), math.ldexp(y, e)) for x, y in points]
+        close = math.ldexp(1.0, e - 32)
+        for k in range(1, steps + 1):
+            step = 0.0
+            new = []
+            for i, z in enumerate(zs):
+                v = 0j
+                for c in cs:
+                    v = v * z + c
+                d = 1 + 0j
+                for j, w in enumerate(zs):
+                    if j != i:
+                        d *= z - w
+                w = v / d
+                new.append(z - w)
+                step = max(step, abs(w))
+            zs = new
+            if not all(math.isfinite(z.real) and math.isfinite(z.imag) for z in zs):
+                return None
+            if step <= close:
+                return zs, k
+    except (OverflowError, ZeroDivisionError):
+        pass
+    return None
+
+
+def _dyadic(z: complex, P: int):
+    """The midpoint (re, im) in ulps of 2**-P of the float z, each part
+    rounded down."""
+    out = []
+    for v in (z.real, z.imag):
+        num, den = v.as_integer_ratio()
+        out.append((num << P) // den)
+    return tuple(out)
+
+
 def _approx_roots(f: IntPoly, P: int):
     """Durand-Kerner midpoints at precision P, or None when the iteration
     does not settle within 64 + 4n + P steps.
 
-    The start is the result at precision P/2 when that converges (then a
-    few quadratic steps suffice), else a circle of Fujiwara-bound radius.
+    How a rung starts: above P = 64, from the result at precision P/2 when
+    that converges (then a few quadratic steps suffice), else from a circle
+    of Fujiwara-bound radius.  The bottom rung, P <= 64, runs the
+    iteration from the circle in floats first (`_float_roots`) and goes on
+    exactly from their dyadic midpoints, the steps of both counted against
+    the one bound, so the rung settles when the start from the circle would;
+    it starts exactly from the circle when the float run gives nothing.
     Once the largest correction is at most 2**(P/4) ulps the iteration is
     in its quadratic regime and the next iterate is accurate to about one
     ulp; that iterate is returned.
     """
-    n = f.degree
-    zs = _approx_roots(f, P // 2) if P > 64 else None
-    if zs is not None:
-        zs = [(zr << (P - P // 2), zi << (P - P // 2)) for zr, zi in zs]
-    else:
-        # Fujiwara: every root has modulus < 2 * max |a_k|^(1/(n-k)) <= 2^e
-        e = 1 + max(-(-abs(c).bit_length() // (n - k)) for k, c in enumerate(f.coeffs[:-1]))
-        zs = []
-        for k in range(n):
-            t = (2 * math.pi * k + 0.4) / n
-            zs.append(tuple(
-                int(math.ldexp(v, 52)) << (P + e) >> 52 for v in (math.cos(t), math.sin(t))
-            ))
+    steps = 64 + 4 * f.degree + P
+    if P > 64:
+        zs = _approx_roots(f, P // 2)
+        if zs is not None:
+            return _iterate(f, [(zr << (P - P // 2), zi << (P - P // 2)) for zr, zi in zs], P, steps)
+    circle = _circle(f)
+    start = _float_roots(f, circle, steps) if P <= 64 else None
+    if start is not None:
+        zs, taken = start
+        return _iterate(f, [_dyadic(z, P) for z in zs], P, steps - taken)
+    e, points = circle
+    return _iterate(f, [
+        tuple(int(math.ldexp(v, 52)) << (P + e) >> 52 for v in point) for point in points
+    ], P, steps)
+
+
+def _iterate(f: IntPoly, zs, P: int, steps: int):
+    """At most `steps` exact steps of the iteration from the midpoints zs."""
     close = 1 << (P // 4)
-    for _ in range(64 + 4 * n + P):
+    for _ in range(steps):
         ws = _weierstrass(f, zs, P)
         if ws is None:
             return None

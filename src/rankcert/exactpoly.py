@@ -107,16 +107,33 @@ def _unpack(v, n, nbytes):
     ]
 
 
-def _zmul(f, g):
-    """Product of two integer coefficient sequences by Kronecker substitution.
+# `_zmul` convolves directly when the shorter factor has fewer entries than
+# this; the crossover is timed in BENCH_kernels.json
+_SCHOOLBOOK_BELOW = 4
 
-    Both factors are packed at x = 2^(8*nbytes), wide enough that every
-    product coefficient is a signed digit, so CPython's bigint multiply does
-    the convolution (von zur Gathen & Gerhard, Modern Computer Algebra 8.4).
-    The result has len(f) + len(g) - 1 entries, unstripped.
+
+def _zmul(f, g):
+    """Product of two integer coefficient sequences.
+
+    When the shorter factor has fewer than `_SCHOOLBOOK_BELOW` entries the
+    product is the plain convolution, which then costs less than packing.
+    Otherwise it is a Kronecker substitution: both factors are packed at
+    x = 2^(8*nbytes), wide enough that every product coefficient is a
+    signed digit, so CPython's bigint multiply does the convolution (von
+    zur Gathen & Gerhard, Modern Computer Algebra 8.4).  The result has
+    len(f) + len(g) - 1 entries, unstripped.
     """
     if not f or not g:
         return []
+    if min(len(f), len(g)) < _SCHOOLBOOK_BELOW:
+        if len(f) > len(g):
+            f, g = g, f
+        out = [0] * (len(f) + len(g) - 1)
+        for i, a in enumerate(f):
+            if a:
+                for j, b in enumerate(g, i):
+                    out[j] += a * b
+        return out
     bits = max(map(abs, f)).bit_length() + max(map(abs, g)).bit_length()
     nbytes = _digit_bytes(bits + min(len(f), len(g)).bit_length())
     F = _pack(f, nbytes)

@@ -24,8 +24,9 @@ screened prime.
 Modulo-p polynomials are internal: plain ascending coefficient lists with
 entries in [0, p), factored only as squarefree monic reductions
 (`gf_factor_sqf_monic`).  Every product, mod p and over Z (Hensel
-lifting, recombination), is the Kronecker-substitution multiply
-`exactpoly._zmul`; remainders modulo a fixed f reuse packed rows
+lifting, recombination), is `exactpoly._zmul`: a plain convolution when
+a factor is shorter than its crossover, the Kronecker-substitution
+multiply otherwise; remainders modulo a fixed f reuse packed rows
 x^(n+i) mod f (`_FixedModulus`).  Equal-degree splitting uses a fixed PRNG
 seed, so factorizations are reproducible byte for byte.
 """

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -5,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from rankcert import certroots
 from rankcert.certroots import (
     ComplexBall,
     isolate_roots,
@@ -13,6 +15,7 @@ from rankcert.certroots import (
     snap_to_integer,
 )
 from rankcert.exactpoly import IntPoly
+from rankcert.factorq import is_squarefree
 
 from conftest import random_monic_squarefree
 
@@ -328,3 +331,63 @@ class TestIsolateRoots:
             assert len(iso.balls) == f.degree
             for b in iso.balls:
                 assert eval_ball(f, b).contains_zero()
+
+
+# sha256 of `_isolation_digest` over `_pinned_corpus()` at precision 128, and
+# over the clustered polynomial of `test_clustered_roots` at 32 bits, both
+# recorded before the bottom rung of the ladder started from floats
+PINNED_CORPUS_SHA256 = "dc5cda8286ae25ce0339ddba7659c2b4c1eaa622b77ab86c6567ae15f07138eb"
+PINNED_CLUSTERED_SHA256 = "5c3488917a192bfa60d22f900ed3f4eb0e485007d5ff34bfa84640ce26c42983"
+CLUSTERED = IntPoly([-2, 4000, -2000000, 0, 0, 0, 1])
+
+
+def _pinned_corpus():
+    """200 seeded monic squarefree polynomials of degree 5 to 10, with
+    coefficients up to 10, 10^3 or 10^9 in absolute value."""
+    rng = random.Random(16)
+    polys = []
+    while len(polys) < 200:
+        n = rng.randint(5, 10)
+        bound = rng.choice((10, 1000, 10**9))
+        f = IntPoly([rng.randint(-bound, bound) for _ in range(n)] + [1])
+        if is_squarefree(f):
+            polys.append(f)
+    return polys
+
+
+def _isolation_digest(polys, precision, isolate=isolate_roots):
+    h = hashlib.sha256()
+    for f in polys:
+        iso = isolate(f, precision)
+        h.update(repr((iso.precision, [(b.re, b.im, b.rad) for b in iso.balls])).encode())
+    return h.hexdigest()
+
+
+class TestFloatStart:
+    """The double-precision start of the bottom rung changes no ball."""
+
+    def test_pinned_isolations(self):
+        assert _isolation_digest(_pinned_corpus(), 128) == PINNED_CORPUS_SHA256
+        assert _isolation_digest([CLUSTERED], 32) == PINNED_CLUSTERED_SHA256
+
+    def test_same_balls_as_the_circle_start(self, monkeypatch):
+        # with 100-bit coefficients the iteration from the circle needs more
+        # steps than the bound at 32 and 64 bits, from floats as exactly
+        rng = random.Random(5)
+        wide = [IntPoly([rng.randint(-2**100, 2**100) for _ in range(n)] + [1]) for n in (3, 4, 4)]
+        polys = _pinned_corpus()[::10] + [CLUSTERED] + wide
+        isolate = isolate_roots.__wrapped__  # past the cache
+        seeded = [_isolation_digest(polys, P, isolate) for P in (32, 64, 128)]
+        monkeypatch.setattr(certroots, "_float_roots", lambda f, circle, steps: None)
+        assert [_isolation_digest(polys, P, isolate) for P in (32, 64, 128)] == seeded
+
+    @pytest.mark.parametrize("f", [
+        IntPoly([1, 10**400, 0, 0, 0, 0, 0, 0, 1]),  # a coefficient past the float range
+        IntPoly([1, 10**307] + [0] * 8 + [1]),  # iterates overflow
+    ], ids=["coefficient", "iterate"])
+    def test_falls_back_to_the_circle(self, f):
+        assert certroots._float_roots(f, certroots._circle(f), 100) is None
+        iso = isolate_roots(f, 32)
+        assert len(iso.balls) == f.degree and pairwise_disjoint(iso.balls)
+        for b in iso.balls:
+            assert eval_ball(f, b).contains_zero()

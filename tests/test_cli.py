@@ -777,3 +777,21 @@ def test_genus_one_warning_is_one_deterministic_line(argv, stdout_sha256):
     assert run.stderr == (
         b"warning: genus-1 model accepted, but the rank criterion needs genus > 1\n"
     )
+
+
+@pytest.mark.parametrize("f,code,stdout_sha256,stderr", [
+    # the monic model's coefficients reach past the float range
+    ("(x-1)*(x-1-1/1000000)*(x-2)*(x+5)*(x^2+1)+1/10^30", 0,
+     "e5763932a33fcc69b4c02797769a12b0f8515720290d08d8b10f1388f67ab6b4", ""),
+    ("x^8+10^400*x+1", 1,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "error: Exceeds the limit (4300 digits) for integer string conversion; "
+     "use sys.set_int_max_str_digits() to increase the limit\n"),
+], ids=["perturbed-sextic", "huge-coefficient"])
+def test_coefficients_past_the_float_range_keep_their_bytes(f, code, stdout_sha256, stderr, capsys):
+    # root isolation starts from the circle when a coefficient does not fit
+    # a float; stdout, stderr and exit code as recorded before the float start
+    assert main(["certify", "hyperelliptic", "--f=" + f, "--json"]) == code
+    out, err = capsys.readouterr()
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == stdout_sha256
+    assert err == stderr

@@ -63,6 +63,14 @@ class TestKroneckerProduct:
             f = _random_coeffs(rng, rng.randint(0, 300), rng.choice((1, 7, 64, 200)))
             g = _random_coeffs(rng, rng.randint(0, 300), rng.choice((1, 7, 64, 200)))
             assert _zmul(f, g) == schoolbook(f, g)
+        # both sides of the schoolbook crossover: every short length against
+        # long ones, at each coefficient width
+        for bits in (1, 8, 130, 600):
+            for m in range(1, 13):
+                for n in (1, 2, 3, 4, 5, 8, 13, 33, 70):
+                    f, g = _random_coeffs(rng, m, bits), _random_coeffs(rng, n, bits)
+                    assert _zmul(f, g) == schoolbook(f, g)
+                    assert _zmul(g, f) == schoolbook(g, f)
 
     def test_edge_shapes(self):
         big = 1 << 200
@@ -74,6 +82,10 @@ class TestKroneckerProduct:
             ([big, -big, big], [-big, 0, 0, big]),
             ([1] + [0] * 299 + [-1], [-1]),
             ([-1] * 17, [1] * 300),
+            ([0, 0, 0], [0] * 70),
+            ([0, 1], [-big, 0, big] * 20),
+            ([-(1 << 600), 0, 1 << 600], [(1 << 600) - 1] * 12),
+            ([-255, 255, -255, 255], [255] * 70),
         ]
         for f, g in cases:
             assert _zmul(f, g) == schoolbook(f, g)
@@ -84,6 +96,10 @@ class TestKroneckerProduct:
         for n in (1, 2, 31, 300):
             f = _random_coeffs(rng, n, 200)
             assert _zmul(f, f) == schoolbook(f, f)
+        for bits in (1, 8, 130, 600):
+            for n in range(1, 13):
+                f = _random_coeffs(rng, n, bits)
+                assert _zmul(f, f) == schoolbook(f, f)
 
     def test_poly_classes(self):
         rng = random.Random(3)
