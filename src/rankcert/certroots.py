@@ -14,16 +14,20 @@ A snap to an integer succeeds only when 2(|im| + rad) < 2**P and
 [re - rad, re + rad] holds exactly one multiple of 2**P.
 
 Roots are approximated by the Weierstrass (Durand-Kerner) iteration
-z_i <- z_i - W_i with W_i = f(z_i) / prod_{j != i} (z_i - z_j), started
-from the result at half the precision, or else on a circle of
-Fujiwara-bound radius.  The bottom rung of that ladder (P <= 64) takes
-its first steps from that circle in double precision, as MPSolve starts
-from floats (Bini & Fiorentino, 2000), within the same step bound; it
-starts exactly from the circle when a coefficient or an iterate is not a
-finite float, or the float steps do not settle.  The exact steps
-evaluate f(z_i) and the products exactly on the dyadic midpoints, and
-only W_i is rounded to the nearest ulp.  The step count is bounded; an
-iteration that does not converge returns None and the precision doubles.
+z_i <- z_i - W_i with W_i = f(z_i) / prod_{j != i} (z_i - z_j) on one
+ladder of precisions, which MPSolve also climbs from floats (Bini &
+Fiorentino, 2000).  An isolation asked for at P runs each rung once:
+the bottom rung P >> k, the first at most 64 bits, then P >> (k-1), ...,
+P // 2, P, 2P, ... up to the cap.  A rung above 64 bits starts from the
+midpoints of the rung below when that rung converged, else on a circle of
+Fujiwara-bound radius.  The bottom rung takes its first steps from that
+circle in double precision, within the same step bound; it starts
+exactly from the circle when a coefficient or an iterate is not a finite
+float, or the float steps do not settle.  The exact steps evaluate
+f(z_i) and the products exactly on the dyadic midpoints, and only W_i is
+rounded to the nearest ulp.  The step count is bounded; an iteration
+that does not converge gives the next rung nothing to start from.  The
+rungs from P up are certified in turn until one gives disjoint disks.
 The approximation needs no rigor: the final midpoints are certified a
 posteriori by the disks D(z_i, n*|W_i|), with |W_i| an upper bound
 computed exactly in integers.
@@ -35,7 +39,6 @@ tests these disks and the class-label balls of `weierstrass` alike.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import NamedTuple
 
 from .exactpoly import IntPoly, _zmul
@@ -256,26 +259,25 @@ def _dyadic(z: complex, P: int):
     return tuple(out)
 
 
-def _approx_roots(f: IntPoly, P: int):
-    """Durand-Kerner midpoints at precision P, or None when the iteration
-    does not settle within 64 + 4n + P steps.
+def _approx_roots(f: IntPoly, P: int, below):
+    """One rung: Durand-Kerner midpoints at precision P, or None when the
+    iteration does not settle within 64 + 4n + P steps.
 
-    How a rung starts: above P = 64, from the result at precision P/2 when
-    that converges (then a few quadratic steps suffice), else from a circle
-    of Fujiwara-bound radius.  The bottom rung, P <= 64, runs the
-    iteration from the circle in floats first (`_float_roots`) and goes on
-    exactly from their dyadic midpoints, the steps of both counted against
-    the one bound, so the rung settles when the start from the circle would;
-    it starts exactly from the circle when the float run gives nothing.
-    Once the largest correction is at most 2**(P/4) ulps the iteration is
-    in its quadratic regime and the next iterate is accurate to about one
-    ulp; that iterate is returned.
+    ``below`` is (precision, midpoints) of the rung below, which this rung
+    starts from, shifted up (then a few quadratic steps suffice); when it
+    is None the rung starts from a circle of Fujiwara-bound radius.  At P <= 64
+    the iteration runs from the circle in floats first (`_float_roots`)
+    and goes on exactly from their dyadic midpoints, the steps of both
+    counted against the one bound, so the rung settles when the start from
+    the circle would; it starts exactly from the circle when the float run
+    gives nothing.  Once the largest correction is at most 2**(P/4) ulps
+    the iteration is in its quadratic regime and the next iterate is
+    accurate to about one ulp; that iterate is returned.
     """
     steps = 64 + 4 * f.degree + P
-    if P > 64:
-        zs = _approx_roots(f, P // 2)
-        if zs is not None:
-            return _iterate(f, [(zr << (P - P // 2), zi << (P - P // 2)) for zr, zi in zs], P, steps)
+    if below is not None:
+        Q, zs = below
+        return _iterate(f, [(zr << (P - Q), zi << (P - Q)) for zr, zi in zs], P, steps)
     circle = _circle(f)
     start = _float_roots(f, circle, steps) if P <= 64 else None
     if start is not None:
@@ -322,13 +324,31 @@ def _certify(f: IntPoly, zs, P: int):
     return tuple(sorted(balls, key=lambda b: (b.re, b.im)))
 
 
-@lru_cache(maxsize=128)
+def _ladder(P: int):
+    """The rungs of an isolation asked for at P: P >> k, ..., P // 2 with k
+    the least shift that reaches 64 bits or less, then P, 2P, ... up to
+    the cap; none when P is past the cap."""
+    if P > PRECISION_CAP:
+        return
+    k = 0
+    while P >> k > 64:
+        k += 1
+    for shift in range(k, 0, -1):
+        yield P >> shift
+    while P <= PRECISION_CAP:
+        yield P
+        P *= 2
+
+
 def isolate_roots(f: IntPoly, precision: int = 128) -> RootIsolation:
     """Certified disjoint inclusion disks, one per root of f.
 
     f must be monic and squarefree, which `factorq.is_squarefree` checks
-    exactly.  Precision escalates internally until the disks are pairwise
-    disjoint; the hard cap raises PrecisionExhausted.
+    exactly.  The rungs of `_ladder` run once each, every rung above 64
+    bits from the midpoints of the one below; from the requested
+    precision up each rung is certified, and the first whose disks are
+    pairwise disjoint gives the isolation.  Past the hard cap
+    PrecisionExhausted is raised.
     """
     if f.degree < 1:
         raise ValueError("cannot isolate roots of a constant")
@@ -340,11 +360,12 @@ def isolate_roots(f: IntPoly, precision: int = 128) -> RootIsolation:
         P = max(precision, 8)
         return RootIsolation((ComplexBall(-f.coeffs[0] << P, 0, P),), P)
     P = max(precision, 32)
-    while P <= PRECISION_CAP:
-        zs = _approx_roots(f, P)
-        if zs is not None:
-            balls = _certify(f, zs, P)
+    below = None
+    for Q in _ladder(P):
+        zs = _approx_roots(f, Q, below if Q > 64 else None)
+        if zs is not None and Q >= P:
+            balls = _certify(f, zs, Q)
             if balls is not None:
-                return RootIsolation(balls, P)
-        P *= 2
+                return RootIsolation(balls, Q)
+        below = None if zs is None else (Q, zs)
     raise PrecisionExhausted("precision exhausted during root isolation")

@@ -719,23 +719,61 @@ def _certificate_problems(doc) -> list:
     return ["(%s, %s) is not a point of y^2 = %s" % (ev.x, ev.y, f)]
 
 
+def _fiber_ties(entry, family, bounds) -> list:
+    """A re-checked fiber certificate belongs to its scan entry: its subject
+    names the scan's family and the entry's t, an integer in the scan's
+    range ``bounds`` (None when the range is unreadable)."""
+    t, subject = entry["t"], dict(entry["certificate"]["subject"])
+    problems = []
+    if subject.get("t") != t:
+        problems.append("the certificate's subject has t=%s" % subject.get("t"))
+    if subject.get("family") != family:
+        problems.append("the certificate's subject has the family %s, not %s"
+                        % (subject.get("family"), family))
+    if bounds is not None:
+        try:
+            inside = re.fullmatch(r"-?[0-9]+", t) and bounds[0] <= int(t) <= bounds[1]
+        except (TypeError, ValueError):
+            inside = False
+        if not inside:
+            problems.append("t is not in the range %d..%d" % tuple(bounds))
+    return problems
+
+
+def _scan_problems(doc) -> list:
+    """Every certified entry of a family-scan document re-checks and ties
+    to the document (`_fiber_ties`), and the certified count matches."""
+    entries = doc.get("certified", [])
+    if not isinstance(entries, list):
+        return ["certified is not a list"]
+    problems = []
+    bounds = doc.get("range")
+    if not (isinstance(bounds, list) and len(bounds) == 2 and all(type(b) is int for b in bounds)):
+        problems.append("range is not a pair of integers")
+        bounds = None
+    for k, entry in enumerate(entries):
+        if not isinstance(entry, dict) or "t" not in entry:
+            problems.append("certified entry %d is not an object with a t field" % k)
+            continue
+        probs = _certificate_problems(entry.get("certificate"))
+        probs = probs or _fiber_ties(entry, doc.get("family"), bounds)
+        problems.extend("t=%s: %s" % (entry["t"], p) for p in probs)
+    counts = doc.get("counts")
+    certified = counts.get("certified") if isinstance(counts, dict) else None
+    if certified != len(entries):
+        problems.append("counts.certified is %s, but %d entries are certified"
+                        % (certified, len(entries)))
+    return problems
+
+
 def _cmd_verify(args):
     with open(args.certificate, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if isinstance(doc, dict) and doc.get("command") == "family-scan":
-        entries = doc.get("certified", [])
-        if not isinstance(entries, list):
-            return 1, "FAIL: certified is not a list\n"
-        problems = []
-        for k, entry in enumerate(entries):
-            if not isinstance(entry, dict) or "t" not in entry:
-                problems.append("certified entry %d is not an object with a t field" % k)
-                continue
-            probs = _certificate_problems(entry.get("certificate"))
-            problems.extend("t=%s: %s" % (entry["t"], p) for p in probs)
+        problems = _scan_problems(doc)
         if problems:
             return 1, "\n".join("FAIL: %s" % p for p in problems) + "\n"
-        return 0, "verified: %d fiber certificate(s) re-check\n" % len(entries)
+        return 0, "verified: %d fiber certificate(s) re-check\n" % len(doc.get("certified", []))
     problems = _certificate_problems(doc)
     if not problems:
         return 0, "verified: certificate re-checks\n"

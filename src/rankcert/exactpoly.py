@@ -264,8 +264,23 @@ def _zresultant(f, g):
 # ---------------------------------------------------------------------------
 # formatting
 
-def _fmt_coeff(c):
-    return str(c)
+def _decimal(c: Scalar) -> str:
+    """``str(c)`` of an int or a Fraction, exact at any size.
+
+    Python refuses int-to-decimal conversions past its digit limit (4300
+    digits by default, at least 640 when set); an integer past 2000 bits
+    is split at a power of ten into halves converted the same way.
+    """
+    if isinstance(c, Fraction):
+        text = _decimal(c.numerator)
+        return text if c.denominator == 1 else text + "/" + _decimal(c.denominator)
+    if c < 0:
+        return "-" + _decimal(-c)
+    if c.bit_length() <= 2000:
+        return str(c)
+    k = c.bit_length() * 3 // 20  # about half the digits
+    hi, lo = divmod(c, 10 ** k)
+    return _decimal(hi) + _decimal(lo).rjust(k, "0")
 
 
 def format_poly(coeffs: Sequence[Scalar], var: str = "x") -> str:
@@ -283,10 +298,10 @@ def format_poly(coeffs: Sequence[Scalar], var: str = "x") -> str:
         neg = c < 0
         mag = -c if neg else c
         if k == 0:
-            body = _fmt_coeff(mag)
+            body = _decimal(mag)
         else:
             xpow = var if k == 1 else f"{var}^{k}"
-            body = xpow if mag == 1 else f"{_fmt_coeff(mag)}*{xpow}"
+            body = xpow if mag == 1 else f"{_decimal(mag)}*{xpow}"
         if not parts:
             parts.append(("-" if neg else "") + body)
         else:
@@ -299,7 +314,7 @@ def poly_digest(coeffs: Sequence[Scalar]) -> str:
     coeffs = list(coeffs)
     while coeffs and not coeffs[-1]:
         coeffs.pop()
-    payload = "deg:%d;" % (len(coeffs) - 1) + ",".join(str(c) for c in coeffs)
+    payload = "deg:%d;" % (len(coeffs) - 1) + ",".join(_decimal(c) for c in coeffs)
     return hashlib.sha256(payload.encode("ascii")).hexdigest()
 
 

@@ -279,17 +279,19 @@ def build_label_resolvents(curve: HyperellipticCurve, mask_groups, start_c: int 
     disjoint before any product is built, prove the labels distinct, so each
     part is squarefree and the parts are pairwise coprime.  Retry protocol:
     a zero-containing label of a nonzero mask or two meeting balls increment
-    c; a snap failure doubles the precision.  After c > 64 a final pass
-    permits zero-containing labels, still insisting on disjoint balls.
+    c on the same isolation; a snap failure isolates the roots at twice the
+    precision and keeps c.  After c > 64 a final pass permits
+    zero-containing labels, still insisting on disjoint balls, and starts
+    again from the first isolation.  Each precision is isolated once.
 
-    Returns (polys, Labeling, precision).
+    Returns (polys, Labeling).
     """
     total = sum(len(g) for g in mask_groups)
+    first = isolate_roots(curve.f, _initial_precision(total, start_c))
     for allow_zero in (False, True):
         c = start_c
-        prec_req = _initial_precision(total, start_c)
+        iso = first
         while c <= MAX_LABELING:
-            iso = isolate_roots(curve.f, prec_req)
             groups = [class_labels(curve, iso, c, m, allow_zero) for m in mask_groups]
             labels = [b for group in groups for b in group]
             if None in labels or not pairwise_disjoint(labels):
@@ -299,10 +301,10 @@ def build_label_resolvents(curve: HyperellipticCurve, mask_groups, start_c: int 
             for group in groups:
                 polys.append(_resolvent_from_labels(group, iso.precision))
                 if polys[-1] is None:
-                    prec_req = iso.precision * 2
+                    iso = isolate_roots(curve.f, iso.precision * 2)
                     break
             else:
-                return polys, Labeling(c), iso.precision
+                return polys, Labeling(c)
     raise NoInjectiveLabelingError(
         "no injective labeling found with c <= %d" % MAX_LABELING
     )
@@ -317,7 +319,7 @@ def stratified_parts(curve: HyperellipticCurve, pieces) -> tuple:
     each piece, Labeling), strata and parts in ascending class size.
     """
     groups = [size_strata(curve, piece) for piece in pieces]
-    polys, labeling, _prec = build_label_resolvents(curve, [g for gs in groups for g in gs])
+    polys, labeling = build_label_resolvents(curve, [g for gs in groups for g in gs])
     out = []
     for gs in groups:
         out.append(tuple(polys[:len(gs)]))

@@ -355,12 +355,30 @@ def _pinned_corpus():
     return polys
 
 
-def _isolation_digest(polys, precision, isolate=isolate_roots):
+def _isolation_digest(polys, precision):
     h = hashlib.sha256()
     for f in polys:
-        iso = isolate(f, precision)
+        iso = isolate_roots(f, precision)
         h.update(repr((iso.precision, [(b.re, b.im, b.rad) for b in iso.balls])).encode())
     return h.hexdigest()
+
+
+def test_each_rung_runs_once(monkeypatch):
+    # settles at 512 bits: one ladder climbs 64, 128, 256, 512, each rung
+    # from the one below, where a restart per precision would run 64 and
+    # 128 three times each
+    rng = random.Random(0)
+    f = IntPoly([rng.randint(-10**30, 10**30) for _ in range(10)] + [1])
+    rungs = []
+    approx = certroots._approx_roots
+
+    def counted(f, P, *below):
+        rungs.append(P)
+        return approx(f, P, *below)
+
+    monkeypatch.setattr(certroots, "_approx_roots", counted)
+    assert isolate_roots(f, 128).precision == 512
+    assert rungs == [64, 128, 256, 512]
 
 
 class TestFloatStart:
@@ -376,10 +394,9 @@ class TestFloatStart:
         rng = random.Random(5)
         wide = [IntPoly([rng.randint(-2**100, 2**100) for _ in range(n)] + [1]) for n in (3, 4, 4)]
         polys = _pinned_corpus()[::10] + [CLUSTERED] + wide
-        isolate = isolate_roots.__wrapped__  # past the cache
-        seeded = [_isolation_digest(polys, P, isolate) for P in (32, 64, 128)]
+        seeded = [_isolation_digest(polys, P) for P in (32, 64, 128)]
         monkeypatch.setattr(certroots, "_float_roots", lambda f, circle, steps: None)
-        assert [_isolation_digest(polys, P, isolate) for P in (32, 64, 128)] == seeded
+        assert [_isolation_digest(polys, P) for P in (32, 64, 128)] == seeded
 
     @pytest.mark.parametrize("f", [
         IntPoly([1, 10**400, 0, 0, 0, 0, 0, 0, 1]),  # a coefficient past the float range

@@ -1,4 +1,6 @@
+import hashlib
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,6 +12,7 @@ from rankcert.exactpoly import (
     discriminant,
     format_poly,
     make_integral_monic,
+    poly_digest,
     resultant,
 )
 from rankcert.factorq import is_squarefree
@@ -287,6 +290,25 @@ class TestFormatting:
         assert str(RatPoly()) == "0"
         assert str(RatPoly([0, -1])) == "-x"
         assert format_poly([0, 2, 1], var="t") == "t^2 + 2*t"
+
+    def test_past_the_str_digit_limit(self):
+        # Python's int-to-str conversion stops at 4300 digits by default;
+        # digests and text must not, and must not change the setting
+        rng = random.Random(3)
+        big = rng.randrange(10**4999, 10**5000)
+        coeffs = [-big, 7, Fraction(big, big + 2), 1]
+        digest, text = poly_digest(coeffs), format_poly(coeffs)
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit:
+            sys.set_int_max_str_digits(0)
+        try:
+            payload = "deg:3;" + ",".join(str(c) for c in coeffs)
+            expected = "x^3 + %s*x^2 + 7*x - %s" % (Fraction(big, big + 2), big)
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
+        assert digest == hashlib.sha256(payload.encode("ascii")).hexdigest()
+        assert text == expected
 
     def test_intpoly_content(self):
         p = IntPoly([6, -9, 12])

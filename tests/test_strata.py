@@ -102,7 +102,7 @@ def test_parts_multiply_to_single_group_chi(f):
     parts, labeling = _j2_parts(curve)
     masks = enumerate_j2_classes(curve)
     _orbits, (chi,), c = class_orbits(curve, [masks])
-    (whole,), whole_labeling, _prec = build_label_resolvents(
+    (whole,), whole_labeling = build_label_resolvents(
         curve, [masks], start_c=labeling.c
     )
     assert whole_labeling == labeling and c == labeling.c

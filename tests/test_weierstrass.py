@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from rankcert import weierstrass
 from rankcert.cli import parse_poly
 from rankcert.exactpoly import IntPoly, RatPoly
 from rankcert.factorq import BadPrimeError, degree_pattern, factor_over_q
@@ -139,11 +140,26 @@ class TestResolvent:
         for p in ps:
             assert degree_pattern(chi, p) == frobenius_orbit_oracle(curve, p)
 
+    def test_one_isolation_for_every_labeling_index(self, monkeypatch):
+        # the labelling retries of x^6 - 1 all read the same root balls
+        curve = build_curve(RatPoly([-1, 0, 0, 0, 0, 0, 1]))
+        calls = []
+        isolate = weierstrass.isolate_roots
+
+        def counted(f, precision):
+            calls.append(precision)
+            return isolate(f, precision)
+
+        monkeypatch.setattr(weierstrass, "isolate_roots", counted)
+        _orbits, _hashes, c = weierstrass.two_torsion_data(curve)
+        assert c >= 1
+        assert len(calls) == 1
+
     def test_labeling_independence(self):
         curve = build_curve(SEXTIC)
         masks = enumerate_j2_classes(curve)
         orbits, _chi, c = j2_orbits(curve)
-        polys, labeling, _ = build_label_resolvents(curve, [masks], start_c=c + 1)
+        polys, labeling = build_label_resolvents(curve, [masks], start_c=c + 1)
         assert labeling.c > c
         assert tuple(g.degree for g in factor_over_q(polys[0].to_rat())) == orbits
 
