@@ -36,13 +36,14 @@ from .factorq import (
     possible_degrees,
 )
 from .family import FamilyCurve, ScanOptions, check_good_fiber, exclusion_sets, scan
-from .theta import enumerate_theta_classes, theta_data
 from .weierstrass import (
     HyperellipticCurve,
     build_curve,
     class_orbits,
     enumerate_j2_classes,
+    enumerate_theta_classes,
     frobenius_orbit_oracle,
+    theta_data,
     two_torsion_data,
 )
 

@@ -9,8 +9,8 @@ conditions off the Galois orbit data of the resolvents.  The
 "transitivity" path, selected by passing `chi_irreducible`, uses the
 shortcut that a transitive action on the nonzero two-torsion of a
 genus > 1 curve already excludes both obstructions.  Every pipeline
-gathers its data (`deg1_evidence`, the orbit steps in `weierstrass` and
-`theta`, or external resolvents) and calls `decide`.
+gathers its data (`deg1_evidence`, the orbit steps in `weierstrass`, or
+external resolvents) and calls `decide`.
 
 The degree-1 class of an even model with a non-square leading
 coefficient comes from a rational point.  `find_deg1_class` finds the
@@ -39,8 +39,7 @@ from typing import NamedTuple
 
 from . import __version__
 from .exactpoly import RatPoly
-from .theta import theta_class_counts
-from .weierstrass import MAX_GENUS, ODD, HyperellipticCurve, j2_class_count
+from .weierstrass import MAX_GENUS, ODD, HyperellipticCurve, j2_class_count, theta_class_counts
 
 __all__ = [
     "Deg1Evidence",
@@ -680,6 +679,7 @@ def verify_certificate(doc: dict) -> tuple[bool, list]:
     which also checks the orbit sums and that the flag agrees with the
     two-torsion orbits).  The path, verdict and reasons, and then the
     inputs digest recomputed from the subject, must reproduce exactly.
+    Last, the subject must agree with the genus (`_subject_problems`).
     """
     problems = []
     for key in ("schema_version", "tool", "genus", "verdict", "path", "reasons"):
@@ -725,10 +725,26 @@ def verify_certificate(doc: dict) -> tuple[bool, list]:
     ):
         if doc[key] != replay[key]:
             problems.append(problem)
-    if problems or doc.get("inputs_digest", "") == cert.inputs_digest:
-        return (not problems), problems
-    try:
-        inputs = inputs_text(cert.subject, cert.hashes, cert.report)
-    except MalformedSubjectError as exc:  # a digest without a subject
-        return False, ["unreadable subject: %s" % exc]
-    return False, ["inputs_digest does not match the subject (%s)" % inputs]
+    if problems:
+        return False, problems
+    if doc.get("inputs_digest", "") != cert.inputs_digest:
+        try:
+            inputs = inputs_text(cert.subject, cert.hashes, cert.report)
+        except MalformedSubjectError as exc:  # a digest without a subject
+            return False, ["unreadable subject: %s" % exc]
+        return False, ["inputs_digest does not match the subject (%s)" % inputs]
+    problems = _subject_problems(dict(cert.subject), cert.genus)
+    return (not problems), problems
+
+
+def _subject_problems(subject: dict, genus: int) -> list:
+    """Where a subject's own fields disagree with the certificate's genus:
+    a curve, an external chi and orbit data name the genus, and an
+    external chi has degree 2^(2g)-1."""
+    kind, problems = subject.get("kind"), []
+    if kind in ("hyperelliptic", "external-chi", "orbit-data") and subject.get("genus") != genus:
+        problems.append("the subject has genus %s, not %d" % (subject.get("genus"), genus))
+    if kind == "external-chi" and subject.get("chi_degree") != j2_class_count(genus):
+        problems.append("the subject's chi has degree %s, not 2^(2g)-1 = %d"
+                        % (subject.get("chi_degree"), j2_class_count(genus)))
+    return problems

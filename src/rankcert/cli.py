@@ -37,7 +37,6 @@ import re
 import sys
 import warnings
 from fractions import Fraction
-from importlib import resources
 from math import prod
 
 from . import __version__
@@ -64,7 +63,6 @@ from .family import (
     exclusion_sets,
     scan,
 )
-from .theta import theta_class_counts, theta_data
 from .weierstrass import (
     MAX_GENUS,
     ODD,
@@ -74,6 +72,8 @@ from .weierstrass import (
     frobenius_orbit_oracle,
     j2_class_count,
     stratified_parts,
+    theta_class_counts,
+    theta_data,
     two_torsion_data,
 )
 
@@ -83,7 +83,6 @@ __all__ = [
     "parse_family",
     "format_family",
     "load_chi_fixture",
-    "fixture_path",
     "pipeline_hyperelliptic",
     "main",
 ]
@@ -329,11 +328,6 @@ def format_family(numerators) -> str:
 
 # ---------------------------------------------------------------------------
 # fixtures
-
-def fixture_path(name: str):
-    """Filesystem path of a shipped fixture (chi1.txt, quartic_orbits.json)."""
-    return resources.files("rankcert.fixtures") / name
-
 
 def load_chi_fixture(path) -> RatPoly:
     """Load a resolvent polynomial from a coefficient listing.
@@ -691,8 +685,8 @@ def _cmd_oracle(args):
 
 def _certificate_problems(doc) -> list:
     """`verify_certificate` on a certificate that names its subject, then
-    rational-point evidence checked exactly against the curve the subject
-    names."""
+    the curve the subject names: rational-point evidence is checked on it
+    exactly, and its genus (deg f - 1) // 2 must be the certificate's."""
     if not isinstance(doc, dict):
         return ["certificate is not a JSON object"]
     ok, problems = verify_certificate(doc)
@@ -702,8 +696,7 @@ def _certificate_problems(doc) -> list:
         # unlike one on bare orbit data, a command's certificate names its subject
         return ["unreadable subject: unknown subject kind None"]
     ev = Deg1Evidence.from_doc(doc.get("evidence"))
-    if ev is None or ev.kind != "rational-point":
-        return []
+    point = ev is not None and ev.kind == "rational-point"
     subject = doc["subject"]
     try:
         if subject.get("kind") == "hyperelliptic":
@@ -711,12 +704,15 @@ def _certificate_problems(doc) -> list:
         elif subject.get("kind") == "family-fiber":
             f = parse_family(subject["family"]).specialize(Fraction(subject["t"]))
         else:
-            return ["rational point given, but the subject names no curve"]
+            return ["rational point given, but the subject names no curve"] if point else []
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         return ["unreadable subject: %s" % exc]
-    if validate_point(f, ev):
-        return []
-    return ["(%s, %s) is not a point of y^2 = %s" % (ev.x, ev.y, f)]
+    if point and not validate_point(f, ev):
+        return ["(%s, %s) is not a point of y^2 = %s" % (ev.x, ev.y, f)]
+    genus = (f.degree - 1) // 2
+    if genus != doc["genus"]:
+        return ["y^2 = %s has genus %d, not %s" % (f, genus, doc["genus"])]
+    return []
 
 
 def _fiber_ties(entry, family, bounds) -> list:

@@ -11,7 +11,7 @@ read the two-torsion orbits (`weierstrass.two_torsion_data`), and call
 it computes the inputs digest.  A transitive action concludes through the
 transitivity shortcut; a reducible chi is reported as NeedsThetaData on
 that path, or, on request, decided on the direct path from the theta
-orbits (`theta.theta_data`).  No generic resolvent over Q(t) is ever
+orbits (`weierstrass.theta_data`).  No generic resolvent over Q(t) is ever
 formed; per-fiber recomputation is both simpler and strictly verified.
 
 The discriminant of f_t in x is computed exactly by evaluation and
@@ -36,12 +36,12 @@ from .certify import (
 from .certroots import PrecisionExhausted
 from .exactpoly import IntPoly, RatPoly, discriminant
 from .factorq import rational_roots
-from .theta import theta_data
 from .weierstrass import (
     NoInjectiveLabelingError,
     SingularModelError,
     build_curve,
     check_curve_degree,
+    theta_data,
     two_torsion_data,
 )
 

@@ -6,7 +6,12 @@ infinity on odd-degree models) modulo complementation, stored as bitmasks
 over the finite roots.  This module owns every decision made on such a
 set, for both class sets:
 
-- `canonical_masks`: the representatives of one subset-size parity;
+- `canonical_masks`: the representatives of one subset-size parity, even
+  for the nonzero two-torsion, g+1 for theta characteristics;
+- h^0 and parity of a theta characteristic T: h^0 = (g+1 - |T'|)/2 for the
+  representative with |T'| <= g+1, so the odd and the even piece are
+  unions of size strata; their counts 2^(g-1)(2^g -+ 1) are checked on
+  every enumeration;
 - `class_labels`: the ball label of a class, the sum of u_c(alpha) =
   alpha + c*alpha^2 over the mask (times the sum over the complement on
   even-degree models);
@@ -23,12 +28,16 @@ set, for both class sets:
   Zassenhaus with those bounds and a screened prime;
 - `class_orbits`: the one place where orbit sizes are read off a class
   set: per piece, the orbit sizes and the resolvent, the product of the
-  piece's parts.
-
-The two-torsion is the piece of nonzero even masks: `two_torsion_data`
-reads its orbits and its resolvent chi, of degree 2^(2g) - 1, and
-`frobenius_orbit_oracle` cross-checks chi mod p.  The theta module adds
-what only theta characteristics know: h^0 and parity.
+  piece's parts;
+- `two_torsion_data` and `theta_data`: one step on the two class sets,
+  giving the orbits and the hashes of chi (of degree 2^(2g) - 1), and of
+  chi_odd and chi_even.  A rational theta characteristic exists iff some
+  theta orbit has size 1.  Odd-degree models need no theta data: (g-1)
+  times the infinite Weierstrass point doubles to the canonical class,
+  and `cli.pipeline_hyperelliptic` passes that witness
+  (`certify.INFINITY_WITNESS`);
+- `frobenius_orbit_oracle` and `frobenius_theta_oracle`: the cycle types
+  that chi, chi_odd and chi_even match mod p.
 """
 
 from __future__ import annotations
@@ -72,14 +81,18 @@ __all__ = [
     "canonical_masks",
     "class_labels",
     "enumerate_j2_classes",
+    "theta_class_counts",
+    "enumerate_theta_classes",
     "class_orbits",
     "two_torsion_data",
+    "theta_data",
     "size_strata",
     "stratified_parts",
     "frobenius_cycle_types",
     "frobenius_screen",
     "stratum_factors",
     "frobenius_orbit_oracle",
+    "frobenius_theta_oracle",
     "build_label_resolvents",
 ]
 
@@ -139,6 +152,14 @@ def j2_class_count(genus: int) -> int:
     return (1 << (2 * genus)) - 1
 
 
+def theta_class_counts(genus: int) -> tuple[int, int]:
+    """(odd, even) theta characteristic counts: 2^(g-1)(2^g -+ 1)."""
+    return (
+        (1 << (genus - 1)) * ((1 << genus) - 1),
+        (1 << (genus - 1)) * ((1 << genus) + 1),
+    )
+
+
 def check_genus_cap(d: int) -> None:
     """Reject an x-degree d whose curves would pass the genus cap."""
     if d > 2 * MAX_GENUS + 2:
@@ -196,6 +217,29 @@ def enumerate_j2_classes(curve: HyperellipticCurve) -> tuple:
     """The canonical masks of the 2^(2g) - 1 nonzero two-torsion classes,
     ascending."""
     return tuple(m for m in canonical_masks(curve, 0) if m)
+
+
+def _h0_for_mask(mask: int, curve: HyperellipticCurve) -> int:
+    # the complement has 2g+2 - |T| branch points; on odd-degree models it
+    # picks up the infinite point
+    g = curve.genus
+    size = mask.bit_count()
+    return (g + 1 - min(size, 2 * g + 2 - size)) // 2
+
+
+def enumerate_theta_classes(curve: HyperellipticCurve) -> tuple:
+    """The canonical masks of the 2^(2g) theta classes as two Galois-stable
+    pieces, (odd masks, even masks), each ascending."""
+    g = curve.genus
+    odd, even = [], []
+    for m in canonical_masks(curve, (g + 1) % 2):
+        (odd if _h0_for_mask(m, curve) % 2 else even).append(m)
+    if (len(odd), len(even)) != theta_class_counts(g):
+        raise AssertionError(
+            "theta parity counts (%d, %d) disagree with formulas %s"
+            % (len(odd), len(even), theta_class_counts(g))
+        )
+    return tuple(odd), tuple(even)
 
 
 def size_strata(curve: HyperellipticCurve, masks) -> tuple:
@@ -350,15 +394,44 @@ def class_orbits(curve: HyperellipticCurve, pieces) -> tuple:
     return orbits, tuple(prod(ps[1:], start=ps[0]) for ps in parts), labeling.c
 
 
+def _class_set_data(curve: HyperellipticCurve, pieces, counts, names) -> tuple:
+    """The step both class sets share: `class_orbits` on the pieces, whose
+    resolvents must have the degrees ``counts``.  Returns (orbit sizes of
+    each piece, the resolvent hashes named ``names`` in order, labelling
+    index)."""
+    orbits, resolvents, c = class_orbits(curve, pieces)
+    degrees = tuple(r.degree for r in resolvents)
+    if degrees != counts:
+        raise AssertionError("resolvent degrees %s != class counts %s" % (degrees, counts))
+    return orbits, tuple((n, poly_digest(r.coeffs)) for n, r in zip(names, resolvents)), c
+
+
 def two_torsion_data(curve: HyperellipticCurve) -> tuple:
-    """The two-torsion step of every pipeline: (orbit sizes, hashes,
-    labelling index), with hashes ``(("chi", sha256 of chi),)`` for the
-    squarefree chi in Z[x] of degree 2^(2g) - 1 labelling J[2] \\ {0}."""
-    (orbits,), (chi,), c = class_orbits(curve, [enumerate_j2_classes(curve)])
-    expected = j2_class_count(curve.genus)
-    if chi.degree != expected:
-        raise AssertionError("resolvent degree %d != %d" % (chi.degree, expected))
-    return orbits, (("chi", poly_digest(chi.coeffs)),), c
+    """The two-torsion step of every pipeline, on the one piece of nonzero
+    two-torsion classes: (orbit sizes, hashes, labelling index), with
+    hashes ``(("chi", sha256 of chi),)`` for the squarefree chi in Z[x] of
+    degree 2^(2g) - 1 labelling J[2] \\ {0}."""
+    (orbits,), hashes, c = _class_set_data(
+        curve, [enumerate_j2_classes(curve)], (j2_class_count(curve.genus),), ["chi"]
+    )
+    return orbits, hashes, c
+
+
+def theta_data(curve: HyperellipticCurve) -> tuple:
+    """The theta step of every pipeline, on the odd and the even piece of
+    theta classes: (odd orbit sizes, even orbit sizes, hashes of chi_odd
+    and chi_even).  The theta classes get their own labelling index.
+
+    chi_odd and chi_even, the squarefree resolvents of the two pieces,
+    have degrees 2^(g-1)(2^g - 1) and 2^(g-1)(2^g + 1).  The class {empty
+    set, full set} (present when its size parity allows) has the label
+    exactly zero, which `class_labels` always accepts.
+    """
+    (odd, even), hashes, _c = _class_set_data(
+        curve, enumerate_theta_classes(curve), theta_class_counts(curve.genus),
+        ["chi_odd", "chi_even"],
+    )
+    return odd, even, hashes
 
 
 # ---------------------------------------------------------------------------
@@ -507,3 +580,12 @@ def frobenius_orbit_oracle(curve: HyperellipticCurve, p: int) -> tuple:
     ``degree_pattern(chi, p)``.
     """
     return frobenius_cycle_types(curve, p, [enumerate_j2_classes(curve)])[0]
+
+
+def frobenius_theta_oracle(curve: HyperellipticCurve, p: int) -> tuple[tuple, tuple]:
+    """Frobenius cycle types on (odd, even) theta classes at a good prime.
+
+    Where chi_odd and chi_even are squarefree mod p too, the result
+    matches their degree patterns mod p.
+    """
+    return frobenius_cycle_types(curve, p, enumerate_theta_classes(curve))

@@ -1,4 +1,5 @@
 import random
+from importlib import resources
 from math import prod
 
 import pytest
@@ -32,6 +33,11 @@ def resolvents(curve, pieces):
     `stratified_parts` parts, with nothing factored."""
     _strata, parts, labeling = stratified_parts(curve, pieces)
     return tuple(prod(ps[1:], start=ps[0]) for ps in parts), labeling.c
+
+
+def fixture_path(name: str):
+    """Filesystem path of a shipped fixture (chi1.txt, quartic_orbits.json)."""
+    return resources.files("rankcert.fixtures") / name
 
 
 @pytest.fixture(scope="session")

@@ -22,7 +22,7 @@ from rankcert.certify import (
     INFINITY_WITNESS,
     verify_certificate,
 )
-from rankcert.cli import fixture_path, load_chi_fixture, main, parse_family, pipeline_hyperelliptic
+from rankcert.cli import load_chi_fixture, main, parse_family, pipeline_hyperelliptic
 from rankcert.exactpoly import IntPoly, RatPoly
 from rankcert.factorq import (
     BadPrimeError,
@@ -33,15 +33,17 @@ from rankcert.factorq import (
     possible_degrees,
     _primes_from,
 )
-from rankcert.theta import enumerate_theta_classes, frobenius_theta_oracle, theta_data
 from rankcert.weierstrass import (
     build_curve,
     class_orbits,
     enumerate_j2_classes,
+    enumerate_theta_classes,
     frobenius_orbit_oracle,
+    frobenius_theta_oracle,
+    theta_data,
 )
 
-from conftest import resolvents
+from conftest import fixture_path, resolvents
 
 SEED = 20260809
 FROZEN_SCAN_CERTIFIED = 98          # derived by running the pipeline, then pinned

@@ -11,10 +11,10 @@ from pathlib import Path
 
 import pytest
 
+from rankcert.certify import OrbitReport, digest_text, inputs_text
 from rankcert.certify import verify_certificate as json_verify
 from rankcert.cli import (
     PolyParseError,
-    fixture_path,
     format_family,
     load_chi_fixture,
     main,
@@ -23,7 +23,7 @@ from rankcert.cli import (
 )
 from rankcert.exactpoly import RatPoly
 
-from conftest import random_squarefree_poly
+from conftest import fixture_path, random_squarefree_poly
 
 
 class TestParsePoly:
@@ -206,6 +206,30 @@ def test_library_verify_rejects_swapped_inputs(capsys, argv, fiber, section, key
     assert json_verify(cert) == (
         False, ["inputs_digest does not match the subject (%s)" % inputs]
     )
+
+
+@pytest.mark.parametrize(
+    "argv, key, value, problem",
+    [
+        (["certify", "chi", "--file", str(fixture_path("chi1.txt")), "--genus", "3",
+          "--assert-deg1-class"], "chi_degree", 62,
+         "the subject's chi has degree 62, not 2^(2g)-1 = 63"),
+        (["certify", "orbits", "--j2", "15", "--theta-odd", "6", "--theta-even", "10",
+          "--genus", "2", "--assert-deg1-class"], "genus", 3,
+         "the subject has genus 3, not 2"),
+    ],
+    ids=["chi-degree", "orbit-data-genus"],
+)
+def test_library_verify_ties_subject_to_genus(capsys, argv, key, value, problem):
+    # the forged field is one the inputs digest does not cover, or the
+    # digest is recomputed, so only the subject's own fields can tell
+    _, out = run_cli(capsys, *argv, "--json")
+    doc = json.loads(out)
+    doc["subject"][key] = value
+    subject = tuple(doc["subject"].items())
+    report = OrbitReport.from_doc(doc["genus"], doc["orbits"])
+    doc["inputs_digest"] = digest_text(inputs_text(subject, tuple(doc["hashes"].items()), report))
+    assert json_verify(doc) == (False, [problem])
 
 
 class TestCommands:
@@ -564,6 +588,39 @@ class TestCommands:
         assert captured.err == "error: genus 1000000000000 exceeds the genus cap g <= 4\n"
         assert elapsed < 1.0
 
+    def test_verify_ties_the_genus_to_the_subject(self, capsys, tmp_path):
+        # every forgery keeps a consistent inputs digest and replays through
+        # `decide`; only the genus of the curve the subject names differs
+        def certificate(*argv):
+            return json.loads(run_cli(capsys, *argv, "--json")[1])
+
+        sextic = certificate("certify", "hyperelliptic", "--f=x^6+x+1")
+        forged_genus = json.loads(json.dumps(sextic))
+        forged_genus["genus"] = 3
+        forged_genus["orbits"]["j2"] = [63]
+        forged_subject = json.loads(json.dumps(sextic))
+        forged_subject["subject"]["genus"] = 4
+        swapped = certificate("certify", "hyperelliptic", "--f=x^7+x+1")
+        swapped["subject"] = {"kind": "hyperelliptic", "f": "x^6 - x^2 + 1", "genus": 3}
+        swapped["hashes"] = certificate("certify", "hyperelliptic", "--f=x^6-x^2+1")["hashes"]
+        swapped["inputs_digest"] = digest_text("hyperelliptic;f=x^6 - x^2 + 1")
+        scan = certificate("family", "scan", "--f-t=x^6+t*x+1", "--range=1..1")
+        fiber = scan["certified"][0]["certificate"]
+        fiber["genus"] = 3
+        fiber["orbits"]["j2"] = [63]
+        path = tmp_path / "cert.json"
+        for doc, problem in (
+            (forged_genus, "the subject has genus 2, not 3"),
+            (forged_subject, "the subject has genus 4, not 2"),
+            (swapped, "y^2 = x^6 - x^2 + 1 has genus 2, not 3"),
+            (fiber, "y^2 = x^6 + x + 1 has genus 2, not 3"),
+            (scan, "t=1: y^2 = x^6 + x + 1 has genus 2, not 3"),
+        ):
+            path.write_text(json.dumps(doc))
+            assert run_cli(capsys, "verify", "--certificate", str(path)) == (
+                1, "FAIL: %s\n" % problem
+            ), problem
+
     def test_verify_rejects_genus_above_cap(self, capsys, tmp_path):
         _, out = run_cli(
             capsys,
@@ -655,8 +712,7 @@ class TestCommands:
         # for an odd quintic and feed them back through the file interface
         import warnings
 
-        from rankcert.theta import enumerate_theta_classes
-        from rankcert.weierstrass import build_curve, enumerate_j2_classes
+        from rankcert.weierstrass import build_curve, enumerate_j2_classes, enumerate_theta_classes
 
         from conftest import resolvents
 

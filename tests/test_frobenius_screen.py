@@ -27,16 +27,17 @@ from rankcert import factorq, weierstrass
 from rankcert.cli import main, parse_poly
 from rankcert.exactpoly import IntPoly
 from rankcert.factorq import _zassenhaus, factor_over_q
-from rankcert.theta import enumerate_theta_classes, theta_data
 from rankcert.weierstrass import (
     EVEN,
     ODD,
     SCREEN_PRIMES,
     build_curve,
     enumerate_j2_classes,
+    enumerate_theta_classes,
     frobenius_screen,
     stratified_parts,
     stratum_factors,
+    theta_data,
 )
 
 from conftest import random_squarefree_poly

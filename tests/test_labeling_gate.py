@@ -15,8 +15,7 @@ import pytest
 
 from rankcert.cli import parse_poly
 from rankcert.exactpoly import poly_digest
-from rankcert.theta import enumerate_theta_classes
-from rankcert.weierstrass import build_curve, enumerate_j2_classes
+from rankcert.weierstrass import build_curve, enumerate_j2_classes, enumerate_theta_classes
 
 from conftest import resolvents
 

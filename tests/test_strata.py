@@ -20,7 +20,6 @@ from rankcert.factorq import (
     degree_pattern,
     squarefree_by_reduction,
 )
-from rankcert.theta import enumerate_theta_classes
 from rankcert.weierstrass import (
     EVEN,
     ODD,
@@ -31,6 +30,7 @@ from rankcert.weierstrass import (
     build_label_resolvents,
     class_orbits,
     enumerate_j2_classes,
+    enumerate_theta_classes,
     size_strata,
     stratified_parts,
 )

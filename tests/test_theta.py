@@ -7,14 +7,14 @@ from rankcert.certify import INFINITY_WITNESS, RATIONAL_THETA
 from rankcert.cli import parse_poly, pipeline_hyperelliptic
 from rankcert.exactpoly import RatPoly
 from rankcert.factorq import BadPrimeError, degree_pattern, factor_over_q
-from rankcert.theta import (
+from rankcert.weierstrass import (
     _h0_for_mask,
+    build_curve,
     enumerate_theta_classes,
     frobenius_theta_oracle,
     theta_class_counts,
     theta_data,
 )
-from rankcert.weierstrass import build_curve
 
 from conftest import random_squarefree_poly, resolvents
 
