@@ -23,6 +23,9 @@ degree.  That coefficient degree is capped at MAX_T_DEGREE.
 
 from __future__ import annotations
 
+import os
+import signal
+import threading
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -259,6 +262,111 @@ def check_good_fiber(
     return report.transitive, report
 
 
+def _certify_chunk(fam: FamilyCurve, ts, options: ScanOptions) -> list:
+    """The outcome of each fiber t in ``ts``, in order: its certificate when
+    it certifies, else its skip record (t, kind, details)."""
+    out = []
+    for a in ts:
+        try:
+            cert = certify_fiber(fam, a, options)
+        except (ValueError, ZeroDivisionError, NoInjectiveLabelingError, PrecisionExhausted) as exc:
+            out.append((a, SKIP_ERROR, (str(exc),)))
+            continue
+        out.append(cert if cert.certified else (a, SKIP_INCONCLUSIVE, cert.reason_kinds()))
+    return out
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _thread_count() -> int:
+    """This process's threads, as the kernel counts them where it can (so
+    native threads count too), else as the threading module does."""
+    try:
+        return len(os.listdir("/proc/self/task"))
+    except OSError:
+        return threading.active_count()
+
+
+def _fork_chunk(fam: FamilyCurve, ts, options: ScanOptions):
+    """A worker process that certifies ``ts`` and writes the pickled pair
+    (outcomes, None), or (None, exception) when it raised, to a pipe.
+    Returns (pid, read end), or None when the fork fails."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        return None
+    if pid:
+        os.close(w)
+        return pid, r
+    # the worker: it ends with os._exit on every path, so it never flushes
+    # the parent's buffers nor returns into the caller
+    try:
+        import pickle
+
+        os.close(r)
+        parent = os.getppid()
+        outcomes = []
+        try:
+            for a in ts:
+                if os.getppid() != parent:  # the parent was killed
+                    os._exit(1)
+                outcomes += _certify_chunk(fam, (a,), options)
+            result = (outcomes, None)
+        except BaseException as exc:
+            result = (None, exc)
+        with open(w, "wb") as pipe:
+            pipe.write(pickle.dumps(result))
+    finally:
+        os._exit(0)
+
+
+def _certify_chunks(fam: FamilyCurve, chunks, options: ScanOptions) -> list:
+    """The outcomes of all chunks, in order.  The first chunk, and any whose
+    fork fails, is certified in this process, every other one in a worker of
+    its own.  The exception of the earliest failing chunk is raised, and no
+    worker outlives the call."""
+    if len(chunks) == 1:
+        return _certify_chunk(fam, chunks[0], options)
+    import pickle  # only a scan that forks pays for it
+
+    live = {}  # chunk index -> (pid, read end)
+    for i, ts in enumerate(chunks[1:], 1):
+        worker = _fork_chunk(fam, ts, options)
+        if worker is not None:
+            live[i] = worker
+    outcomes = []
+    try:
+        for i, ts in enumerate(chunks):
+            if i not in live:
+                outcomes += _certify_chunk(fam, ts, options)
+                continue
+            pid, r = live.pop(i)
+            with open(r, "rb") as pipe:
+                data = pipe.read()
+            os.waitpid(pid, 0)
+            try:
+                part, exc = pickle.loads(data)
+            except Exception:
+                raise RuntimeError("a scan worker ended without a result") from None
+            if exc is not None:
+                raise exc
+            outcomes += part
+    finally:
+        for pid, r in live.values():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(r)
+    return outcomes
+
+
 def scan(
     fam: FamilyCurve,
     lo: int,
@@ -271,8 +379,23 @@ def scan(
 
     Per-fiber failures are recorded as skips, never raised; the report
     lists every scanned value exactly once, ordered by parameter value.
+
+    The fibers to certify are split into k contiguous chunks, k the number
+    of CPUs this process may run on, capped by the number of fibers (fibers
+    t and t + p in one chunk share their Frobenius cycle types).  This
+    process certifies the first chunk and a forked worker each other one;
+    with k = 1, or with more than one thread, nothing is forked.  The
+    report does not depend on k.  An exception that is not a per-fiber
+    failure is raised as the serial loop would raise it: that of the
+    earliest failing chunk, with its type and message.
     """
     excl = exclusion_sets(fam) if exclusions is None else exclusions
+    ts = [a for a in map(Fraction, range(lo, hi + 1)) if excl.excluded(a) is None]
+    k = max(1, min(_usable_cpus(), len(ts)))
+    if k > 1 and _thread_count() > 1:
+        k = 1
+    bounds = [len(ts) * i // k for i in range(k + 1)]
+    outcomes = iter(_certify_chunks(fam, [ts[i:j] for i, j in zip(bounds, bounds[1:])], options))
     certified = []
     skipped = []
     for n in range(lo, hi + 1):
@@ -281,15 +404,11 @@ def scan(
         if kind is not None:
             skipped.append((a, kind, ()))
             continue
-        try:
-            cert = certify_fiber(fam, a, options)
-        except (ValueError, ZeroDivisionError, NoInjectiveLabelingError, PrecisionExhausted) as exc:
-            skipped.append((a, SKIP_ERROR, (str(exc),)))
-            continue
-        if cert.certified:
-            certified.append((a, cert))
+        outcome = next(outcomes)
+        if isinstance(outcome, Certificate):
+            certified.append((a, outcome))
         else:
-            skipped.append((a, SKIP_INCONCLUSIVE, cert.reason_kinds()))
+            skipped.append(outcome)
     return ScanReport(
         family=fam.description,
         exclusions=excl,

@@ -303,6 +303,25 @@ def class_labels(curve: HyperellipticCurve, iso, c: int, masks, allow_zero: bool
     return out
 
 
+def _labels_meet_zero_for_every_c(curve: HyperellipticCurve, iso, masks) -> bool:
+    """Does some nonzero mask's label contain zero at every labelling index?
+
+    Ball addition and `ComplexBall.mul_int` are exact, so the subset sum of
+    u_c over a mask is the ball S1 + c*S2, S1 the sum of the root balls b
+    and S2 that of the balls b*b: midpoint M1 + c*M2, radius R1 + c*R2.
+    When S1 and S2 both contain zero, so does every S_c with c >= 0.  Such
+    a mask (on even-degree models: the mask or its complement) makes every
+    pass of `class_labels` without ``allow_zero`` fail.
+    """
+    squares = [b.mul(b) for b in iso.balls]
+    full = (1 << len(squares)) - 1
+    sides = (s for m in masks if m for s in ((m, full ^ m) if curve.parity == EVEN else (m,)))
+    return any(
+        _subset_sum(iso.balls, s).contains_zero() and _subset_sum(squares, s).contains_zero()
+        for s in sides
+    )
+
+
 def _resolvent_from_labels(labels, prec: int):
     """Monic integer prod (x - label); None when a coefficient fails to snap."""
     out = []
@@ -326,13 +345,17 @@ def build_label_resolvents(curve: HyperellipticCurve, mask_groups, start_c: int 
     c on the same isolation; a snap failure isolates the roots at twice the
     precision and keeps c.  After c > 64 a final pass permits
     zero-containing labels, still insisting on disjoint balls, and starts
-    again from the first isolation.  Each precision is isolated once.
+    again from the first isolation.  Each precision is isolated once.  When
+    the first isolation proves a label zero-containing for every c
+    (`_labels_meet_zero_for_every_c`), the first pass cannot succeed and is
+    skipped.
 
     Returns (polys, Labeling).
     """
     total = sum(len(g) for g in mask_groups)
     first = isolate_roots(curve.f, _initial_precision(total, start_c))
-    for allow_zero in (False, True):
+    doomed = _labels_meet_zero_for_every_c(curve, first, [m for g in mask_groups for m in g])
+    for allow_zero in (True,) if doomed else (False, True):
         c = start_c
         iso = first
         while c <= MAX_LABELING:

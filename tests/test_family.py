@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -22,6 +23,7 @@ from rankcert.family import (
     family_discriminant_numerator,
     scan,
 )
+from rankcert.weierstrass import NoInjectiveLabelingError
 
 X6_T = FamilyCurve(
     (RatPoly([1]), RatPoly([0, 1]), RatPoly(), RatPoly(), RatPoly(), RatPoly(), RatPoly([1])),
@@ -328,3 +330,128 @@ def test_high_t_degree_scan_is_fast():
     assert run.returncode == 0, run.stderr
     assert b"certified 1 of 1 fibers: 0" in run.stdout
     assert elapsed < 20
+
+
+# ---------------------------------------------------------------------------
+# the scan on several CPUs: forked workers, one report
+
+# over -6..6: t = 0 is in z1, t = 3 is inconclusive, the rest certify
+X6_TT = parse_family("x^6+t*x+t")
+
+
+def _use_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _count_forks(monkeypatch):
+    forks = []
+    original = os.fork
+
+    def counting():
+        forks.append(1)
+        return original()
+
+    monkeypatch.setattr(os, "fork", counting)
+    return forks
+
+
+def _fail_at(monkeypatch, failures):
+    """Make `certify_fiber` raise failures[t] at the fibers t it names."""
+    original = family.certify_fiber
+
+    def certify(fam, a, options=ScanOptions()):
+        if a in failures:
+            raise failures[a]
+        return original(fam, a, options)
+
+    monkeypatch.setattr(family, "certify_fiber", certify)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestParallelScan:
+    def test_report_does_not_depend_on_the_cpu_count(self, monkeypatch):
+        _fail_at(monkeypatch, {Fraction(-2): NoInjectiveLabelingError("collide")})
+        forks = _count_forks(monkeypatch)
+        reports = []
+        for n in (1, 3):
+            _use_cpus(monkeypatch, n)
+            reports.append(scan(X6_TT, -6, 6, ScanOptions(full_theta=True)))
+        assert len(forks) == 2
+        assert reports[0] == reports[1]
+        assert len(reports[0].certified) == 10
+        assert [(a, kind) for a, kind, _ in reports[0].skipped] == [
+            (Fraction(-2), "Error"), (Fraction(0), "InZ1"), (Fraction(3), "Inconclusive"),
+        ]
+        _assert_no_child_left()
+
+    def test_no_worker_outlives_a_failing_parent_chunk(self, monkeypatch):
+        _use_cpus(monkeypatch, 3)
+        _fail_at(monkeypatch, {Fraction(-5): RuntimeError("parent chunk failed")})
+        forks = _count_forks(monkeypatch)
+        with pytest.raises(RuntimeError, match="parent chunk failed"):
+            scan(X6_TT, -6, 6)
+        assert len(forks) == 2
+        _assert_no_child_left()
+
+    def test_worker_exception_is_raised_as_the_serial_scan_raises_it(self, monkeypatch, capsys):
+        # chunks at 3 CPUs: -6..-3 | -2, -1, 1, 2 | 3..6; the serial loop
+        # stops at t = 1, in the second chunk, before the third one fails
+        _fail_at(monkeypatch, {
+            Fraction(1): RuntimeError("injected at t=1"),
+            Fraction(4): ArithmeticError("injected at t=4"),
+        })
+        argv = ["family", "scan", "--f-t=x^6+t*x+t", "--range=-6..6"]
+        for n in (1, 3):
+            _use_cpus(monkeypatch, n)
+            with pytest.raises(RuntimeError) as info:
+                scan(X6_TT, -6, 6)
+            assert type(info.value) is RuntimeError
+            assert str(info.value) == "injected at t=1"
+            assert main(argv) == 1
+            assert capsys.readouterr() == ("", "error: injected at t=1\n")
+            _assert_no_child_left()
+
+    def test_failed_fork_certifies_the_chunk_in_process(self, monkeypatch):
+        _use_cpus(monkeypatch, 1)
+        expected = scan(X6_TT, -6, 6)
+
+        def refuse():
+            raise OSError("fork refused")
+
+        _use_cpus(monkeypatch, 3)
+        monkeypatch.setattr(os, "fork", refuse)
+        assert scan(X6_TT, -6, 6) == expected
+
+    def test_one_fiber_and_threaded_scans_do_not_fork(self, monkeypatch):
+        _use_cpus(monkeypatch, 3)
+        forks = _count_forks(monkeypatch)
+        assert len(scan(X6_TT, 1, 1).certified) == 1
+        # t = 0 is excluded, so one fiber is left to certify
+        assert len(scan(X6_TT, 0, 1).certified) == 1
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            assert len(scan(X6_TT, 1, 4).certified) == 3
+        finally:
+            stop.set()
+            thread.join()
+        assert forks == []
+
+    def test_genus_one_scan_prints_the_same_at_any_cpu_count(self, monkeypatch, capsys):
+        argv = ["family", "scan", "--f-t=x^4+t*x+1", "--range=1..6"]
+        forks = _count_forks(monkeypatch)
+        outputs = []
+        for n in (1, 3):
+            _use_cpus(monkeypatch, n)
+            code = main(argv)
+            outputs.append((code, capsys.readouterr()))
+        assert len(forks) == 2
+        assert outputs[0] == outputs[1]
+        code, (out, err) = outputs[0]
+        assert err == "warning: genus-1 model accepted, but the rank criterion needs genus > 1\n"
+        assert out.startswith("family: y^2 = x^4 + t*x + 1\n")

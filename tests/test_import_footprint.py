@@ -38,3 +38,8 @@ def test_cli_import_loads_no_importlib_resources():
     # without `site`, nothing but rankcert itself could load it; the shipped
     # fixtures are found by the tests, not by the CLI
     assert "importlib.resources" not in _modules_after("import rankcert.cli", "-S")
+
+
+def test_cli_import_loads_no_pickle():
+    # only a family scan that forks workers needs it, and imports it then
+    assert "pickle" not in _modules_after("import rankcert.cli")

@@ -13,7 +13,8 @@ labels push c to 2.  Only resolvents are built; nothing is factored.
 
 import pytest
 
-from rankcert.cli import parse_poly
+from rankcert import weierstrass
+from rankcert.cli import main, parse_poly
 from rankcert.exactpoly import poly_digest
 from rankcert.weierstrass import build_curve, enumerate_j2_classes, enumerate_theta_classes
 
@@ -140,3 +141,27 @@ def test_labelling_index_and_hashes(row):
     assert poly_digest(j2_chi.coeffs) == chi
     assert poly_digest(theta_odd.coeffs) == chi_odd
     assert poly_digest(theta_even.coeffs) == chi_even
+
+
+@pytest.mark.parametrize("argv,code,zero_free_calls", [
+    # a root at 0: the theta class of that root has the label zero at every c
+    (["certify", "hyperelliptic", "--f=x^5-4*x^4-2*x^3-2*x^2-3*x", "--full-criterion"], 2, 2),
+    # no x^8 or x^7 term: the all-roots theta class sums to zero at every c
+    (["orbits", "hyperelliptic", "--f=x^9+x+1", "--theta"], 0, 4),
+    (["certify", "hyperelliptic", "--f=x^9+x^2+1", "--full-criterion"], 2, 4),
+])
+def test_doomed_zero_free_pass_is_skipped(monkeypatch, capsys, argv, code, zero_free_calls):
+    # without the skip the zero-free pass ran all 65 indices on every size
+    # stratum of the theta classes: 197, 329 and 329 calls
+    calls = []
+    original = weierstrass.class_labels
+
+    def counting(curve, iso, c, masks, allow_zero):
+        if not allow_zero:
+            calls.append(c)
+        return original(curve, iso, c, masks, allow_zero)
+
+    monkeypatch.setattr(weierstrass, "class_labels", counting)
+    assert main(argv) == code
+    capsys.readouterr()
+    assert len(calls) == zero_free_calls
