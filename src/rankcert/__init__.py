@@ -16,6 +16,7 @@ from .certify import (
     Certificate,
     Deg1Evidence,
     OrbitReport,
+    certify_curve,
     decide,
     find_deg1_class,
     render_certificate,
@@ -60,6 +61,7 @@ __all__ = [
     "RootIsolation",
     "ScanOptions",
     "build_curve",
+    "certify_curve",
     "check_good_fiber",
     "class_orbits",
     "decide",

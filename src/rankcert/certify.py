@@ -8,9 +8,10 @@ applies the rule on one of two paths.  The "direct" path reads all three
 conditions off the Galois orbit data of the resolvents.  The
 "transitivity" path, selected by passing `chi_irreducible`, uses the
 shortcut that a transitive action on the nonzero two-torsion of a
-genus > 1 curve already excludes both obstructions.  Every pipeline
-gathers its data (`deg1_evidence`, the orbit steps in `weierstrass`, or
-external resolvents) and calls `decide`.
+genus > 1 curve already excludes both obstructions.  `certify_curve` is
+the one pipeline for a curve and for a fiber of a family: it gathers the
+data (`deg1_evidence`, the orbit steps in `weierstrass`) and calls
+`decide`; `_pipeline_chi` does the same from external resolvents.
 
 The degree-1 class of an even model with a non-square leading
 coefficient comes from a rational point.  `find_deg1_class` finds the
@@ -38,8 +39,10 @@ from math import gcd, isqrt, lcm
 from typing import NamedTuple
 
 from . import __version__
-from .exactpoly import RatPoly
-from .weierstrass import MAX_GENUS, ODD, HyperellipticCurve, j2_class_count, theta_class_counts
+from .exactpoly import RatPoly, poly_digest
+from .factorq import factor_over_q, is_squarefree
+from .weierstrass import MAX_GENUS, ODD, HyperellipticCurve, build_curve, j2_class_count
+from .weierstrass import theta_class_counts, theta_data, two_torsion_data
 
 __all__ = [
     "Deg1Evidence",
@@ -61,6 +64,7 @@ __all__ = [
     "find_deg1_class",
     "deg1_evidence",
     "decide",
+    "certify_curve",
     "inputs_text",
     "render_certificate",
     "certificate_doc",
@@ -524,6 +528,102 @@ def decide(
         labeling=labeling,
         subject=tuple(subject),
         inputs_digest=digest_text(inputs_text(subject, hashes, report)) if subject else "",
+    )
+
+
+# ---------------------------------------------------------------------------
+# pipelines
+
+def certify_curve(
+    f: RatPoly,
+    subject: tuple,
+    *,
+    full_theta: bool = False,
+    height_bound: int = DEFAULT_HEIGHT_BOUND,
+    assert_deg1: bool = False,
+) -> Certificate:
+    """The certificate of y^2 = f(x) on ``subject``: a curve (kind
+    "hyperelliptic") or a fiber of a family (kind "family-fiber").
+
+    A transitive two-torsion action concludes on the transitivity path
+    unless ``full_theta`` asks for the direct criterion on theta data; a
+    fiber keeps that path in the two cases the comment below names.
+    Odd-degree models pass the rational theta witness (g-1)*infinity.
+    """
+    curve = build_curve(f)
+    evidence = deg1_evidence(curve, height_bound, assert_deg1)
+    j2, hashes, labeling = two_torsion_data(curve)
+    report = OrbitReport(curve.genus, j2)
+    chi_irreducible = True if report.transitive else None
+    if dict(subject).get("kind") == "family-fiber":
+        # A fiber computes theta data only when its chi is reducible, so a
+        # transitive fiber keeps the transitivity path under full_theta
+        # (a); without full_theta a reducible fiber stays on that path
+        # too, as NeedsThetaData (b).
+        full_theta = full_theta and not report.transitive
+        chi_irreducible = report.transitive
+    if full_theta:
+        theta_odd, theta_even, theta_hashes = theta_data(curve)
+        report = OrbitReport(curve.genus, j2, theta_odd, theta_even)
+        hashes += theta_hashes
+        chi_irreducible = None
+    return decide(
+        report,
+        evidence,
+        chi_irreducible=chi_irreducible,
+        theta_witness=INFINITY_WITNESS if curve.parity == ODD else None,
+        hashes=hashes,
+        labeling=labeling,
+        subject=subject,
+    )
+
+
+def _factor_degrees(poly: RatPoly) -> tuple:
+    return tuple(g.degree for g in factor_over_q(poly))
+
+
+def _pipeline_chi(chi: RatPoly, genus: int, evidence, theta_odd=None, theta_even=None):
+    """Certification from an external chi.  Given theta resolvents are
+    checked before any decision and factored only when chi is reducible."""
+    if genus < 1:
+        raise ValueError("genus must be >= 1; got %d" % genus)
+    if genus > MAX_GENUS:
+        raise ValueError("genus %d exceeds the genus cap g <= %d" % (genus, MAX_GENUS))
+    expected = j2_class_count(genus)
+    if chi.degree != expected:
+        raise ValueError(
+            "chi has degree %d; genus %d requires 2^(2g)-1 = %d"
+            % (chi.degree, genus, expected)
+        )
+    chi_int = chi.to_int()[1]
+    if not is_squarefree(chi_int):
+        raise ValueError("chi is not squarefree (not an etale-algebra resolvent)")
+    theta_hashes = ()
+    if theta_odd is not None:
+        want_odd, want_even = theta_class_counts(genus)
+        if theta_odd.degree != want_odd or theta_even.degree != want_even:
+            raise ValueError(
+                "theta resolvent degrees (%d, %d) do not match genus %d (%d, %d)"
+                % (theta_odd.degree, theta_even.degree, genus, want_odd, want_even)
+            )
+        for name, poly in (("odd", theta_odd), ("even", theta_even)):
+            poly_int = poly.to_int()[1]
+            if not is_squarefree(poly_int):
+                raise ValueError("theta %s resolvent is not squarefree" % name)
+            theta_hashes += (("chi_" + name, poly_digest(poly_int.coeffs)),)
+    hashes = (("chi", poly_digest(chi_int.coeffs)),)
+    report = OrbitReport(genus, _factor_degrees(chi))
+    if not report.transitive and theta_hashes:
+        hashes += theta_hashes
+        report = OrbitReport(
+            genus, report.j2_orbits, _factor_degrees(theta_odd), _factor_degrees(theta_even)
+        )
+    return decide(
+        report,
+        evidence,
+        chi_irreducible=True if report.transitive else None,
+        hashes=hashes,
+        subject=(("kind", "external-chi"), ("chi_degree", chi.degree), ("genus", genus)),
     )
 
 

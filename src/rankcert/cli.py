@@ -1,4 +1,4 @@
-"""Command-line surface: parsing, pipelines, fixtures, serialization.
+"""Command-line surface: parsing, fixtures and output formatting.
 
 Polynomial grammar (whitespace insignificant)::
 
@@ -43,18 +43,19 @@ from . import __version__
 from .certify import (
     DEFAULT_HEIGHT_BOUND,
     Deg1Evidence,
-    INFINITY_WITNESS,
     OrbitReport,
+    _pipeline_chi,
     canonical_json,
     certificate_doc,
+    certify_curve,
     decide,
     deg1_evidence,
     render_certificate,
     validate_point,
     verify_certificate,
 )
-from .exactpoly import RatPoly, format_poly, poly_digest
-from .factorq import BadPrimeError, _primes_from, degree_pattern, factor_over_q, is_squarefree
+from .exactpoly import RatPoly, format_poly
+from .factorq import BadPrimeError, _primes_from, degree_pattern
 from .family import (
     FamilyCurve,
     ScanOptions,
@@ -64,15 +65,11 @@ from .family import (
     scan,
 )
 from .weierstrass import (
-    MAX_GENUS,
-    ODD,
     build_curve,
     check_genus_cap,
     enumerate_j2_classes,
     frobenius_orbit_oracle,
-    j2_class_count,
     stratified_parts,
-    theta_class_counts,
     theta_data,
     two_torsion_data,
 )
@@ -83,7 +80,6 @@ __all__ = [
     "parse_family",
     "format_family",
     "load_chi_fixture",
-    "pipeline_hyperelliptic",
     "main",
 ]
 
@@ -365,94 +361,6 @@ def load_chi_fixture(path) -> RatPoly:
 
 
 # ---------------------------------------------------------------------------
-# pipelines
-
-def pipeline_hyperelliptic(
-    f: RatPoly,
-    *,
-    assert_deg1: bool = False,
-    height_bound: int = DEFAULT_HEIGHT_BOUND,
-    full_theta: bool = False,
-):
-    """Certification pipeline for y^2 = f(x); returns (Certificate, curve).
-
-    A transitive two-torsion action concludes on the transitivity path
-    unless ``full_theta`` asks for the direct criterion on theta data.
-    Odd-degree models pass the rational theta witness (g-1)*infinity.
-    """
-    curve = build_curve(f)
-    evidence = deg1_evidence(curve, height_bound, assert_deg1)
-    j2, hashes, labeling = two_torsion_data(curve)
-    report = OrbitReport(curve.genus, j2)
-    chi_irreducible = None
-    if full_theta:
-        theta_odd, theta_even, theta_hashes = theta_data(curve)
-        report = OrbitReport(curve.genus, j2, theta_odd, theta_even)
-        hashes += theta_hashes
-    elif report.transitive:
-        chi_irreducible = True
-    cert = decide(
-        report,
-        evidence,
-        chi_irreducible=chi_irreducible,
-        theta_witness=INFINITY_WITNESS if curve.parity == ODD else None,
-        hashes=hashes,
-        labeling=labeling,
-        subject=(("kind", "hyperelliptic"), ("f", str(f)), ("genus", curve.genus)),
-    )
-    return cert, curve
-
-
-def _factor_degrees(poly: RatPoly) -> tuple:
-    return tuple(g.degree for g in factor_over_q(poly))
-
-
-def _pipeline_chi(chi: RatPoly, genus: int, evidence, theta_odd=None, theta_even=None):
-    """Certification from an external chi.  Given theta resolvents are
-    checked before any decision and factored only when chi is reducible."""
-    if genus < 1:
-        raise ValueError("genus must be >= 1; got %d" % genus)
-    if genus > MAX_GENUS:
-        raise ValueError("genus %d exceeds the genus cap g <= %d" % (genus, MAX_GENUS))
-    expected = j2_class_count(genus)
-    if chi.degree != expected:
-        raise ValueError(
-            "chi has degree %d; genus %d requires 2^(2g)-1 = %d"
-            % (chi.degree, genus, expected)
-        )
-    chi_int = chi.to_int()[1]
-    if not is_squarefree(chi_int):
-        raise ValueError("chi is not squarefree (not an etale-algebra resolvent)")
-    theta_hashes = ()
-    if theta_odd is not None:
-        want_odd, want_even = theta_class_counts(genus)
-        if theta_odd.degree != want_odd or theta_even.degree != want_even:
-            raise ValueError(
-                "theta resolvent degrees (%d, %d) do not match genus %d (%d, %d)"
-                % (theta_odd.degree, theta_even.degree, genus, want_odd, want_even)
-            )
-        for name, poly in (("odd", theta_odd), ("even", theta_even)):
-            poly_int = poly.to_int()[1]
-            if not is_squarefree(poly_int):
-                raise ValueError("theta %s resolvent is not squarefree" % name)
-            theta_hashes += (("chi_" + name, poly_digest(poly_int.coeffs)),)
-    hashes = (("chi", poly_digest(chi_int.coeffs)),)
-    report = OrbitReport(genus, _factor_degrees(chi))
-    if not report.transitive and theta_hashes:
-        hashes += theta_hashes
-        report = OrbitReport(
-            genus, report.j2_orbits, _factor_degrees(theta_odd), _factor_degrees(theta_even)
-        )
-    return decide(
-        report,
-        evidence,
-        chi_irreducible=True if report.transitive else None,
-        hashes=hashes,
-        subject=(("kind", "external-chi"), ("chi_degree", chi.degree), ("genus", genus)),
-    )
-
-
-# ---------------------------------------------------------------------------
 # command handlers: each returns (exit_code, text)
 
 def _emit_certificate(cert, as_json: bool):
@@ -468,11 +376,12 @@ def _check_height_bound(args):
 def _cmd_certify_hyperelliptic(args):
     _check_height_bound(args)
     f = parse_poly(args.f)
-    cert, _ = pipeline_hyperelliptic(
+    cert = certify_curve(
         f,
-        assert_deg1=args.assert_deg1_class,
-        height_bound=args.height_bound,
+        (("kind", "hyperelliptic"), ("f", str(f)), ("genus", (f.degree - 1) // 2)),
         full_theta=args.full_criterion,
+        height_bound=args.height_bound,
+        assert_deg1=args.assert_deg1_class,
     )
     return _emit_certificate(cert, args.json)
 
@@ -833,7 +742,10 @@ def _build_parser() -> argparse.ArgumentParser:
     fs.add_argument("--range", required=True, help="A..B inclusive integer range")
     fs.add_argument("--fiber-check", default=None,
                     help="verify transitivity at this designated fiber first")
-    fs.add_argument("--full-criterion", action="store_true")
+    fs.add_argument("--full-criterion", action="store_true",
+                    help="compute theta resolvents for the direct criterion on "
+                    "fibers whose two-torsion action is reducible; transitive "
+                    "fibers keep the transitivity shortcut")
     fs.add_argument("--assert-deg1-class", action="store_true")
     fs.add_argument("--height-bound", type=int, default=DEFAULT_HEIGHT_BOUND)
     fs.add_argument("--json", action="store_true")

@@ -4,15 +4,15 @@ A family is a polynomial in x whose coefficients are polynomials in t.
 Finitely many parameter values are excluded: z1 collects the rational
 roots of the discriminant, z2 those of the discriminant and of the
 leading coefficient (degenerate or bad-reduction fibers).  Away from them each
-integer fiber is certified independently by the steps the curve pipeline
-uses: build the curve, find a degree-1 class (`certify.deg1_evidence`),
-read the two-torsion orbits (`weierstrass.two_torsion_data`), and call
-`certify.decide` with the fiber's subject, the family and t, from which
-it computes the inputs digest.  A transitive action concludes through the
-transitivity shortcut; a reducible chi is reported as NeedsThetaData on
-that path, or, on request, decided on the direct path from the theta
-orbits (`weierstrass.theta_data`).  No generic resolvent over Q(t) is ever
-formed; per-fiber recomputation is both simpler and strictly verified.
+integer fiber is certified independently by the curve pipeline,
+`certify.certify_curve`, with the fiber's subject, the family and t, from
+which it computes the inputs digest: build the curve, find a degree-1
+class, read the two-torsion orbits, and decide.  A transitive action
+concludes through the transitivity shortcut, also under the full
+criterion; a reducible chi is reported as NeedsThetaData on that path, or,
+with the full criterion, decided on the direct path from the theta orbits.
+No generic resolvent over Q(t) is ever formed; per-fiber recomputation is
+both simpler and strictly verified.
 
 The discriminant of f_t in x is computed exactly by evaluation and
 interpolation in Newton form: disc_x specializes correctly wherever the
@@ -29,13 +29,7 @@ import threading
 from fractions import Fraction
 from typing import NamedTuple
 
-from .certify import (
-    DEFAULT_HEIGHT_BOUND,
-    Certificate,
-    OrbitReport,
-    decide,
-    deg1_evidence,
-)
+from .certify import DEFAULT_HEIGHT_BOUND, Certificate, OrbitReport, certify_curve
 from .certroots import PrecisionExhausted
 from .exactpoly import IntPoly, RatPoly, discriminant
 from .factorq import rational_roots
@@ -44,7 +38,6 @@ from .weierstrass import (
     SingularModelError,
     build_curve,
     check_curve_degree,
-    theta_data,
     two_torsion_data,
 )
 
@@ -216,29 +209,16 @@ def certify_fiber(
     a: Fraction,
     options: ScanOptions = ScanOptions(),
 ) -> Certificate:
-    """Run the per-fiber pipeline at t = a (caller screens exclusions).
-
-    The transitivity path is taken unless chi is reducible and
-    ``options.full_theta`` asks for the direct criterion on theta data.
-    """
+    """`certify.certify_curve` on the fiber at t = a (caller screens
+    exclusions), whose subject names the family and t."""
     a = Fraction(a)
-    curve = build_curve(fam.specialize(a))
-    evidence = deg1_evidence(curve, options.height_bound, options.assert_deg1)
-    j2, hashes, labeling = two_torsion_data(curve)
-    report = OrbitReport(curve.genus, j2)
-    chi_irreducible = report.transitive
-    if options.full_theta and not chi_irreducible:
-        theta_odd, theta_even, theta_hashes = theta_data(curve)
-        report = OrbitReport(curve.genus, j2, theta_odd, theta_even)
-        hashes += theta_hashes
-        chi_irreducible = None
-    return decide(
-        report,
-        evidence,
-        chi_irreducible=chi_irreducible,
-        hashes=hashes,
-        labeling=labeling,
-        subject=(("kind", "family-fiber"), ("family", fam.description), ("t", str(a))),
+    subject = (("kind", "family-fiber"), ("family", fam.description), ("t", str(a)))
+    return certify_curve(
+        fam.specialize(a),
+        subject,
+        full_theta=options.full_theta,
+        height_bound=options.height_bound,
+        assert_deg1=options.assert_deg1,
     )
 
 

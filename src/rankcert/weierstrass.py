@@ -34,7 +34,7 @@ set, for both class sets:
   chi_odd and chi_even.  A rational theta characteristic exists iff some
   theta orbit has size 1.  Odd-degree models need no theta data: (g-1)
   times the infinite Weierstrass point doubles to the canonical class,
-  and `cli.pipeline_hyperelliptic` passes that witness
+  and `certify.certify_curve` passes that witness
   (`certify.INFINITY_WITNESS`);
 - `frobenius_orbit_oracle` and `frobenius_theta_oracle`: the cycle types
   that chi, chi_odd and chi_even match mod p.

@@ -20,9 +20,10 @@ from rankcert.certify import (
     VERDICT_INCONCLUSIVE,
     VERDICT_RANK_AT_LEAST_ONE,
     INFINITY_WITNESS,
+    certify_curve,
     verify_certificate,
 )
-from rankcert.cli import load_chi_fixture, main, parse_family, pipeline_hyperelliptic
+from rankcert.cli import load_chi_fixture, main, parse_family
 from rankcert.exactpoly import IntPoly, RatPoly
 from rankcert.factorq import (
     BadPrimeError,
@@ -43,7 +44,7 @@ from rankcert.weierstrass import (
     theta_data,
 )
 
-from conftest import fixture_path, resolvents
+from conftest import curve_subject, fixture_path, resolvents
 
 SEED = 20260809
 FROZEN_SCAN_CERTIFIED = 98          # derived by running the pipeline, then pinned
@@ -220,7 +221,8 @@ def test_criterion_5_odd_model_fast_path():
         degrees = [5] * 7 + [7] * 3
         for d in degrees:
             f = _random_squarefree(rng, d)
-            cert, curve = pipeline_hyperelliptic(f)
+            cert = certify_curve(f, curve_subject(f))
+            curve = build_curve(f)
             assert cert.verdict == VERDICT_INCONCLUSIVE
             theta_reasons = [r for r in cert.reasons if r.kind == RATIONAL_THETA]
             assert len(theta_reasons) == 1
@@ -255,7 +257,7 @@ def test_criterion_6_rational_two_torsion():
             (orbits,), (chi,), _c = class_orbits(curve, [enumerate_j2_classes(curve)])
             assert 1 in orbits
             assert any(g.degree == 1 for g in factor_over_q(chi.to_rat()))
-            cert, _ = pipeline_hyperelliptic(f)
+            cert = certify_curve(f, curve_subject(f))
             assert cert.verdict == VERDICT_INCONCLUSIVE
             assert RATIONAL_TWO_TORSION in cert.reason_kinds()
     _report(

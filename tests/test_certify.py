@@ -20,6 +20,7 @@ from rankcert.certify import (
     VERDICT_RANK_AT_LEAST_ONE,
     certificate_doc,
     certificate_from_doc,
+    certify_curve,
     decide,
     find_deg1_class,
     render_certificate,
@@ -27,6 +28,8 @@ from rankcert.certify import (
 )
 from rankcert.exactpoly import RatPoly
 from rankcert.weierstrass import build_curve
+
+from conftest import curve_subject
 
 ASSERTED = Deg1Evidence("user-assertion", note="asserted")
 QUARTIC_REPORT = OrbitReport(genus=3, j2_orbits=(3, 12, 48), theta_odd=(4, 24), theta_even=(12, 24))
@@ -261,10 +264,11 @@ class TestSerialization:
         assert certificate_from_doc(certificate_doc(cert)) == cert
 
     def test_roundtrip_keeps_the_hash_order(self):
-        from rankcert.cli import parse_family, parse_poly, pipeline_hyperelliptic
+        from rankcert.cli import parse_family, parse_poly
         from rankcert.family import ScanOptions, certify_fiber
 
-        curve_cert, _curve = pipeline_hyperelliptic(parse_poly("x^6+x+1"), full_theta=True)
+        f = parse_poly("x^6+x+1")
+        curve_cert = certify_curve(f, curve_subject(f), full_theta=True)
         # a fiber with a reducible chi, so the full criterion adds theta hashes
         fiber_cert = certify_fiber(parse_family("x^6+t*x+1"), 2, ScanOptions(full_theta=True))
         for cert in (curve_cert, fiber_cert):
@@ -346,13 +350,11 @@ class TestVerifier:
 def test_transitivity_implies_direct_on_real_data():
     # whenever the shortcut concludes and theta data is computed anyway, the
     # direct criterion concludes too
-    from rankcert.cli import pipeline_hyperelliptic
-
     f = RatPoly([1, 1, 0, 0, 0, 0, 1])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        short, _ = pipeline_hyperelliptic(f)
-        full, _ = pipeline_hyperelliptic(f, full_theta=True)
+        short = certify_curve(f, curve_subject(f))
+        full = certify_curve(f, curve_subject(f), full_theta=True)
     assert short.verdict == VERDICT_RANK_AT_LEAST_ONE
     assert short.path == PATH_TRANSITIVITY
     assert full.verdict == VERDICT_RANK_AT_LEAST_ONE

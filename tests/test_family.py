@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import threading
@@ -10,8 +11,8 @@ from pathlib import Path
 import pytest
 
 from rankcert import factorq, family
-from rankcert.certify import verify_certificate, certificate_doc
-from rankcert.cli import main, parse_family, parse_poly, pipeline_hyperelliptic
+from rankcert.certify import certificate_doc, certify_curve, verify_certificate
+from rankcert.cli import main, parse_family, parse_poly
 from rankcert.exactpoly import IntPoly, RatPoly, discriminant
 from rankcert.factorq import is_squarefree
 from rankcert.family import (
@@ -24,6 +25,8 @@ from rankcert.family import (
     scan,
 )
 from rankcert.weierstrass import NoInjectiveLabelingError
+
+from conftest import curve_subject
 
 X6_T = FamilyCurve(
     (RatPoly([1]), RatPoly([0, 1]), RatPoly(), RatPoly(), RatPoly(), RatPoly(), RatPoly([1])),
@@ -288,20 +291,48 @@ def test_multi_stratum_fiber_skips_irreducibility_test(monkeypatch):
     assert certify_fiber(X6_T, Fraction(1)).chi_irreducible is True
 
 
+def _seeded_fibers(seed=20, per_family=13):
+    """(f_t, t, f, full_theta) for distinct fibers of x^d + t*x + c, d = 5
+    to 8 (odd and even models of genus 2 and 3), each with both full_theta
+    values."""
+    rng = random.Random(seed)
+    cases = []
+    for d in (5, 6, 7, 8):
+        fibers = {}
+        while len(fibers) < per_family:
+            f_t = "x^%d+t*x%+d" % (d, rng.choice([c for c in range(-9, 10) if c]))
+            t = rng.randint(-6, 6)
+            f = parse_family(f_t).specialize(Fraction(t))
+            if discriminant(f) != 0:
+                fibers[f_t, t] = str(f)
+        cases += [(*fiber, f, full) for fiber, f in fibers.items() for full in (False, True)]
+    return cases
+
+
 @pytest.mark.parametrize(
     "f_t,t,f,full_theta",
     [
         ("x^6+t*x+1", 1, "x^6+x+1", False),  # irreducible chi: transitivity
         ("x^6+t*x+1", 0, "x^6+1", True),  # reducible chi, full criterion: direct
-    ],
+    ] + _seeded_fibers(),
 )
 def test_fiber_and_curve_pipelines_agree(f_t, t, f, full_theta):
     fiber = certify_fiber(parse_family(f_t), Fraction(t), ScanOptions(full_theta=full_theta))
-    curve_cert, _ = pipeline_hyperelliptic(parse_poly(f), full_theta=full_theta)
-    assert fiber.path == ("direct" if full_theta else "transitivity")
+    f = parse_poly(f)
+    curve_cert = certify_curve(f, curve_subject(f), full_theta=full_theta)
     assert fiber.inputs_digest != curve_cert.inputs_digest
     blank = {"subject": (), "inputs_digest": ""}
-    assert fiber._replace(**blank) == curve_cert._replace(**blank)
+    if full_theta != fiber.report.transitive:
+        assert fiber.path == ("direct" if full_theta else "transitivity")
+        assert fiber._replace(**blank) == curve_cert._replace(**blank)
+        return
+    # a transitive fiber under the full criterion, or a reducible one
+    # without it, stays on the transitivity path with the two-torsion data
+    assert fiber.path == "transitivity"
+    assert fiber.chi_irreducible == fiber.report.transitive
+    two_torsion = certify_curve(f, curve_subject(f))
+    same = ("evidence", "report", "hashes", "labeling")
+    assert [getattr(fiber, k) for k in same] == [getattr(two_torsion, k) for k in same]
 
 
 def test_asserted_fiber_note(capsys):

@@ -8,7 +8,8 @@ the byte gate is checked too: stderr is empty, and the exit code is 0 for
 a document that certifies (verdict RankAtLeastOne, or a scan with a
 certified fiber) and 2 otherwise.  Each certificate, and each fiber
 certificate of a scan, must also pass `verify_certificate`, the check the
-benchmark runs on it.  These tests only read perfbench/.
+benchmark runs on it, and the stdout, written to a file, must pass the
+`verify` command.  These tests only read perfbench/.
 """
 
 import hashlib
@@ -34,7 +35,7 @@ RECORDED = _recorded()
 
 
 @pytest.mark.parametrize("key,sha256", RECORDED, ids=[key for key, _ in RECORDED])
-def test_stdout_matches_recording(key, sha256, capsys, monkeypatch):
+def test_stdout_matches_recording(key, sha256, capsys, monkeypatch, tmp_path):
     monkeypatch.chdir(ROOT)
     code = main(key.split(" ") + ["--json"])
     out, err = capsys.readouterr()
@@ -49,3 +50,9 @@ def test_stdout_matches_recording(key, sha256, capsys, monkeypatch):
         certifies = doc["verdict"] == "RankAtLeastOne"
     assert code == (0 if certifies else 2)
     assert [verify_certificate(cert) for cert in certs] == [(True, [])] * len(certs)
+    path = tmp_path / "stdout.json"
+    path.write_text(out, encoding="utf-8")
+    code = main(["verify", "--certificate", str(path)])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    assert out.startswith("verified: ")
