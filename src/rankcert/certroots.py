@@ -5,10 +5,12 @@ A ball at precision P is three Python ints: the closed disk
 complex numbers, so addition is exact.  A product truncates its midpoint
 by `>> P`, which loses less than one ulp per component; the radius of every
 product is the propagated error bound divided by 2**P and rounded up, plus
-2 ulps for the truncation.  Ball polynomials multiply by the same rule
-coefficient by coefficient, and `root_product` builds prod (x - r) by a
+2 ulps for the truncation.  `root_product` builds prod (x - r) by a
 balanced product tree that truncates at every node, so coefficients stay
-near P bits.  Every radius is therefore an integer upper bound, and the
+near P bits.  A node's midpoints are exact integer products shifted down
+by P bits, and one radius bounds all its coefficients: the same rule with
+the 1-norm, the sum of |re| + |im| over the coefficients, in place of
+|a|.  Every radius is therefore an integer upper bound, and the
 containment contract holds throughout: the true value lies in the ball.
 A snap to an integer succeeds only when 2(|im| + rad) < 2**P and
 [re - rad, re + rad] holds exactly one multiple of 2**P.
@@ -127,30 +129,44 @@ def snap_to_integer(b: ComplexBall):
     return lo if lo == hi else None
 
 
+def _norm1(re, im) -> int:
+    """The sum of |re| + |im| over the coefficients of a ball polynomial."""
+    return sum(map(abs, re)) + sum(map(abs, im))
+
+
 def _poly_mul(a, b, P: int):
-    """Product of two ball polynomials, each (re, im, rad) coefficient lists
-    at precision P, by the rule of `ComplexBall.mul` per coefficient: the
-    exact midpoint product shifted down by P bits, and radii
-    (|A| r_B + r_A (|B| + r_B)) / 2**P rounded up, plus 2 ulps."""
+    """Product of two ball polynomials, each (re, im, rad): coefficient
+    lists at precision P and one radius for every coefficient.
+
+    The midpoints are the exact products shifted down by P bits; re and
+    im come from three integer products, ar*br, ai*bi and
+    (ar + ai)*(br + bi).  A coefficient of the product sums at most len(b)
+    terms, so its error is at most |A|_1 r_B + r_A (|B|_1 + len(b) r_B),
+    which divided by 2**P, rounded up and plus 2 ulps is the radius."""
     (ar, ai, ra), (br, bi, rb) = a, b
-    re = [x - y for x, y in zip(_zmul(ar, br), _zmul(ai, bi))]
-    im = [x + y for x, y in zip(_zmul(ar, bi), _zmul(ai, br))]
-    abs_a = [_abs_upper(x, y) for x, y in zip(ar, ai)]
-    abs_b = [_abs_upper(x, y) + r for x, y, r in zip(br, bi, rb)]
-    err = [x + y for x, y in zip(_zmul(abs_a, rb), _zmul(ra, abs_b))]
-    return [x >> P for x in re], [y >> P for y in im], [-(-e >> P) + 2 for e in err]
+    rr = _zmul(ar, br)
+    ii = _zmul(ai, bi)
+    ss = _zmul([x + y for x, y in zip(ar, ai)], [x + y for x, y in zip(br, bi)])
+    err = _norm1(ar, ai) * rb + ra * (_norm1(br, bi) + len(br) * rb)
+    return (
+        [(x - y) >> P for x, y in zip(rr, ii)],
+        [(s - x - y) >> P for s, x, y in zip(ss, rr, ii)],
+        -(-err >> P) + 2,
+    )
 
 
 def root_product(roots, prec: int) -> list:
     """Ball coefficients, ascending, of prod (x - r) over balls at precision
-    prec, by a balanced product tree that truncates at every node."""
-    polys = [([-r.re, 1 << prec], [-r.im, 0], [r.rad, 0]) for r in roots]
+    prec, by a balanced product tree that truncates at every node; the
+    coefficients share one radius."""
+    polys = [([-r.re, 1 << prec], [-r.im, 0], r.rad) for r in roots]
     while len(polys) > 1:
         polys = [
             _poly_mul(polys[i], polys[i + 1], prec) if i + 1 < len(polys) else polys[i]
             for i in range(0, len(polys), 2)
         ]
-    return [ComplexBall(re, im, prec, rad) for re, im, rad in zip(*polys[0])]
+    re, im, rad = polys[0]
+    return [ComplexBall(x, y, prec, rad) for x, y in zip(re, im)]
 
 
 def pairwise_disjoint(balls) -> bool:

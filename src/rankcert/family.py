@@ -242,7 +242,7 @@ def check_good_fiber(
     return report.transitive, report
 
 
-def _certify_chunk(fam: FamilyCurve, ts, options: ScanOptions) -> list:
+def _certify_fibers(fam: FamilyCurve, ts, options: ScanOptions) -> list:
     """The outcome of each fiber t in ``ts``, in order: its certificate when
     it certifies, else its skip record (t, kind, details)."""
     out = []
@@ -272,10 +272,37 @@ def _thread_count() -> int:
         return threading.active_count()
 
 
-def _fork_chunk(fam: FamilyCurve, ts, options: ScanOptions):
-    """A worker process that certifies ``ts`` and writes the pickled pair
-    (outcomes, None), or (None, exception) when it raised, to a pipe.
-    Returns (pid, read end), or None when the fork fails."""
+# bytes of a block index on the task pipe
+_TASK_BYTES = 4
+
+
+def _take_blocks(fam: FamilyCurve, blocks, tasks: int, options: ScanOptions, parent=None):
+    """Certify the blocks whose indices this process reads from the task
+    pipe ``tasks``, until the pipe is empty.  Returns ({block index:
+    outcomes}, None), or (outcomes, (block index, exception)) when a block
+    raised; the pipe is then emptied, so that no process takes a later
+    block.  A worker passes the pid of its ``parent`` and exits when that
+    process is gone."""
+    done = {}
+    while True:
+        task = os.read(tasks, _TASK_BYTES)
+        if not task:
+            return done, None
+        if parent is not None and os.getppid() != parent:  # the parent was killed
+            os._exit(1)
+        i = int.from_bytes(task, "little")
+        try:
+            done[i] = _certify_fibers(fam, blocks[i], options)
+        except BaseException as exc:
+            while os.read(tasks, 1 << 12):
+                pass
+            return done, (i, exc)
+
+
+def _fork_worker(fam: FamilyCurve, blocks, tasks: int, options: ScanOptions):
+    """A worker process that runs `_take_blocks` and writes its pickled
+    result to a pipe.  Returns (pid, the pipe's read end as a binary file),
+    or None when the fork fails."""
     r, w = os.pipe()
     try:
         pid = os.fork()
@@ -285,66 +312,73 @@ def _fork_chunk(fam: FamilyCurve, ts, options: ScanOptions):
         return None
     if pid:
         os.close(w)
-        return pid, r
+        return pid, open(r, "rb")
     # the worker: it ends with os._exit on every path, so it never flushes
     # the parent's buffers nor returns into the caller
     try:
         import pickle
 
         os.close(r)
-        parent = os.getppid()
-        outcomes = []
-        try:
-            for a in ts:
-                if os.getppid() != parent:  # the parent was killed
-                    os._exit(1)
-                outcomes += _certify_chunk(fam, (a,), options)
-            result = (outcomes, None)
-        except BaseException as exc:
-            result = (None, exc)
+        result = _take_blocks(fam, blocks, tasks, options, os.getppid())
         with open(w, "wb") as pipe:
             pipe.write(pickle.dumps(result))
     finally:
         os._exit(0)
 
 
-def _certify_chunks(fam: FamilyCurve, chunks, options: ScanOptions) -> list:
-    """The outcomes of all chunks, in order.  The first chunk, and any whose
-    fork fails, is certified in this process, every other one in a worker of
-    its own.  The exception of the earliest failing chunk is raised, and no
+def _certify_blocks(fam: FamilyCurve, ts, k: int, options: ScanOptions) -> list:
+    """The outcomes of the fibers ``ts``, in order, certified by this
+    process and up to k - 1 forked workers.
+
+    ``ts`` is cut into contiguous blocks, about four per process and few
+    enough that their indices fill one write of at most PIPE_BUF bytes to
+    a task pipe, made before the fork.  Each process reads the next index
+    whenever it is free, so the last block to finish ends soon after the
+    others.  The exception of the earliest failing block is raised, and no
     worker outlives the call."""
-    if len(chunks) == 1:
-        return _certify_chunk(fam, chunks[0], options)
+    if k == 1:
+        return _certify_fibers(fam, ts, options)
     import pickle  # only a scan that forks pays for it
 
-    live = {}  # chunk index -> (pid, read end)
-    for i, ts in enumerate(chunks[1:], 1):
-        worker = _fork_chunk(fam, ts, options)
-        if worker is not None:
-            live[i] = worker
-    outcomes = []
+    tasks, w = os.pipe()
     try:
-        for i, ts in enumerate(chunks):
-            if i not in live:
-                outcomes += _certify_chunk(fam, ts, options)
-                continue
-            pid, r = live.pop(i)
-            with open(r, "rb") as pipe:
-                data = pipe.read()
+        n = min(len(ts), 4 * k, os.fpathconf(w, "PC_PIPE_BUF") // _TASK_BYTES)
+        bounds = [len(ts) * i // n for i in range(n + 1)]
+        blocks = [ts[i:j] for i, j in zip(bounds, bounds[1:])]
+        os.write(w, b"".join(i.to_bytes(_TASK_BYTES, "little") for i in range(n)))
+    finally:
+        os.close(w)
+    workers = []
+    try:
+        for _ in range(k - 1):
+            worker = _fork_worker(fam, blocks, tasks, options)
+            if worker is not None:
+                workers.append(worker)
+        done, failure = _take_blocks(fam, blocks, tasks, options)
+        if failure is not None and not isinstance(failure[1], Exception):
+            raise failure[1]  # an interrupt of this process
+        while workers:
+            pid, pipe = workers[-1]
+            data = pipe.read()
+            pipe.close()
+            workers.pop()
             os.waitpid(pid, 0)
             try:
-                part, exc = pickle.loads(data)
+                part, worker_failure = pickle.loads(data)
             except Exception:
                 raise RuntimeError("a scan worker ended without a result") from None
-            if exc is not None:
-                raise exc
-            outcomes += part
+            done.update(part)
+            if worker_failure is not None and (failure is None or worker_failure[0] < failure[0]):
+                failure = worker_failure
     finally:
-        for pid, r in live.values():
+        for pid, pipe in workers:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-            os.close(r)
-    return outcomes
+            pipe.close()
+        os.close(tasks)
+    if failure is not None:
+        raise failure[1]
+    return [outcome for i in range(n) for outcome in done[i]]
 
 
 def scan(
@@ -360,22 +394,24 @@ def scan(
     Per-fiber failures are recorded as skips, never raised; the report
     lists every scanned value exactly once, ordered by parameter value.
 
-    The fibers to certify are split into k contiguous chunks, k the number
-    of CPUs this process may run on, capped by the number of fibers (fibers
-    t and t + p in one chunk share their Frobenius cycle types).  This
-    process certifies the first chunk and a forked worker each other one;
-    with k = 1, or with more than one thread, nothing is forked.  The
-    report does not depend on k.  An exception that is not a per-fiber
-    failure is raised as the serial loop would raise it: that of the
-    earliest failing chunk, with its type and message.
+    The fibers to certify are certified by k processes, k the number of
+    CPUs this process may run on, capped by the number of fibers: this one
+    and k - 1 forked workers.  They are cut into small contiguous blocks,
+    about four per process (fibers t and t + p in one block share their
+    Frobenius cycle types), and each process takes the next block whenever
+    it is free.  With k = 1, or with more than one thread, nothing is
+    forked: a process that runs other threads, as one does after
+    ``import numpy`` starts its BLAS threads, scans serially.  The report
+    does not depend on k.  An exception that is not a per-fiber failure is
+    raised as the serial loop would raise it: that of the earliest failing
+    fiber, with its type and message.
     """
     excl = exclusion_sets(fam) if exclusions is None else exclusions
     ts = [a for a in map(Fraction, range(lo, hi + 1)) if excl.excluded(a) is None]
     k = max(1, min(_usable_cpus(), len(ts)))
     if k > 1 and _thread_count() > 1:
         k = 1
-    bounds = [len(ts) * i // k for i in range(k + 1)]
-    outcomes = iter(_certify_chunks(fam, [ts[i:j] for i, j in zip(bounds, bounds[1:])], options))
+    outcomes = iter(_certify_blocks(fam, ts, k, options))
     certified = []
     skipped = []
     for n in range(lo, hi + 1):

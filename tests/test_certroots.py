@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from rankcert import certroots
+from rankcert import certroots, weierstrass
 from rankcert.certroots import (
     ComplexBall,
     isolate_roots,
@@ -14,10 +14,14 @@ from rankcert.certroots import (
     root_product,
     snap_to_integer,
 )
+from rankcert.cli import parse_poly
 from rankcert.exactpoly import IntPoly
 from rankcert.factorq import is_squarefree
+from rankcert.weierstrass import build_curve, enumerate_j2_classes, enumerate_theta_classes
 
-from conftest import random_monic_squarefree
+from conftest import random_monic_squarefree, resolvents
+from test_exactpoly import schoolbook
+from test_labeling_gate import RECORDED as LABELLING_GATE
 
 
 def ball_sum(balls):
@@ -109,25 +113,50 @@ class TestBallArithmetic:
             ComplexBall(0, 0, 10, -1)
 
 
+def random_balls(rng, n, prec, bits, exact):
+    """n balls with midpoints of modulus below 2**bits, some on the real
+    axis; radius 0 when ``exact``."""
+    top = 1 << (bits + prec)
+    return [
+        ComplexBall(
+            rng.randint(-top, top),
+            rng.choice([0, rng.randint(-top, top)]),
+            prec,
+            0 if exact else rng.choice([0, 1, rng.randint(0, 1 << (prec // 2))]),
+        )
+        for _ in range(n)
+    ]
+
+
+def four_product_midpoints(balls, prec):
+    """(re, im) of each coefficient of prod (x - r), by the balanced tree of
+    `root_product`, each node from the four schoolbook products ar*br,
+    ai*bi, ar*bi and ai*br shifted down by prec bits."""
+    polys = [([-b.re, 1 << prec], [-b.im, 0]) for b in balls]
+    while len(polys) > 1:
+        nxt = []
+        for i in range(0, len(polys) - 1, 2):
+            (ar, ai), (br, bi) = polys[i], polys[i + 1]
+            re = [x - y for x, y in zip(schoolbook(ar, br), schoolbook(ai, bi))]
+            im = [x + y for x, y in zip(schoolbook(ar, bi), schoolbook(ai, br))]
+            nxt.append(([x >> prec for x in re], [y >> prec for y in im]))
+        polys = nxt + polys[len(nxt) * 2:]
+    return list(zip(*polys[0]))
+
+
 class TestRootProduct:
     def test_contains_exact_product(self):
         # true Gaussian-rational labels drawn inside the balls; the exact
         # coefficients of prod (x - label) must lie in the computed balls
-        # (exact labels leave only the truncation ulps in the radii)
+        # (exact labels leave only the truncation ulps in the radii);
+        # midpoints of modulus up to 16, and near 2**400 with fewer labels,
+        # whose exact products are long
         rng = random.Random(2024)
-        for n, exact_labels in itertools.product(
-            list(range(1, 17)) + [24, 32, 48, 64], (True, False)
-        ):
+        small = itertools.product(list(range(1, 17)) + [24, 32, 48, 64], [4])
+        large = itertools.product(list(range(1, 17)) + [24, 32], [400])
+        for (n, bits), exact_labels in itertools.product([*small, *large], (True, False)):
             prec = rng.choice([48, 64, 128])
-            balls = [
-                ComplexBall(
-                    rng.randint(-(16 << prec), 16 << prec),
-                    rng.choice([0, rng.randint(-(16 << prec), 16 << prec)]),
-                    prec,
-                    0 if exact_labels else rng.choice([0, 1, rng.randint(0, 1 << (prec // 2))]),
-                )
-                for _ in range(n)
-            ]
+            balls = random_balls(rng, n, prec, bits, exact_labels)
             coeffs = root_product(balls, prec)
             labels = [point_in(rng, b) for b in balls]
             exact = [(Fraction(1), Fraction(0))]
@@ -146,6 +175,36 @@ class TestRootProduct:
         prec = 64
         balls = [ComplexBall(r << prec, 0, prec, 3) for r in (1, 2, 3)]
         assert [snap_to_integer(b) for b in root_product(balls, prec)] == [-6, 11, -6, 1]
+
+    def test_midpoints_are_the_four_product_ones(self):
+        # the three-product midpoints are today's integers bit for bit, and
+        # every coefficient carries the one radius of the root node
+        rng = random.Random(77)
+        for n, bits in itertools.product([1, 2, 3, 5, 8, 15, 16, 35, 64], [4, 400]):
+            prec = rng.choice([48, 128, 384])
+            balls = random_balls(rng, n, prec, bits, exact=False)
+            coeffs = root_product(balls, prec)
+            assert [(b.re, b.im) for b in coeffs] == four_product_midpoints(balls, prec)
+            assert len({b.rad for b in coeffs}) == 1
+
+    def test_isolations_on_the_labelling_gate_curves(self, monkeypatch):
+        # the two-torsion and theta resolvents of the 24 labelling-gate
+        # curves isolate roots 52 times: once per resolvent build, plus one
+        # re-isolation per snap failure (three curves have them).  A product
+        # radius that fails a snap the per-coefficient radii passed adds one
+        calls = []
+        original = weierstrass.isolate_roots
+
+        def counting(f, precision=128):
+            calls.append(precision)
+            return original(f, precision)
+
+        monkeypatch.setattr(weierstrass, "isolate_roots", counting)
+        for row in LABELLING_GATE:
+            curve = build_curve(parse_poly(row[0]))
+            resolvents(curve, [enumerate_j2_classes(curve)])
+            resolvents(curve, enumerate_theta_classes(curve))
+        assert len(calls) == 52
 
 
 class TestSnap:

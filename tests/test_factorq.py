@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from rankcert import factorq
 from rankcert.cli import parse_poly
 from rankcert.exactpoly import IntPoly, RatPoly
 from rankcert.factorq import (
@@ -13,8 +14,10 @@ from rankcert.factorq import (
     factor_over_q,
     _FixedModulus,
     _hensel_lift_list,
+    gf_ddf,
     gf_factor_sqf_monic,
     gf_from_int,
+    gf_gcd,
     gf_monic,
     gf_mul,
     gf_rem,
@@ -131,6 +134,47 @@ class TestModPKernel:
             for e in range(20):
                 assert fm.pow(h, e) == acc
                 acc = gf_rem(gf_mul(acc, h, p), f, p)
+
+
+class TestSmallDegreeModulus:
+    def test_lists_split_as_the_packed_rows_do(self, monkeypatch):
+        # below `_GF_PACK_FROM` a modulus keeps its rows as plain lists;
+        # with packed rows at every degree the distinct-degree split and
+        # the factors must be the same
+        rng = random.Random(1009)
+        primes = [p for p in range(2, 1010) if factorq._is_prime(p)]
+        cases = []
+        while len(cases) < 300:
+            p = rng.choice(primes)
+            f = [rng.randrange(p) for _ in range(rng.randint(2, 12))] + [1]
+            if gf_sqf_p(f, p):
+                cases.append((f, p))
+        assert {len(f) - 1 for f, _ in cases} == set(range(2, 13))
+        assert not _FixedModulus([1, 0, 0, 1], 5).packed
+
+        def split():
+            return [(gf_ddf(f, p), gf_factor_sqf_monic(f, p)) for f, p in cases]
+
+        lists = split()
+        monkeypatch.setattr(factorq, "_GF_PACK_FROM", 0)
+        assert _FixedModulus([1, 0, 0, 1], 5).packed
+        assert split() == lists
+
+    def test_gcd_matches_remainder_euclid(self):
+        # `gf_gcd` divides by monic divisors; plain Euclid on `gf_rem`
+        # remainders, made monic at the end, is the reference
+        rng = random.Random(43)
+        for _ in range(400):
+            p = rng.choice([2, 3, 7, 43, 1009])
+            common = gf_strip([rng.randrange(p) for _ in range(rng.randint(0, 4))])
+            f, g = (
+                gf_mul(gf_strip([rng.randrange(p) for _ in range(rng.randint(0, 10))]), common, p)
+                for _ in range(2)
+            )
+            a, b = f, g
+            while b:
+                a, b = b, gf_rem(a, b, p)
+            assert gf_gcd(f, g, p) == gf_monic(a, p), (f, g, p)
 
 
 class TestFactorModP:

@@ -408,11 +408,11 @@ class TestParallelScan:
         _fail_at(monkeypatch, {Fraction(-2): NoInjectiveLabelingError("collide")})
         forks = _count_forks(monkeypatch)
         reports = []
-        for n in (1, 3):
+        for n in (1, 2, 3, 7):
             _use_cpus(monkeypatch, n)
             reports.append(scan(X6_TT, -6, 6, ScanOptions(full_theta=True)))
-        assert len(forks) == 2
-        assert reports[0] == reports[1]
+        assert len(forks) == 0 + 1 + 2 + 6
+        assert all(report == reports[0] for report in reports)
         assert len(reports[0].certified) == 10
         assert [(a, kind) for a, kind, _ in reports[0].skipped] == [
             (Fraction(-2), "Error"), (Fraction(0), "InZ1"), (Fraction(3), "Inconclusive"),
@@ -429,8 +429,10 @@ class TestParallelScan:
         _assert_no_child_left()
 
     def test_worker_exception_is_raised_as_the_serial_scan_raises_it(self, monkeypatch, capsys):
-        # chunks at 3 CPUs: -6..-3 | -2, -1, 1, 2 | 3..6; the serial loop
-        # stops at t = 1, in the second chunk, before the third one fails
+        # at 3 CPUs the 12 fibers (t = 0 is excluded) are 12 blocks of one,
+        # which the three processes take in order as each gets free; the
+        # serial loop stops at t = 1, before t = 4 fails, and whichever
+        # process fails first, t = 1 is the earlier block
         _fail_at(monkeypatch, {
             Fraction(1): RuntimeError("injected at t=1"),
             Fraction(4): ArithmeticError("injected at t=4"),
@@ -486,3 +488,84 @@ class TestParallelScan:
         code, (out, err) = outputs[0]
         assert err == "warning: genus-1 model accepted, but the rank criterion needs genus > 1\n"
         assert out.startswith("family: y^2 = x^4 + t*x + 1\n")
+
+    def test_fewer_fibers_than_blocks(self, monkeypatch):
+        # up to four blocks per process: 3 or 5 fibers on 2 or 3 CPUs are
+        # blocks of one fiber each
+        forks = _count_forks(monkeypatch)
+        for lo, hi in ((1, 3), (-2, 3)):
+            _use_cpus(monkeypatch, 1)
+            expected = scan(X6_TT, lo, hi)
+            for n in (2, 3):
+                _use_cpus(monkeypatch, n)
+                assert scan(X6_TT, lo, hi) == expected
+        assert len(forks) == 1 + 2 + 1 + 2
+        _assert_no_child_left()
+
+    def test_a_late_failure_reached_first_loses_to_an_earlier_one(self, monkeypatch, tmp_path):
+        # t = -6, the first block, fails only once t = 5, a late block, has
+        # failed in another process; the serial loop raises at t = -6, and
+        # so must the forked scan
+        log = tmp_path / "failures"
+        log.write_text("")
+        original = family.certify_fiber
+
+        def certify(fam, a, options=ScanOptions()):
+            if a == 5:
+                with open(log, "a") as out:
+                    out.write("5 ")
+                raise ArithmeticError("injected at t=5")
+            if a == -6:
+                deadline = time.monotonic() + 60
+                while "5" not in log.read_text() and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                with open(log, "a") as out:
+                    out.write("-6 ")
+                raise RuntimeError("injected at t=-6")
+            return original(fam, a, options)
+
+        monkeypatch.setattr(family, "certify_fiber", certify)
+        _use_cpus(monkeypatch, 2)
+        fork = os.fork
+        # the side of the fork that pauses takes its first block late, so
+        # the first block goes to the worker, then to this process
+        for pausing_side in ("parent", "worker"):
+            def forking():
+                pid = fork()
+                if (pid == 0) == (pausing_side == "worker"):
+                    time.sleep(0.2)
+                return pid
+
+            monkeypatch.setattr(os, "fork", forking)
+            log.write_text("")
+            with pytest.raises(RuntimeError) as info:
+                scan(X6_TT, -6, 6)
+            assert str(info.value) == "injected at t=-6"
+            assert log.read_text() == "5 -6 "
+            _assert_no_child_left()
+
+    def test_forked_scans_leave_no_resource_open(self):
+        # a pipe or file left to the garbage collector, in this process or a
+        # worker, prints a ResourceWarning in dev mode; a certified scan and
+        # one whose worker raises must print nothing else
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        code = (
+            "import os, sys\n"
+            "os.sched_getaffinity = lambda pid: {0, 1, 2}\n"
+            "from rankcert import family\n"
+            "from rankcert.cli import main\n"
+            "assert main(['family', 'scan', '--f-t=x^6+t*x+t', '--range=-6..6']) == 0\n"
+            "original = family.certify_fiber\n"
+            "def certify(fam, a, options=family.ScanOptions()):\n"
+            "    if a == 4:\n"
+            "        raise RuntimeError('injected at t=4')\n"
+            "    return original(fam, a, options)\n"
+            "family.certify_fiber = certify\n"
+            "sys.exit(main(['family', 'scan', '--f-t=x^6+t*x+t', '--range=-6..6']))\n"
+        )
+        run = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-c", code],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+        )
+        assert run.returncode == 1
+        assert run.stderr == "error: injected at t=4\n"
