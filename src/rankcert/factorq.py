@@ -26,9 +26,8 @@ entries in [0, p), factored only as squarefree monic reductions
 (`gf_factor_sqf_monic`).  Every product, mod p and over Z (Hensel
 lifting, recombination), is `exactpoly._zmul`: a plain convolution when
 a factor is shorter than its crossover, the Kronecker-substitution
-multiply otherwise.  Remainders modulo a fixed f reuse rows x^(n+i) mod f
-(`_FixedModulus`), packed from a degree crossover up; below it products
-and rows stay plain lists.  Equal-degree splitting uses a fixed PRNG
+multiply otherwise; remainders modulo a fixed f reuse packed rows
+x^(n+i) mod f (`_FixedModulus`).  Equal-degree splitting uses a fixed PRNG
 seed, so factorizations are reproducible byte for byte.
 """
 
@@ -138,7 +137,19 @@ def gf_divmod(f, g, p):
 
 
 def gf_rem(f, g, p):
-    return gf_divmod(f, g, p)[1]
+    """f mod g, taken in place without the quotient: each step subtracts
+    a multiple of g from the top down, and the remainder is reduced mod p
+    once."""
+    if not g:
+        raise ZeroDivisionError("mod-p division by zero polynomial")
+    dg = len(g) - 1
+    inv = pow(g[-1], -1, p)
+    r = list(f)
+    for k in range(len(r) - 1, dg - 1, -1):
+        c = r[k] * inv % p
+        if c:
+            r[k - dg : k] = [a - c * b for a, b in zip(r[k - dg : k], g)]
+    return gf_strip([v % p for v in r[:dg]])
 
 
 def gf_quo(f, g, p):
@@ -152,18 +163,9 @@ def gf_monic(f, p):
 
 
 def gf_gcd(f, g, p):
-    """Monic gcd by Euclid, each remainder taken in place: a division
-    step subtracts a multiple of the divisor from the top down, and the
-    remainder is reduced mod p once."""
     a, b = list(f), list(g)
     while b:
-        db = len(b) - 1
-        inv = pow(b[-1], -1, p)
-        for k in range(len(a) - 1, db - 1, -1):
-            c = a[k] * inv % p
-            if c:
-                a[k - db:k] = [u - c * v for u, v in zip(a[k - db:k], b)]
-        a, b = b, gf_strip([v % p for v in a[:db]])
+        a, b = b, gf_rem(a, b, p)
     return gf_monic(a, p)
 
 
@@ -189,57 +191,34 @@ def gf_deriv(f, p):
     return gf_strip([i * c % p for i, c in enumerate(f)][1:])
 
 
-# `_FixedModulus` packs its rows from this modulus degree up; below it
-# plain lists cost less than packing.  The crossover is timed in
-# BENCH_fiber.json
-_GF_PACK_FROM = 10
-
-
 class _FixedModulus:
     """Remainders modulo one fixed f of degree n >= 1 over F_p.
 
     A product of two reduced polynomials has degree <= 2n - 2, so its
     remainder is h[:n] + sum h[n+i] * (x^(n+i) mod f).  The n - 1 rows
-    x^(n+i) mod f are computed once and kept as `row` gives them.  From
-    degree `_GF_PACK_FROM` up a row is packed by `_pack`, a remainder costs
-    n - 1 bigint multiply-adds and one unpack, and a product is `gf_mul`;
-    a packed digit sums at most n terms below p^2, which sets the digit
-    width.  Below it a row is a list of n entries, and a product is the
-    schoolbook convolution, reduced by the rows before one pass mod p.
+    x^(n+i) mod f are packed once by `_pack`; a remainder then costs n - 1
+    bigint multiply-adds and one unpack.  A packed digit sums at most n
+    terms below p^2, which sets the digit width.
     """
 
     def __init__(self, f, p):
         f = gf_monic(f, p)
         n = len(f) - 1
         self.f, self.p, self.n = f, p, n
-        self.packed = n >= _GF_PACK_FROM
         self.nbytes = _digit_bytes((n * p * p).bit_length())
         self.rows = []
         row = [0] * (n - 1) + [1]
         for _ in range(n - 1):
             top = row[-1]
             row = [(a - top * b) % p for a, b in zip([0] + row[:-1], f)]
-            self.rows.append(self.row(row))
+            self.rows.append(_pack(row, self.nbytes))
 
-    def row(self, h):
-        """h, of at most n entries, in the form `combine` takes rows in."""
-        if self.packed:
-            return _pack(h, self.nbytes)
-        return h + [0] * (self.n - len(h))
-
-    def combine(self, h, coeffs, rows):
-        """(h + sum coeffs[i] * rows[i]) mod p, for h of at most n entries."""
-        if self.packed:
-            acc = _pack(h, self.nbytes)
-            for c, row in zip(coeffs, rows):
-                if c:
-                    acc += c * row
-            return gf_strip([v % self.p for v in _unpack(acc, self.n, self.nbytes)])
-        acc = self.row(h)
+    def combine(self, acc, coeffs, rows):
+        """The packed acc plus sum coeffs[i] * rows[i], unpacked mod p."""
         for c, row in zip(coeffs, rows):
             if c:
-                acc = [a + c * b for a, b in zip(acc, row)]
-        return gf_strip([v % self.p for v in acc])
+                acc += c * row
+        return gf_strip([v % self.p for v in _unpack(acc, self.n, self.nbytes)])
 
     def rem(self, h):
         """h mod f, for h with entries in [0, p)."""
@@ -248,20 +227,10 @@ class _FixedModulus:
             return h
         if len(h) >= 2 * n:
             return gf_rem(h, self.f, self.p)
-        return self.combine(h[:n], h[n:], self.rows)
+        return self.combine(_pack(h[:n], self.nbytes), h[n:], self.rows)
 
     def mulmod(self, a, b):
-        """a * b mod f, for a and b reduced mod f."""
-        if self.packed:
-            return self.rem(gf_mul(a, b, self.p))
-        if not a or not b:
-            return []
-        h = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b, i):
-                    h[j] += x * y
-        return self.combine(h[:self.n], h[self.n:], self.rows)
+        return self.rem(gf_mul(a, b, self.p))
 
     def pow(self, h, e):
         """h^e mod f, by left-to-right binary powering."""
@@ -340,17 +309,17 @@ def coprime_by_reduction(a: IntPoly, b: IntPoly):
 
 
 def _gf_frobenius_base(fm):
-    """The rows x^(j*p) mod f for j < deg f, in the form of `fm.row`.
+    """Packed x^(j*p) mod f for j < deg f.
 
     By Fermat on the coefficients, h^p mod f = sum h[j] * x^(j*p) mod f,
-    which `fm.combine([], h, base)` evaluates.
+    which `fm.combine(0, h, base)` evaluates.
     """
     xp = fm.pow([0, 1], fm.p)
     cur = [1]
-    base = [fm.row(cur)]
+    base = [_pack(cur, fm.nbytes)]
     for _ in range(1, fm.n):
         cur = fm.mulmod(cur, xp)
-        base.append(fm.row(cur))
+        base.append(_pack(cur, fm.nbytes))
     return base
 
 
@@ -366,7 +335,7 @@ def gf_ddf(f, p):
     out = []
     i = 1
     while 2 * i <= len(fstar) - 1:
-        h = fm.combine([], h, base)
+        h = fm.combine(0, h, base)
         g = gf_gcd(gf_sub(gf_rem(h, fstar, p), [0, 1], p), fstar, p)
         if len(g) > 1:
             out.append((g, i))

@@ -136,33 +136,53 @@ class TestModPKernel:
                 acc = gf_rem(gf_mul(acc, h, p), f, p)
 
 
-class TestSmallDegreeModulus:
-    def test_lists_split_as_the_packed_rows_do(self, monkeypatch):
-        # below `_GF_PACK_FROM` a modulus keeps its rows as plain lists;
-        # with packed rows at every degree the distinct-degree split and
-        # the factors must be the same
-        rng = random.Random(1009)
-        primes = [p for p in range(2, 1010) if factorq._is_prime(p)]
-        cases = []
-        while len(cases) < 300:
-            p = rng.choice(primes)
-            f = [rng.randrange(p) for _ in range(rng.randint(2, 12))] + [1]
-            if gf_sqf_p(f, p):
-                cases.append((f, p))
-        assert {len(f) - 1 for f, _ in cases} == set(range(2, 13))
-        assert not _FixedModulus([1, 0, 0, 1], 5).packed
+def _schoolbook_ddf(f, p):
+    """Distinct-degree split of a monic squarefree f mod p with plain
+    products and `_gf_divmod`: x^(p^i) mod f by square-and-multiply."""
+    rem = lambda h, g: _gf_divmod(gf_strip([c % p for c in h]), g, p)[1]
 
-        def split():
-            return [(gf_ddf(f, p), gf_factor_sqf_monic(f, p)) for f, p in cases]
+    def gcd(a, b):
+        while b:
+            a, b = b, rem(a, b)
+        return gf_monic(a, p)
 
-        lists = split()
-        monkeypatch.setattr(factorq, "_GF_PACK_FROM", 0)
-        assert _FixedModulus([1, 0, 0, 1], 5).packed
-        assert split() == lists
+    h, fstar, out, i = [0, 1], list(f), [], 1
+    while 2 * i <= len(fstar) - 1:
+        acc, e = [1], p
+        while e:
+            if e & 1:
+                acc = rem(schoolbook(acc, h), f)
+            h = rem(schoolbook(h, h), f)
+            e >>= 1
+        h = acc
+        x_sub = [c - d for c, d in itertools.zip_longest(h, [0, 1], fillvalue=0)]
+        g = gcd(rem(x_sub, fstar), fstar)
+        if len(g) > 1:
+            out.append((g, i))
+            fstar = _gf_divmod(fstar, g, p)[0]
+        i += 1
+    if len(fstar) > 1:
+        out.append((fstar, len(fstar) - 1))
+    return out
 
-    def test_gcd_matches_remainder_euclid(self):
-        # `gf_gcd` divides by monic divisors; plain Euclid on `gf_rem`
-        # remainders, made monic at the end, is the reference
+
+class TestRemainders:
+    """`gf_rem` divides without keeping the quotient; `gf_gcd` and `gf_ddf`
+    take every remainder through it."""
+
+    PRIMES = [p for p in range(2, 1010) if factorq._is_prime(p)]
+
+    def test_rem_matches_schoolbook_division(self):
+        rng = random.Random(1013)
+        for _ in range(400):
+            p = rng.choice(self.PRIMES + [(1 << 61) - 1])
+            f = gf_strip([rng.randrange(p) for _ in range(rng.randint(0, 30))])
+            g = [rng.randrange(p) for _ in range(rng.randint(0, 12))] + [rng.randrange(1, p)]
+            assert gf_rem(f, g, p) == _gf_divmod(f, g, p)[1], (f, g, p)
+        with pytest.raises(ZeroDivisionError):
+            gf_rem([1, 2], [], 5)
+
+    def test_gcd_matches_schoolbook_euclid(self):
         rng = random.Random(43)
         for _ in range(400):
             p = rng.choice([2, 3, 7, 43, 1009])
@@ -173,8 +193,22 @@ class TestSmallDegreeModulus:
             )
             a, b = f, g
             while b:
-                a, b = b, gf_rem(a, b, p)
+                a, b = b, _gf_divmod(a, b, p)[1]
             assert gf_gcd(f, g, p) == gf_monic(a, p), (f, g, p)
+
+    def test_ddf_matches_a_schoolbook_split(self):
+        # seeded squarefree f of degree 2-12 over primes 2-1009: the packed
+        # Frobenius rows split f as plain square-and-multiply does
+        rng = random.Random(1009)
+        cases = []
+        while len(cases) < 300:
+            p = rng.choice(self.PRIMES)
+            f = [rng.randrange(p) for _ in range(rng.randint(2, 12))] + [1]
+            if gf_sqf_p(f, p):
+                cases.append((f, p))
+        assert {len(f) - 1 for f, _ in cases} == set(range(2, 13))
+        for f, p in cases:
+            assert gf_ddf(f, p) == _schoolbook_ddf(f, p), (f, p)
 
 
 class TestFactorModP:
