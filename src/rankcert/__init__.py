@@ -36,7 +36,8 @@ from .factorq import (
     is_irreducible_over_q,
     possible_degrees,
 )
-from .family import FamilyCurve, ScanOptions, check_good_fiber, exclusion_sets, scan
+from .family import ScanOptions, check_good_fiber, exclusion_sets, scan
+from .grammar import FamilyCurve
 from .weierstrass import (
     HyperellipticCurve,
     build_curve,

@@ -27,7 +27,10 @@ embedded arithmetic facts (orbit sums, count formulas, hash shapes) and
 replays the document's data through the same `decide` call, without
 recomputing any resolvent.  That data includes the subject (the curve,
 fiber, external chi or orbit data), whose `inputs_text` has the sha256
-that `decide` records as the inputs digest.
+that `decide` records as the inputs digest, and the curve the subject
+names, read with `grammar` and checked against the genus and the
+rational point.  `document_problems` is the whole check of `rankcert
+verify`, family-scan documents included; the command only prints it.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from typing import NamedTuple
 from . import __version__
 from .exactpoly import RatPoly, poly_digest
 from .factorq import factor_over_q, is_squarefree
+from .grammar import parse_family, parse_poly, parse_rational
 from .weierstrass import MAX_GENUS, ODD, HyperellipticCurve, build_curve, j2_class_count
 from .weierstrass import theta_class_counts, theta_data, two_torsion_data
 
@@ -70,6 +74,7 @@ __all__ = [
     "certificate_doc",
     "certificate_from_doc",
     "verify_certificate",
+    "document_problems",
     "canonical_json",
     "digest_text",
 ]
@@ -124,8 +129,8 @@ class Deg1Evidence(NamedTuple):
     def from_doc(cls, doc) -> "Deg1Evidence":
         if doc is None:
             return None
-        x = Fraction(doc["x"]) if "x" in doc else None
-        y = Fraction(doc["y"]) if "y" in doc else None
+        x = parse_rational(doc["x"]) if "x" in doc else None
+        y = parse_rational(doc["y"]) if "y" in doc else None
         if doc["kind"] == "rational-point" and (x is None or y is None):
             raise ValueError("rational-point evidence without x and y")
         return cls(kind=doc["kind"], x=x, y=y, note=doc.get("note", ""))
@@ -409,10 +414,10 @@ def find_deg1_class(
     point = _least_point(curve.original, height_bound)
     if point is None:
         return None
-    evidence = Deg1Evidence("rational-point", x=point[0], y=point[1])
-    if not validate_point(curve.original, evidence):
+    x, y = point
+    if curve.original(x) != y * y:
         raise RuntimeError("point search returned (%s, %s), which is not on the curve" % point)
-    return evidence
+    return Deg1Evidence("rational-point", x=x, y=y)
 
 
 def deg1_evidence(
@@ -424,13 +429,6 @@ def deg1_evidence(
     if evidence is None and assert_deg1:
         evidence = Deg1Evidence("user-assertion", note="degree-1 class asserted by flag")
     return evidence
-
-
-def validate_point(f: RatPoly, ev: Deg1Evidence) -> bool:
-    """False only for rational-point evidence with y^2 != f(x), exactly."""
-    if ev.kind != "rational-point":
-        return True
-    return f(ev.x) == ev.y * ev.y
 
 
 # ---------------------------------------------------------------------------
@@ -779,7 +777,8 @@ def verify_certificate(doc: dict) -> tuple[bool, list]:
     which also checks the orbit sums and that the flag agrees with the
     two-torsion orbits).  The path, verdict and reasons, and then the
     inputs digest recomputed from the subject, must reproduce exactly.
-    Last, the subject must agree with the genus (`_subject_problems`).
+    Last, the subject must agree with the certificate (`_subject_problems`):
+    the genus it names, and the point and the genus of the curve it names.
     """
     problems = []
     for key in ("schema_version", "tool", "genus", "verdict", "path", "reasons"):
@@ -833,18 +832,100 @@ def verify_certificate(doc: dict) -> tuple[bool, list]:
         except MalformedSubjectError as exc:  # a digest without a subject
             return False, ["unreadable subject: %s" % exc]
         return False, ["inputs_digest does not match the subject (%s)" % inputs]
-    problems = _subject_problems(dict(cert.subject), cert.genus)
+    problems = _subject_problems(dict(cert.subject), cert.genus, cert.evidence)
     return (not problems), problems
 
 
-def _subject_problems(subject: dict, genus: int) -> list:
-    """Where a subject's own fields disagree with the certificate's genus:
-    a curve, an external chi and orbit data name the genus, and an
-    external chi has degree 2^(2g)-1."""
+def _subject_problems(subject: dict, genus: int, evidence) -> list:
+    """Where a subject disagrees with the certificate: the genus that a
+    curve, an external chi or orbit data names, the degree 2^(2g)-1 of an
+    external chi, and on the curve it names (a curve, or the family at t)
+    a rational point, exactly, and the genus (deg f - 1) // 2."""
     kind, problems = subject.get("kind"), []
     if kind in ("hyperelliptic", "external-chi", "orbit-data") and subject.get("genus") != genus:
         problems.append("the subject has genus %s, not %d" % (subject.get("genus"), genus))
     if kind == "external-chi" and subject.get("chi_degree") != j2_class_count(genus):
         problems.append("the subject's chi has degree %s, not 2^(2g)-1 = %d"
                         % (subject.get("chi_degree"), j2_class_count(genus)))
+    if problems or not subject:
+        return problems
+    point = evidence is not None and evidence.kind == "rational-point"
+    try:
+        if kind == "hyperelliptic":
+            f = parse_poly(subject["f"])
+        elif kind == "family-fiber":
+            f = parse_family(subject["family"]).specialize(parse_rational(subject["t"]))
+        else:
+            return ["rational point given, but the subject names no curve"] if point else []
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        return ["unreadable subject: %s" % exc]
+    if point and f(evidence.x) != evidence.y * evidence.y:
+        return ["(%s, %s) is not a point of y^2 = %s" % (evidence.x, evidence.y, f)]
+    if (f.degree - 1) // 2 != genus:
+        return ["y^2 = %s has genus %d, not %s" % (f, (f.degree - 1) // 2, genus)]
+    return []
+
+
+def document_problems(doc) -> list:
+    """What `rankcert verify` reports on a document, a line a problem: a
+    certificate must pass `verify_certificate` and name its subject (unlike
+    one on bare orbit data), and so must each certified entry of a scan
+    document, which must tie to the document (`_fiber_ties`) and its count."""
+    if isinstance(doc, dict) and doc.get("command") == "family-scan":
+        return _scan_problems(doc)
+    return _certificate_problems(doc)
+
+
+def _certificate_problems(doc) -> list:
+    if not isinstance(doc, dict):
+        return ["certificate is not a JSON object"]
+    ok, problems = verify_certificate(doc)
+    if ok and not doc.get("subject"):
+        return ["unreadable subject: unknown subject kind None"]
+    return problems
+
+
+def _fiber_ties(entry, family, bounds) -> list:
+    """A re-checked fiber certificate belongs to its scan entry: its subject
+    names the scan's family and the entry's t, an integer in the scan's
+    range ``bounds`` (None when the range is unreadable)."""
+    t, subject = entry["t"], dict(entry["certificate"]["subject"])
+    problems = []
+    if subject.get("t") != t:
+        problems.append("the certificate's subject has t=%s" % subject.get("t"))
+    if subject.get("family") != family:
+        problems.append("the certificate's subject has the family %s, not %s"
+                        % (subject.get("family"), family))
+    if bounds is not None:
+        try:
+            a = parse_rational(t)
+            inside = a.denominator == 1 and bounds[0] <= a <= bounds[1]
+        except (TypeError, ValueError, ZeroDivisionError):
+            inside = False
+        if not inside:
+            problems.append("t is not in the range %d..%d" % tuple(bounds))
+    return problems
+
+
+def _scan_problems(doc) -> list:
+    entries = doc.get("certified", [])
+    if not isinstance(entries, list):
+        return ["certified is not a list"]
+    problems = []
+    bounds = doc.get("range")
+    if not (isinstance(bounds, list) and len(bounds) == 2 and all(type(b) is int for b in bounds)):
+        problems.append("range is not a pair of integers")
+        bounds = None
+    for k, entry in enumerate(entries):
+        if not isinstance(entry, dict) or "t" not in entry:
+            problems.append("certified entry %d is not an object with a t field" % k)
+            continue
+        probs = _certificate_problems(entry.get("certificate"))
+        probs = probs or _fiber_ties(entry, doc.get("family"), bounds)
+        problems.extend("t=%s: %s" % (entry["t"], p) for p in probs)
+    counts = doc.get("counts")
+    certified = counts.get("certified") if isinstance(counts, dict) else None
+    if certified != len(entries):
+        problems.append("counts.certified is %s, but %d entries are certified"
+                        % (certified, len(entries)))
     return problems

@@ -1,15 +1,9 @@
-"""Command-line surface: parsing, fixtures and output formatting.
+"""Command-line surface: argument parsing, the chi fixture reader and
+output formatting.
 
-Polynomial grammar (whitespace insignificant)::
-
-    expr     := '-'? term (('+'|'-') term)*
-    term     := factor ('*' factor)*
-    factor   := base ('^' uint)?
-    base     := rational | variable | '(' expr ')'
-    rational := uint ('/' uint)?
-
-Curves use the variable x; families use x and t.  ``format(parse(s))`` is
-a fixed normal form and parses back to the same polynomial.
+`--f` and `--f-t` are read with the grammar of `rankcert.grammar`, and
+`--fiber-check` as a rational n or n/d.  `verify` prints the problems
+that `certify.document_problems` finds, and defines no check of its own.
 
 Commands (exit codes: 0 certified/verified, 2 inconclusive, 1 error)::
 
@@ -36,13 +30,11 @@ import json
 import re
 import sys
 import warnings
-from fractions import Fraction
 from math import prod
 
 from . import __version__
 from .certify import (
     DEFAULT_HEIGHT_BOUND,
-    Deg1Evidence,
     OrbitReport,
     _pipeline_chi,
     canonical_json,
@@ -50,23 +42,15 @@ from .certify import (
     certify_curve,
     decide,
     deg1_evidence,
+    document_problems,
     render_certificate,
-    validate_point,
-    verify_certificate,
 )
-from .exactpoly import RatPoly, format_poly
+from .exactpoly import RatPoly
 from .factorq import BadPrimeError, _primes_from, degree_pattern
-from .family import (
-    FamilyCurve,
-    ScanOptions,
-    check_good_fiber,
-    check_t_degree_cap,
-    exclusion_sets,
-    scan,
-)
+from .family import ScanOptions, check_good_fiber, exclusion_sets, scan
+from .grammar import parse_family, parse_poly, parse_rational
 from .weierstrass import (
     build_curve,
-    check_genus_cap,
     enumerate_j2_classes,
     frobenius_orbit_oracle,
     stratified_parts,
@@ -74,252 +58,7 @@ from .weierstrass import (
     two_torsion_data,
 )
 
-__all__ = [
-    "PolyParseError",
-    "parse_poly",
-    "parse_family",
-    "format_family",
-    "load_chi_fixture",
-    "main",
-]
-
-
-# ---------------------------------------------------------------------------
-# polynomial text grammar
-
-class PolyParseError(ValueError):
-    def __init__(self, message: str, pos: int):
-        super().__init__("syntax error at offset %d: %s" % (pos, message))
-        self.pos = pos
-
-
-class _BiPoly:
-    """Tiny bivariate polynomial accumulator for the parser."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {k: v for k, v in (terms or {}).items() if v}
-
-    @classmethod
-    def const(cls, q):
-        return cls({(0, 0): Fraction(q)})
-
-    @classmethod
-    def variable(cls, name):
-        return cls({(1, 0) if name == "x" else (0, 1): Fraction(1)})
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, 0) + v
-        return _BiPoly(out)
-
-    def __neg__(self):
-        return _BiPoly({k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        out = {}
-        for (a, b), u in self.terms.items():
-            for (c, d), v in other.terms.items():
-                k = (a + c, b + d)
-                out[k] = out.get(k, 0) + u * v
-        return _BiPoly(out)
-
-    def __pow__(self, n):
-        acc = _BiPoly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                acc = acc * base
-            base = base * base
-            n >>= 1
-        return acc
-
-    def deg_x(self):
-        return max((a for a, _ in self.terms), default=-1)
-
-    def deg_t(self):
-        return max((b for _, b in self.terms), default=-1)
-
-
-_TOKEN_RE = re.compile(r"(\d+)|([A-Za-z]+)|([-+*^/()])")
-
-
-class _Parser:
-    def __init__(self, text: str, variables):
-        self.text = text
-        self.variables = variables
-        self.tokens = []
-        pos = 0
-        while pos < len(text):
-            if text[pos].isspace():
-                pos += 1
-                continue
-            m = _TOKEN_RE.match(text, pos)
-            if not m:
-                raise PolyParseError("unexpected character %r" % text[pos], pos)
-            self.tokens.append((m.group(0), pos))
-            pos = m.end()
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i][0] if self.i < len(self.tokens) else None
-
-    def pos(self):
-        return self.tokens[self.i][1] if self.i < len(self.tokens) else len(self.text)
-
-    def advance(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def parse(self) -> _BiPoly:
-        value = self.expr()
-        if self.peek() is not None:
-            raise PolyParseError("unexpected trailing input %r" % self.peek(), self.pos())
-        return value
-
-    def expr(self) -> _BiPoly:
-        negate = False
-        if self.peek() == "-":
-            self.advance()
-            negate = True
-        value = self.term()
-        if negate:
-            value = -value
-        while self.peek() in ("+", "-"):
-            op, _ = self.advance()
-            rhs = self.term()
-            value = value + rhs if op == "+" else value - rhs
-        return value
-
-    # products and powers are checked against the genus cap and the t-degree
-    # cap before they are expanded, so a huge exponent fails at once instead
-    # of after the work
-    def term(self) -> _BiPoly:
-        value = self.factor()
-        while self.peek() == "*":
-            self.advance()
-            rhs = self.factor()
-            check_genus_cap(value.deg_x() + rhs.deg_x())
-            check_t_degree_cap(value.deg_t() + rhs.deg_t())
-            value = value * rhs
-        return value
-
-    def factor(self) -> _BiPoly:
-        value = self.base()
-        if self.peek() == "^":
-            self.advance()
-            tok = self.peek()
-            if tok is None or not tok.isdigit():
-                raise PolyParseError("expected a nonnegative integer exponent", self.pos())
-            self.advance()
-            n = int(tok)
-            check_genus_cap(value.deg_x() * n)
-            check_t_degree_cap(value.deg_t() * n)
-            value = value ** n
-        return value
-
-    def base(self) -> _BiPoly:
-        tok = self.peek()
-        if tok is None:
-            raise PolyParseError("unexpected end of input", self.pos())
-        if tok.isdigit():
-            _, _pos = self.advance()
-            num = int(tok)
-            if self.peek() == "/":
-                self.advance()
-                den_tok = self.peek()
-                if den_tok is None or not den_tok.isdigit():
-                    raise PolyParseError("expected a positive integer denominator", self.pos())
-                self.advance()
-                if int(den_tok) == 0:
-                    raise PolyParseError("zero denominator", self.pos())
-                return _BiPoly.const(Fraction(num, int(den_tok)))
-            return _BiPoly.const(num)
-        if tok.isalpha():
-            _, pos = self.advance()
-            if tok not in self.variables:
-                raise PolyParseError("unknown variable %r" % tok, pos)
-            return _BiPoly.variable(tok)
-        if tok == "(":
-            self.advance()
-            value = self.expr()
-            if self.peek() != ")":
-                raise PolyParseError("expected ')'", self.pos())
-            self.advance()
-            return value
-        raise PolyParseError("unexpected token %r" % tok, self.pos())
-
-
-def parse_poly(text: str) -> RatPoly:
-    """Parse a univariate polynomial in x with exact rational coefficients.
-
-    >>> parse_poly("x^2 - 3/2*x + 1").coeffs
-    (Fraction(1, 1), Fraction(-3, 2), Fraction(1, 1))
-    """
-    bp = _Parser(text, ("x",)).parse()
-    coeffs = [Fraction(0)] * (bp.deg_x() + 1)
-    for (a, _), v in bp.terms.items():
-        coeffs[a] = v
-    return RatPoly(coeffs)
-
-
-def parse_family(text: str) -> FamilyCurve:
-    """Parse a bivariate polynomial in x and t into a one-parameter family."""
-    bp = _Parser(text, ("x", "t")).parse()
-    dx = bp.deg_x()
-    if dx < 1:
-        raise PolyParseError("family must involve x", 0)
-    numerators = []
-    for a in range(dx + 1):
-        tc = {}
-        for (ax, bt), v in bp.terms.items():
-            if ax == a:
-                tc[bt] = v
-        coeffs = [tc.get(b, Fraction(0)) for b in range(max(tc, default=0) + 1)]
-        numerators.append(RatPoly(coeffs))
-    return FamilyCurve(tuple(numerators), format_family(numerators))
-
-
-def _format_t_monomial(coeff: Fraction, tdeg: int) -> str:
-    mag = -coeff if coeff < 0 else coeff
-    if tdeg == 0:
-        return str(mag)
-    tpow = "t" if tdeg == 1 else "t^%d" % tdeg
-    return tpow if mag == 1 else "%s*%s" % (mag, tpow)
-
-
-def format_family(numerators) -> str:
-    """Canonical normal form of a family polynomial in x and t."""
-    parts = []
-    for k in range(len(numerators) - 1, -1, -1):
-        c = numerators[k]
-        if c.is_zero:
-            continue
-        nterms = sum(1 for v in c.coeffs if v)
-        xpow = "" if k == 0 else ("x" if k == 1 else "x^%d" % k)
-        if nterms == 1:
-            tdeg = c.degree
-            coeff = c.coeffs[tdeg]
-            neg = coeff < 0
-            body = _format_t_monomial(coeff, tdeg)
-            if xpow:
-                body = xpow if (body == "1") else "%s*%s" % (body, xpow)
-        else:
-            neg = False
-            body = "(%s)" % format_poly(c.coeffs, var="t")
-            if xpow:
-                body = "%s*%s" % (body, xpow)
-        if not parts:
-            parts.append(("-" if neg else "") + body)
-        else:
-            parts.append(("- " if neg else "+ ") + body)
-    return " ".join(parts) if parts else "0"
+__all__ = ["load_chi_fixture", "main"]
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +209,7 @@ def _cmd_family_scan(args):
     exclusions = None
     if args.fiber_check is not None:
         try:
-            b = Fraction(args.fiber_check)
+            b = parse_rational(args.fiber_check)
         except ZeroDivisionError:
             raise ValueError(
                 "--fiber-check has a zero denominator: %s" % args.fiber_check
@@ -592,97 +331,15 @@ def _cmd_oracle(args):
     return (0 if all_match else 2), "\n".join(lines) + "\n"
 
 
-def _certificate_problems(doc) -> list:
-    """`verify_certificate` on a certificate that names its subject, then
-    the curve the subject names: rational-point evidence is checked on it
-    exactly, and its genus (deg f - 1) // 2 must be the certificate's."""
-    if not isinstance(doc, dict):
-        return ["certificate is not a JSON object"]
-    ok, problems = verify_certificate(doc)
-    if not ok:
-        return problems
-    if not doc.get("subject"):
-        # unlike one on bare orbit data, a command's certificate names its subject
-        return ["unreadable subject: unknown subject kind None"]
-    ev = Deg1Evidence.from_doc(doc.get("evidence"))
-    point = ev is not None and ev.kind == "rational-point"
-    subject = doc["subject"]
-    try:
-        if subject.get("kind") == "hyperelliptic":
-            f = parse_poly(subject["f"])
-        elif subject.get("kind") == "family-fiber":
-            f = parse_family(subject["family"]).specialize(Fraction(subject["t"]))
-        else:
-            return ["rational point given, but the subject names no curve"] if point else []
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-        return ["unreadable subject: %s" % exc]
-    if point and not validate_point(f, ev):
-        return ["(%s, %s) is not a point of y^2 = %s" % (ev.x, ev.y, f)]
-    genus = (f.degree - 1) // 2
-    if genus != doc["genus"]:
-        return ["y^2 = %s has genus %d, not %s" % (f, genus, doc["genus"])]
-    return []
-
-
-def _fiber_ties(entry, family, bounds) -> list:
-    """A re-checked fiber certificate belongs to its scan entry: its subject
-    names the scan's family and the entry's t, an integer in the scan's
-    range ``bounds`` (None when the range is unreadable)."""
-    t, subject = entry["t"], dict(entry["certificate"]["subject"])
-    problems = []
-    if subject.get("t") != t:
-        problems.append("the certificate's subject has t=%s" % subject.get("t"))
-    if subject.get("family") != family:
-        problems.append("the certificate's subject has the family %s, not %s"
-                        % (subject.get("family"), family))
-    if bounds is not None:
-        try:
-            inside = re.fullmatch(r"-?[0-9]+", t) and bounds[0] <= int(t) <= bounds[1]
-        except (TypeError, ValueError):
-            inside = False
-        if not inside:
-            problems.append("t is not in the range %d..%d" % tuple(bounds))
-    return problems
-
-
-def _scan_problems(doc) -> list:
-    """Every certified entry of a family-scan document re-checks and ties
-    to the document (`_fiber_ties`), and the certified count matches."""
-    entries = doc.get("certified", [])
-    if not isinstance(entries, list):
-        return ["certified is not a list"]
-    problems = []
-    bounds = doc.get("range")
-    if not (isinstance(bounds, list) and len(bounds) == 2 and all(type(b) is int for b in bounds)):
-        problems.append("range is not a pair of integers")
-        bounds = None
-    for k, entry in enumerate(entries):
-        if not isinstance(entry, dict) or "t" not in entry:
-            problems.append("certified entry %d is not an object with a t field" % k)
-            continue
-        probs = _certificate_problems(entry.get("certificate"))
-        probs = probs or _fiber_ties(entry, doc.get("family"), bounds)
-        problems.extend("t=%s: %s" % (entry["t"], p) for p in probs)
-    counts = doc.get("counts")
-    certified = counts.get("certified") if isinstance(counts, dict) else None
-    if certified != len(entries):
-        problems.append("counts.certified is %s, but %d entries are certified"
-                        % (certified, len(entries)))
-    return problems
-
-
 def _cmd_verify(args):
     with open(args.certificate, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    if isinstance(doc, dict) and doc.get("command") == "family-scan":
-        problems = _scan_problems(doc)
-        if problems:
-            return 1, "\n".join("FAIL: %s" % p for p in problems) + "\n"
+    problems = document_problems(doc)
+    if problems:
+        return 1, "".join("FAIL: %s\n" % p for p in problems)
+    if doc.get("command") == "family-scan":
         return 0, "verified: %d fiber certificate(s) re-check\n" % len(doc.get("certified", []))
-    problems = _certificate_problems(doc)
-    if not problems:
-        return 0, "verified: certificate re-checks\n"
-    return 1, "\n".join("FAIL: %s" % p for p in problems) + "\n"
+    return 0, "verified: certificate re-checks\n"
 
 
 # ---------------------------------------------------------------------------

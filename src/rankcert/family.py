@@ -18,7 +18,7 @@ The discriminant of f_t in x is computed exactly by evaluation and
 interpolation in Newton form: disc_x specializes correctly wherever the
 leading coefficient survives, and, being homogeneous of degree 2d - 2 in
 the coefficients, it has t-degree at most (2d - 2) * max coefficient
-degree.  That coefficient degree is capped at MAX_T_DEGREE.
+degree.  That coefficient degree is capped at `grammar.MAX_T_DEGREE`.
 """
 
 from __future__ import annotations
@@ -33,20 +33,14 @@ from .certify import DEFAULT_HEIGHT_BOUND, Certificate, OrbitReport, certify_cur
 from .certroots import PrecisionExhausted
 from .exactpoly import IntPoly, RatPoly, discriminant
 from .factorq import rational_roots
-from .weierstrass import (
-    NoInjectiveLabelingError,
-    SingularModelError,
-    build_curve,
-    check_curve_degree,
-    two_torsion_data,
-)
+from .grammar import FamilyCurve, check_t_degree_cap
+from .weierstrass import NoInjectiveLabelingError, build_curve, check_curve_degree, two_torsion_data
 
 __all__ = [
     "FamilyCurve",
     "ExclusionSet",
     "ScanOptions",
     "ScanReport",
-    "check_t_degree_cap",
     "exclusion_sets",
     "check_good_fiber",
     "scan",
@@ -56,53 +50,6 @@ SKIP_IN_Z1 = "InZ1"
 SKIP_IN_Z2 = "InZ2"
 SKIP_INCONCLUSIVE = "Inconclusive"
 SKIP_ERROR = "Error"
-
-# the discriminant has t-degree up to (2d - 2) times the t-degree of the
-# coefficients, and its interpolation and factoring grow with that
-MAX_T_DEGREE = 30
-
-
-def check_t_degree_cap(m: int) -> None:
-    """Reject a family whose coefficients have t-degree m above the cap."""
-    if m > MAX_T_DEGREE:
-        raise ValueError(
-            "t-degree %d exceeds the family cap of %d (the discriminant in t "
-            "would be too large to interpolate and factor)" % (m, MAX_T_DEGREE)
-        )
-
-
-class _FamilyCurveFields(NamedTuple):
-    numerators: tuple
-    description: str = ""
-
-
-class FamilyCurve(_FamilyCurveFields):
-    """y^2 = f_t(x); the coefficient of x^i is the polynomial numerators[i] in t."""
-
-    __slots__ = ()
-
-    def __new__(cls, numerators, description=""):
-        if not numerators or numerators[-1].is_zero:
-            raise ValueError("zero generic leading coefficient")
-        return super().__new__(cls, numerators, description)
-
-    @classmethod
-    def _make(cls, iterable):
-        # `_replace` builds through `_make`: check its numerators as well
-        return cls(*iterable)
-
-    @property
-    def deg_x(self) -> int:
-        return len(self.numerators) - 1
-
-    def specialize(self, a: Fraction) -> RatPoly:
-        """The fiber polynomial f_a(x); fails on a vanishing leading
-        coefficient (such values belong to the exclusion sets)."""
-        a = Fraction(a)
-        f = RatPoly([num(a) for num in self.numerators])
-        if f.degree != self.deg_x:
-            raise SingularModelError(f"leading coefficient vanishes at t={a}")
-        return f
 
 
 class ExclusionSet(NamedTuple):

@@ -11,16 +11,10 @@ from pathlib import Path
 
 import pytest
 
-from rankcert.certify import OrbitReport, digest_text, inputs_text
+from rankcert.certify import OrbitReport, digest_text, document_problems, inputs_text
 from rankcert.certify import verify_certificate as json_verify
-from rankcert.cli import (
-    PolyParseError,
-    format_family,
-    load_chi_fixture,
-    main,
-    parse_family,
-    parse_poly,
-)
+from rankcert.cli import load_chi_fixture, main, parse_family, parse_poly
+from rankcert.grammar import PolyParseError, format_family
 from rankcert.exactpoly import RatPoly
 
 from conftest import fixture_path, random_squarefree_poly
@@ -196,8 +190,9 @@ def run_cli(capsys, *argv):
     ids=["curve", "fiber", "chi"],
 )
 def test_library_verify_rejects_swapped_inputs(capsys, argv, fiber, section, key, value, inputs):
-    # `verify_certificate` alone, the check the benchmark runs on every
-    # document, recomputes the inputs digest from the subject
+    # `verify_certificate`, the check the benchmark runs on every document
+    # and the one `verify` runs on each certificate, recomputes the inputs
+    # digest from the subject
     _, out = run_cli(capsys, *argv, "--json")
     doc = json.loads(out)
     cert = doc if fiber is None else doc["certified"][fiber]["certificate"]
@@ -335,14 +330,25 @@ class TestCommands:
     def test_verify_rejects_forged_point(self, capsys, tmp_path):
         f = "2*x^6+2*x^5+3*x^4+6*x^3-3*x^2+2*x-8"
         _, out = run_cli(capsys, "certify", "hyperelliptic", "--f", f, "--json")
-        doc = json.loads(out)
-        assert doc["evidence"] == {"kind": "rational-point", "x": "1", "y": "2"}
-        doc["evidence"] = {"kind": "rational-point", "x": "7", "y": "1"}
         path = tmp_path / "cert.json"
+        for x, y in (("7", "1"), ("2", "2")):
+            doc = json.loads(out)
+            assert doc["evidence"] == {"kind": "rational-point", "x": "1", "y": "2"}
+            doc["evidence"] = {"kind": "rational-point", "x": x, "y": y}
+            problem = "(%s, %s) is not a point of y^2 = %s" % (x, y, parse_poly(f))
+            assert json_verify(doc) == (False, [problem])
+            path.write_text(json.dumps(doc))
+            assert run_cli(capsys, "verify", "--certificate", str(path)) == (
+                1, "FAIL: %s\n" % problem
+            ), (x, y)
+        # a coordinate in exponent notation is refused before it is expanded
+        doc["evidence"]["x"] = "1e30000000"
+        problem = "unparseable certificate: '1e30000000' is not a rational written n or n/d"
+        assert json_verify(doc) == (False, [problem])
         path.write_text(json.dumps(doc))
-        code, out2 = run_cli(capsys, "verify", "--certificate", str(path))
-        assert code == 1
-        assert out2.startswith("FAIL: (7, 1) is not a point")
+        start = time.perf_counter()
+        assert run_cli(capsys, "verify", "--certificate", str(path)) == (1, "FAIL: %s\n" % problem)
+        assert time.perf_counter() - start < 1.0
 
     def test_verify_rejects_forged_fiber_point(self, capsys, tmp_path):
         # the t = 2 fiber is the curve of test_verify_rejects_forged_point
@@ -352,13 +358,29 @@ class TestCommands:
         path = tmp_path / "scan.json"
         path.write_text(out)
         assert run_cli(capsys, "verify", "--certificate", str(path))[0] == 0
-        evidence = doc["certified"][0]["certificate"]["evidence"]
-        assert evidence == {"kind": "rational-point", "x": "1", "y": "2"}
-        evidence["x"] = "-1"
-        path.write_text(json.dumps(doc))
-        code, out2 = run_cli(capsys, "verify", "--certificate", str(path))
-        assert code == 1
-        assert out2.startswith("FAIL: t=2: (-1, 2) is not a point")
+        fiber = doc["certified"][0]["certificate"]
+        assert fiber["evidence"] == {"kind": "rational-point", "x": "1", "y": "2"}
+        curve = parse_family(f_t).specialize(2)
+        for x in ("-1", "2"):
+            fiber["evidence"]["x"] = x
+            problem = "(%s, 2) is not a point of y^2 = %s" % (x, curve)
+            assert json_verify(fiber) == (False, [problem])
+            assert document_problems(doc) == ["t=2: " + problem]
+            path.write_text(json.dumps(doc))
+            assert run_cli(capsys, "verify", "--certificate", str(path)) == (
+                1, "FAIL: t=2: %s\n" % problem
+            ), x
+        # a t in exponent notation, with its digest recomputed, is refused
+        # before it is expanded
+        fiber["evidence"]["x"] = "1"
+        fiber["subject"]["t"] = "1e10000000"
+        fiber["inputs_digest"] = digest_text("family:%s;t=1e10000000" % fiber["subject"]["family"])
+        path.write_text(json.dumps(fiber))
+        start = time.perf_counter()
+        assert run_cli(capsys, "verify", "--certificate", str(path)) == (
+            1, "FAIL: unreadable subject: '1e10000000' is not a rational written n or n/d\n"
+        )
+        assert time.perf_counter() - start < 1.0
 
     def test_verify_rejects_swapped_subject(self, capsys, tmp_path):
         # the evidence is the infinite place, so only the subject names f
@@ -444,6 +466,7 @@ class TestCommands:
                         entry["t"] = t
                 else:
                     doc[key] = value
+            assert document_problems(doc) == problems, edits
             path.write_text(json.dumps(doc))
             assert run_cli(capsys, "verify", "--certificate", str(path)) == (
                 1, "".join("FAIL: %s\n" % p for p in problems)
@@ -528,6 +551,7 @@ class TestCommands:
             doc = json.loads(out)
             assert doc["command"] == "family-scan"
             doc["certified"] = certified
+            assert document_problems(doc) == [problem], certified
             path.write_text(json.dumps(doc))
             assert run_cli(capsys, "verify", "--certificate", str(path)) == (
                 1, "FAIL: %s\n" % problem
@@ -616,6 +640,7 @@ class TestCommands:
             (fiber, "y^2 = x^6 + x + 1 has genus 2, not 3"),
             (scan, "t=1: y^2 = x^6 + x + 1 has genus 2, not 3"),
         ):
+            assert document_problems(doc) == [problem]
             path.write_text(json.dumps(doc))
             assert run_cli(capsys, "verify", "--certificate", str(path)) == (
                 1, "FAIL: %s\n" % problem
@@ -680,13 +705,24 @@ class TestCommands:
         assert captured.err == "error: genus must be >= 1; got %s\n" % genus
 
     def test_family_scan_rejects_zero_denominator_fiber(self, capsys):
-        code = main([
-            "family", "scan", "--f-t", "x^6+t*x+1", "--range=1..2", "--fiber-check", "1/0",
-        ])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        assert captured.err == "error: --fiber-check has a zero denominator: 1/0\n"
+        # a value is read only as str(Fraction) writes one: 1e1000000 is
+        # refused at once instead of expanded to a million digits
+        for value, error in (
+            ("1/0", "--fiber-check has a zero denominator: 1/0"),
+            ("1e1000000", "'1e1000000' is not a rational written n or n/d"),
+            ("1.5", "'1.5' is not a rational written n or n/d"),
+            ("1e0", "'1e0' is not a rational written n or n/d"),
+        ):
+            start = time.perf_counter()
+            code = main([
+                "family", "scan", "--f-t", "x^6+t*x+1", "--range=1..2", "--fiber-check", value,
+            ])
+            elapsed = time.perf_counter() - start
+            captured = capsys.readouterr()
+            assert code == 1
+            assert captured.out == ""
+            assert captured.err == "error: %s\n" % error
+            assert elapsed < 1.0, value
 
     @pytest.mark.parametrize("argv", [
         ["certify", "hyperelliptic", "--f", "x^6+x+1"],

@@ -8,8 +8,10 @@ the byte gate is checked too: stderr is empty, and the exit code is 0 for
 a document that certifies (verdict RankAtLeastOne, or a scan with a
 certified fiber) and 2 otherwise.  Each certificate, and each fiber
 certificate of a scan, must also pass `verify_certificate`, the check the
-benchmark runs on it, and the stdout, written to a file, must pass the
-`verify` command.  These tests only read perfbench/.
+benchmark runs on it.  The whole document, scan documents included, must
+pass `document_problems`, the check of the `verify` command, and the
+stdout, written to a file, must pass that command.  These tests only read
+perfbench/.
 """
 
 import hashlib
@@ -18,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from rankcert.certify import verify_certificate
+from rankcert.certify import document_problems, verify_certificate
 from rankcert.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -50,6 +52,7 @@ def test_stdout_matches_recording(key, sha256, capsys, monkeypatch, tmp_path):
         certifies = doc["verdict"] == "RankAtLeastOne"
     assert code == (0 if certifies else 2)
     assert [verify_certificate(cert) for cert in certs] == [(True, [])] * len(certs)
+    assert document_problems(doc) == []
     path = tmp_path / "stdout.json"
     path.write_text(out, encoding="utf-8")
     code = main(["verify", "--certificate", str(path)])
