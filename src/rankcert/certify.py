@@ -6,9 +6,9 @@ two-torsion point and no rational theta characteristic.  `decide` is the
 one decision function and the only place a `Certificate` is built.  It
 applies the rule on one of two paths.  The "direct" path reads all three
 conditions off the Galois orbit data of the resolvents.  The
-"transitivity" path, selected by passing `chi_irreducible`, uses the
-shortcut that a transitive action on the nonzero two-torsion of a
-genus > 1 curve already excludes both obstructions.  `certify_curve` is
+"transitivity" path uses the shortcut that a transitive action on the
+nonzero two-torsion of a genus > 1 curve already excludes both
+obstructions.  `certify_curve` is
 the one pipeline for a curve and for a fiber of a family: it gathers the
 data (`deg1_evidence`, the orbit steps in `weierstrass`) and calls
 `decide`; `_pipeline_chi` does the same from external resolvents.
@@ -22,10 +22,11 @@ candidates that are tested exactly.  The point found is the one the
 plain walk through all x in height order would find, and it is checked
 on the original model before it is returned.
 
-Certificates are self-contained: `verify_certificate` re-checks the
-embedded arithmetic facts (orbit sums, count formulas, hash shapes) and
-replays the document's data through the same `decide` call, without
-recomputing any resolvent.  That data includes the subject (the curve,
+A certificate is the rendering of its data: `verify_certificate`
+re-checks the embedded arithmetic facts (orbit sums, count formulas,
+hash shapes), replays the data through the same `decide` call, without
+recomputing any resolvent, and compares every rendered field with the
+document.  That data includes the subject (the curve,
 fiber, external chi or orbit data), whose `inputs_text` has the sha256
 that `decide` records as the inputs digest, and the curve the subject
 names, read with `grammar` and checked against the genus and the
@@ -223,12 +224,7 @@ class OrbitReport(_OrbitReportFields):
 
     @classmethod
     def from_doc(cls, genus, doc) -> "OrbitReport":
-        return cls(
-            genus=genus,
-            j2_orbits=tuple(doc["j2"]),
-            theta_odd=tuple(doc["theta_odd"]) if doc.get("theta_odd") is not None else None,
-            theta_even=tuple(doc["theta_even"]) if doc.get("theta_even") is not None else None,
-        )
+        return cls(genus, doc["j2"], doc.get("theta_odd"), doc.get("theta_even"))
 
 
 class Certificate(NamedTuple):
@@ -240,7 +236,6 @@ class Certificate(NamedTuple):
     reasons: tuple
     evidence: Deg1Evidence | None
     report: OrbitReport
-    chi_irreducible: bool | None = None
     hashes: tuple = ()  # pairs (name, sha256 hex)
     labeling: int | None = None
     subject: tuple = ()  # pairs (key, value)
@@ -249,6 +244,10 @@ class Certificate(NamedTuple):
     @property
     def certified(self) -> bool:
         return self.verdict == VERDICT_RANK_AT_LEAST_ONE
+
+    @property
+    def chi_irreducible(self) -> bool | None:  # on the transitivity path only
+        return self.report.transitive if self.path == PATH_TRANSITIVITY else None
 
     def reason_kinds(self) -> tuple:
         return tuple(r.kind for r in self.reasons)
@@ -449,7 +448,7 @@ def decide(
     report: OrbitReport,
     evidence: Deg1Evidence | None,
     *,
-    chi_irreducible: bool | None = None,
+    path: str = PATH_DIRECT,
     theta_witness: str | None = None,
     hashes: tuple = (),
     labeling: int | None = None,
@@ -460,15 +459,15 @@ def decide(
     RankAtLeastOne iff a degree-1 class is given and both obstructions are
     excluded; otherwise every failed condition is listed.
 
-    Passing ``chi_irreducible`` selects the transitivity path: a transitive
-    action on the nonzero two-torsion of a genus > 1 curve excludes
-    rational two-torsion outright and rational theta characteristics
-    through the parity split.  The flag must agree with the two-torsion
-    orbits.  A reducible chi gives NeedsThetaData; genus 1 cannot conclude
-    (the curve is its own theta-characteristic obstruction).
+    On the transitivity path a transitive action on the nonzero
+    two-torsion of a genus > 1 curve excludes rational two-torsion
+    outright and rational theta characteristics through the parity split.
+    A reducible chi (more than one two-torsion orbit) gives NeedsThetaData;
+    genus 1 cannot conclude (the curve is its own theta-characteristic
+    obstruction).
 
-    Otherwise the direct path reads both obstructions off the orbits: a
-    size-1 two-torsion orbit, a size-1 theta orbit of either parity.
+    The direct path reads both obstructions off the orbits: a size-1
+    two-torsion orbit, a size-1 theta orbit of either parity.
     ``theta_witness`` names a rational theta characteristic known without
     theta data (the odd-model shortcut) and stands in for that data; with
     neither, the theta side is NeedsThetaData.
@@ -476,18 +475,16 @@ def decide(
     ``subject``, (key, value) pairs, names what the data is about; the
     inputs digest is the sha256 of its `inputs_text` ("" without one).
     """
+    if path not in (PATH_DIRECT, PATH_TRANSITIVITY):
+        raise ValueError("unknown path %r" % path)
     report.validate()
     reasons = []
-    if chi_irreducible is not None:
-        path = PATH_TRANSITIVITY
-        if chi_irreducible != report.transitive:
-            raise MalformedReportError("chi_irreducible flag contradicts embedded orbit data")
-        if not chi_irreducible:
+    if path == PATH_TRANSITIVITY:
+        if not report.transitive:
             reasons.append(Reason(NEEDS_THETA_DATA, "two-torsion resolvent is reducible"))
         if report.genus <= 1:
             reasons.append(Reason(GENUS_TOO_SMALL))
     else:
-        path = PATH_DIRECT
         if 1 in report.j2_orbits:
             reasons.append(
                 Reason(RATIONAL_TWO_TORSION, "size-1 Galois orbit in the two-torsion resolvent")
@@ -521,7 +518,6 @@ def decide(
         reasons=reasons,
         evidence=evidence,
         report=report,
-        chi_irreducible=chi_irreducible,
         hashes=tuple(hashes),
         labeling=labeling,
         subject=tuple(subject),
@@ -552,23 +548,23 @@ def certify_curve(
     evidence = deg1_evidence(curve, height_bound, assert_deg1)
     j2, hashes, labeling = two_torsion_data(curve)
     report = OrbitReport(curve.genus, j2)
-    chi_irreducible = True if report.transitive else None
+    path = PATH_TRANSITIVITY if report.transitive else PATH_DIRECT
     if dict(subject).get("kind") == "family-fiber":
         # A fiber computes theta data only when its chi is reducible, so a
         # transitive fiber keeps the transitivity path under full_theta
         # (a); without full_theta a reducible fiber stays on that path
         # too, as NeedsThetaData (b).
         full_theta = full_theta and not report.transitive
-        chi_irreducible = report.transitive
+        path = PATH_TRANSITIVITY
     if full_theta:
         theta_odd, theta_even, theta_hashes = theta_data(curve)
         report = OrbitReport(curve.genus, j2, theta_odd, theta_even)
         hashes += theta_hashes
-        chi_irreducible = None
+        path = PATH_DIRECT
     return decide(
         report,
         evidence,
-        chi_irreducible=chi_irreducible,
+        path=path,
         theta_witness=INFINITY_WITNESS if curve.parity == ODD else None,
         hashes=hashes,
         labeling=labeling,
@@ -619,7 +615,7 @@ def _pipeline_chi(chi: RatPoly, genus: int, evidence, theta_odd=None, theta_even
     return decide(
         report,
         evidence,
-        chi_irreducible=True if report.transitive else None,
+        path=PATH_TRANSITIVITY if report.transitive else PATH_DIRECT,
         hashes=hashes,
         subject=(("kind", "external-chi"), ("chi_degree", chi.degree), ("genus", genus)),
     )
@@ -685,10 +681,10 @@ def certificate_doc(cert: Certificate) -> dict:
 def certificate_from_doc(doc: dict) -> Certificate:
     """The certificate `decide` draws from a document's embedded data.
 
-    The inputs are the orbit report, the evidence, the chi_irreducible
-    flag, the witness of a RationalTheta reason, and the hashes, labelling
-    index and subject.  For a document that `certificate_doc` emitted, the
-    result is the original certificate.
+    The inputs are the orbit report, the evidence, the path (an unknown
+    one read as direct), the witness of a RationalTheta reason, and the
+    hashes, labelling index and subject.  For a document that
+    `certificate_doc` emitted, the result is the original certificate.
     """
     report = OrbitReport.from_doc(doc["genus"], doc["orbits"])
     theta_witness = next(
@@ -697,7 +693,7 @@ def certificate_from_doc(doc: dict) -> Certificate:
     return decide(
         report,
         Deg1Evidence.from_doc(doc.get("evidence")),
-        chi_irreducible=doc.get("chi_irreducible"),
+        path=PATH_TRANSITIVITY if doc["path"] == PATH_TRANSITIVITY else PATH_DIRECT,
         theta_witness=theta_witness,
         hashes=tuple(doc.get("hashes", {}).items()),
         labeling=doc.get("labeling"),
@@ -771,14 +767,14 @@ def _fmt_orbits(orbits) -> str:
 def verify_certificate(doc: dict) -> tuple[bool, list]:
     """Re-check a certificate document without recomputing resolvents.
 
-    Checks the schema and the hash shapes, requires orbit data and a
-    chi_irreducible flag set on the transitivity path and only there, then
+    Checks the schema and the hash shapes and requires orbit data, then
     replays the embedded data through `decide` (via `certificate_from_doc`,
-    which also checks the orbit sums and that the flag agrees with the
-    two-torsion orbits).  The path, verdict and reasons, and then the
-    inputs digest recomputed from the subject, must reproduce exactly.
-    Last, the subject must agree with the certificate (`_subject_problems`):
-    the genus it names, and the point and the genus of the curve it names.
+    which also checks the orbit sums).  Every field that `certificate_doc`
+    renders from the replay, except ``tool``, must equal the document's:
+    a line per field that differs, the inputs digest naming the text it
+    is the hash of.  Last, the subject must agree with the certificate
+    (`_subject_problems`): the genus it names, and the point and the genus
+    of the curve it names.
     """
     problems = []
     for key in ("schema_version", "tool", "genus", "verdict", "path", "reasons"):
@@ -790,11 +786,6 @@ def verify_certificate(doc: dict) -> tuple[bool, list]:
         return False, ["unknown schema_version %r" % doc["schema_version"]]
     if doc.get("orbits") is None:
         problems.append("certificate without orbit data")
-    flagged = doc.get("chi_irreducible") is not None
-    if doc["path"] == PATH_TRANSITIVITY and not flagged:
-        problems.append("transitivity path without chi_irreducible flag")
-    if doc["path"] != PATH_TRANSITIVITY and flagged:
-        problems.append("chi_irreducible flag set on the %s path" % doc["path"])
     hashes = doc.get("hashes") or {}
     if not isinstance(hashes, dict):
         problems.append("hashes is not an object")
@@ -816,22 +807,21 @@ def verify_certificate(doc: dict) -> tuple[bool, list]:
         return False, ["unreadable subject: %s" % exc]
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         return False, ["unparseable certificate: %s" % exc]
-    replay = certificate_doc(cert)
-    for key, problem in (
-        ("path", "path does not replay from embedded data"),
-        ("verdict", "verdict does not replay from embedded data"),
-        ("reasons", "reasons do not replay from embedded data"),
-    ):
-        if doc[key] != replay[key]:
-            problems.append(problem)
+    # a subject or a digest may be absent, as on bare orbit data
+    given = dict(doc, subject=doc.get("subject") or {}, inputs_digest=doc.get("inputs_digest", ""))
+    for key, value in certificate_doc(cert).items():
+        if key == "tool" or given.get(key) == value:
+            continue
+        if key != "inputs_digest":
+            problems.append("%s does not replay from embedded data" % key)
+            continue
+        try:
+            problems.append("inputs_digest does not match the subject (%s)"
+                            % inputs_text(cert.subject, cert.hashes, cert.report))
+        except MalformedSubjectError as exc:  # a digest without a subject
+            problems.append("unreadable subject: %s" % exc)
     if problems:
         return False, problems
-    if doc.get("inputs_digest", "") != cert.inputs_digest:
-        try:
-            inputs = inputs_text(cert.subject, cert.hashes, cert.report)
-        except MalformedSubjectError as exc:  # a digest without a subject
-            return False, ["unreadable subject: %s" % exc]
-        return False, ["inputs_digest does not match the subject (%s)" % inputs]
     problems = _subject_problems(dict(cert.subject), cert.genus, cert.evidence)
     return (not problems), problems
 

@@ -45,7 +45,7 @@ from .certify import (
     document_problems,
     render_certificate,
 )
-from .exactpoly import RatPoly
+from .exactpoly import RatPoly, _read_decimal
 from .factorq import BadPrimeError, _primes_from, degree_pattern
 from .family import ScanOptions, check_good_fiber, exclusion_sets, scan
 from .grammar import parse_family, parse_poly, parse_rational
@@ -69,7 +69,8 @@ def load_chi_fixture(path) -> RatPoly:
 
     Format: comment lines start with '#'; the first content line is the
     header tag ``order: ascending`` or ``order: descending``; the remaining
-    whitespace/newline-separated tokens are the integer coefficients.
+    whitespace/newline-separated tokens are the integer coefficients, each
+    written -?digits.
     """
     with open(path, "r", encoding="utf-8") as fh:
         content = [
@@ -88,7 +89,7 @@ def load_chi_fixture(path) -> RatPoly:
     if not tokens:
         raise ValueError("no coefficients in %s" % path)
     try:
-        coeffs = [int(tok) for tok in tokens]
+        coeffs = [_read_decimal(tok) for tok in tokens]
     except ValueError as exc:
         raise ValueError("malformed coefficient in %s: %s" % (path, exc)) from None
     if header.endswith("descending"):

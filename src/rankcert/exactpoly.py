@@ -283,6 +283,20 @@ def _decimal(c: Scalar) -> str:
     return _decimal(hi) + _decimal(lo).rjust(k, "0")
 
 
+def _read_decimal(text: str) -> int:
+    """The inverse of `_decimal` on text -?digits, exact at any length:
+    past 600 digits it reads halves, so no `int` call meets the limit."""
+    negative = text[:1] == "-"
+    digits = text[negative:]
+    if not digits.isdecimal():
+        raise ValueError("%r is not an integer written in decimal" % text)
+    if len(digits) <= 600:
+        return int(text)
+    k = len(digits) // 2
+    n = _read_decimal(digits[:-k]) * 10**k + _read_decimal(digits[-k:])
+    return -n if negative else n
+
+
 def format_poly(coeffs: Sequence[Scalar], var: str = "x") -> str:
     """Canonical text form, highest degree first: ``x^2 - 3/2*x + 1``."""
     coeffs = list(coeffs)

@@ -19,7 +19,7 @@ import re
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exactpoly import RatPoly, format_poly
+from .exactpoly import RatPoly, _read_decimal, format_poly
 from .weierstrass import SingularModelError, check_genus_cap
 
 __all__ = ["PolyParseError", "FamilyCurve", "check_t_degree_cap", "parse_rational",
@@ -83,7 +83,7 @@ def parse_rational(text: str) -> Fraction:
     if not _RATIONAL_RE.fullmatch(text):
         raise ValueError("%r is not a rational written n or n/d" % text)
     num, _, den = text.partition("/")
-    return Fraction(int(num), int(den or 1))
+    return Fraction(_read_decimal(num), _read_decimal(den or "1"))
 
 
 class PolyParseError(ValueError):
@@ -208,7 +208,7 @@ class _Parser:
             if tok is None or not tok.isdigit():
                 raise PolyParseError("expected a nonnegative integer exponent", self.pos())
             self.advance()
-            n = int(tok)
+            n = _read_decimal(tok)
             check_genus_cap(value.deg_x() * n)
             check_t_degree_cap(value.deg_t() * n)
             value = value ** n
@@ -220,16 +220,17 @@ class _Parser:
             raise PolyParseError("unexpected end of input", self.pos())
         if tok.isdigit():
             _, _pos = self.advance()
-            num = int(tok)
+            num = _read_decimal(tok)
             if self.peek() == "/":
                 self.advance()
                 den_tok = self.peek()
                 if den_tok is None or not den_tok.isdigit():
                     raise PolyParseError("expected a positive integer denominator", self.pos())
                 self.advance()
-                if int(den_tok) == 0:
+                den = _read_decimal(den_tok)
+                if den == 0:
                     raise PolyParseError("zero denominator", self.pos())
-                return _BiPoly.const(Fraction(num, int(den_tok)))
+                return _BiPoly.const(Fraction(num, den))
             return _BiPoly.const(num)
         if tok.isalpha():
             _, pos = self.advance()
@@ -272,14 +273,6 @@ def parse_family(text: str) -> FamilyCurve:
     return FamilyCurve(numerators, format_family(numerators))
 
 
-def _format_t_monomial(coeff: Fraction, tdeg: int) -> str:
-    mag = -coeff if coeff < 0 else coeff
-    if tdeg == 0:
-        return str(mag)
-    tpow = "t" if tdeg == 1 else "t^%d" % tdeg
-    return tpow if mag == 1 else "%s*%s" % (mag, tpow)
-
-
 def format_family(numerators) -> str:
     """Canonical normal form of a family polynomial in x and t."""
     parts = []
@@ -290,10 +283,8 @@ def format_family(numerators) -> str:
         nterms = sum(1 for v in c.coeffs if v)
         xpow = "" if k == 0 else ("x" if k == 1 else "x^%d" % k)
         if nterms == 1:
-            tdeg = c.degree
-            coeff = c.coeffs[tdeg]
-            neg = coeff < 0
-            body = _format_t_monomial(coeff, tdeg)
+            neg = c.lc < 0
+            body = format_poly([abs(v) for v in c.coeffs], var="t")
             if xpow:
                 body = xpow if (body == "1") else "%s*%s" % (body, xpow)
         else:

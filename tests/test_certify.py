@@ -37,6 +37,7 @@ QUARTIC_REPORT = OrbitReport(genus=3, j2_orbits=(3, 12, 48), theta_odd=(4, 24), 
 R2T, RTH, NODEG1, SMALL, NEEDS = (
     RATIONAL_TWO_TORSION, RATIONAL_THETA, NO_DEG1_CLASS, GENUS_TOO_SMALL, NEEDS_THETA_DATA
 )
+T, D = PATH_TRANSITIVITY, PATH_DIRECT
 # (genus, kind) -> (theta_odd, theta_even); genus 1 always has a rational
 # odd theta characteristic, so it has no "clean" data
 THETA_DATA = {
@@ -48,39 +49,40 @@ THETA_DATA = {
 # decide over path x theta data x witness x evidence x genus; the
 # transitivity path ignores theta data, witness and two-torsion orbits
 # beyond the irreducibility they imply.
-# (chi_irreducible, genus, j2, theta, witness, evidence) -> reason kinds
+# (path, genus, j2, theta, witness, evidence) -> reason kinds
 DECIDE_TABLE = [
     # transitivity path
-    (True, 2, (15,), None, None, True, ()),
-    (True, 2, (15,), None, None, False, (NODEG1,)),
-    (True, 2, (15,), "clean", INFINITY_WITNESS, True, ()),
-    (False, 2, (5, 10), None, None, True, (NEEDS,)),
-    (False, 2, (1, 2, 12), "rational", INFINITY_WITNESS, False, (NODEG1, NEEDS)),
-    (True, 1, (3,), None, None, True, (SMALL,)),
-    (True, 1, (3,), "rational", INFINITY_WITNESS, False, (NODEG1, SMALL)),
-    (False, 1, (1, 2), None, None, False, (NODEG1, SMALL, NEEDS)),
+    (T, 2, (15,), None, None, True, ()),
+    (T, 2, (15,), None, None, False, (NODEG1,)),
+    (T, 2, (15,), "clean", INFINITY_WITNESS, True, ()),
+    (T, 2, (5, 10), None, None, True, (NEEDS,)),
+    (T, 2, (1, 2, 12), "rational", INFINITY_WITNESS, False, (NODEG1, NEEDS)),
+    (T, 1, (3,), None, None, True, (SMALL,)),
+    (T, 1, (3,), "rational", INFINITY_WITNESS, False, (NODEG1, SMALL)),
+    (T, 1, (1, 2), None, None, False, (NODEG1, SMALL, NEEDS)),
     # direct path, theta data present
-    (None, 2, (15,), "clean", None, True, ()),
-    (None, 2, (15,), "clean", None, False, (NODEG1,)),
-    (None, 2, (15,), "clean", INFINITY_WITNESS, True, ()),
-    (None, 2, (15,), "rational", None, True, (RTH,)),
-    (None, 2, (1, 2, 12), "rational", INFINITY_WITNESS, False, (R2T, RTH, NODEG1)),
-    (None, 2, (1, 2, 12), "clean", None, True, (R2T,)),
-    (None, 1, (3,), "rational", None, True, (RTH,)),
-    (None, 1, (1, 2), "rational", INFINITY_WITNESS, False, (R2T, RTH, NODEG1)),
+    (D, 2, (15,), "clean", None, True, ()),
+    (D, 2, (15,), "clean", None, False, (NODEG1,)),
+    (D, 2, (15,), "clean", INFINITY_WITNESS, True, ()),
+    (D, 2, (15,), "rational", None, True, (RTH,)),
+    (D, 2, (1, 2, 12), "rational", INFINITY_WITNESS, False, (R2T, RTH, NODEG1)),
+    (D, 2, (1, 2, 12), "clean", None, True, (R2T,)),
+    (D, 1, (3,), "rational", None, True, (RTH,)),
+    (D, 1, (1, 2), "rational", INFINITY_WITNESS, False, (R2T, RTH, NODEG1)),
     # direct path, theta data absent
-    (None, 2, (15,), None, None, True, (NEEDS,)),
-    (None, 2, (1, 2, 12), None, None, False, (R2T, NODEG1, NEEDS)),
-    (None, 2, (5, 10), None, INFINITY_WITNESS, True, (RTH,)),
-    (None, 2, (1, 2, 12), None, INFINITY_WITNESS, True, (R2T, RTH)),
-    (None, 1, (3,), None, None, True, (NEEDS,)),
-    (None, 1, (1, 2), None, INFINITY_WITNESS, False, (R2T, RTH, NODEG1)),
+    (D, 2, (15,), None, None, True, (NEEDS,)),
+    (D, 2, (1, 2, 12), None, None, False, (R2T, NODEG1, NEEDS)),
+    (D, 2, (5, 10), None, INFINITY_WITNESS, True, (RTH,)),
+    (D, 2, (1, 2, 12), None, INFINITY_WITNESS, True, (R2T, RTH)),
+    (D, 1, (3,), None, None, True, (NEEDS,)),
+    (D, 1, (1, 2), None, INFINITY_WITNESS, False, (R2T, RTH, NODEG1)),
 ]
 
 
 def _table_id(row):
-    irr, g, j2, theta, witness, evidence, _ = row
-    path = "direct" if irr is None else "transitivity-%s" % ("irr" if irr else "red")
+    path, g, j2, theta, witness, evidence, _ = row
+    if path == T:
+        path += "-irr" if len(j2) == 1 else "-red"
     return "%s-g%d-j2=%s-theta=%s-%s-%s" % (
         path, g, ",".join(map(str, j2)), theta, "witness" if witness else "nowitness",
         "evidence" if evidence else "noevidence",
@@ -89,31 +91,33 @@ def _table_id(row):
 
 @pytest.mark.parametrize("row", DECIDE_TABLE, ids=[_table_id(r) for r in DECIDE_TABLE])
 def test_decide_table(row):
-    irr, g, j2, theta, witness, has_evidence, kinds = row
+    path, g, j2, theta, witness, has_evidence, kinds = row
     odd, even = THETA_DATA[(g, theta)] if theta else (None, None)
     report = OrbitReport(g, j2, odd, even)
     evidence = ASSERTED if has_evidence else None
-    cert = decide(report, evidence, chi_irreducible=irr, theta_witness=witness)
-    assert cert.path == (PATH_DIRECT if irr is None else PATH_TRANSITIVITY)
+    cert = decide(report, evidence, path=path, theta_witness=witness)
+    assert cert.path == path
     assert cert.reason_kinds() == kinds
     assert cert.verdict == (VERDICT_INCONCLUSIVE if kinds else VERDICT_RANK_AT_LEAST_ONE)
+    # chi_irreducible is rendered from the path and the two-torsion orbits
+    irr = len(j2) == 1 if path == T else None
     assert (cert.genus, cert.report, cert.evidence, cert.chi_irreducible) == (g, report, evidence, irr)
-    if irr is None and witness and RTH in kinds:
+    if path == D and witness and RTH in kinds:
         assert cert.reasons[kinds.index(RTH)].witness == witness
     # every row replays through verify_certificate
     ok, problems = verify_certificate(certificate_doc(cert))
     assert ok, problems
 
 
-def test_decide_rejects_flag_contradicting_orbits():
-    with pytest.raises(MalformedReportError):
-        decide(OrbitReport(2, (15,)), ASSERTED, chi_irreducible=False)
-    with pytest.raises(MalformedReportError):
-        decide(OrbitReport(2, (5, 10)), ASSERTED, chi_irreducible=True)
+def test_decide_rejects_unknown_path():
+    with pytest.raises(ValueError, match="unknown path 'shortcut'"):
+        decide(OrbitReport(2, (15,)), ASSERTED, path="shortcut")
+    with pytest.raises(ValueError, match="unknown path None"):
+        decide(OrbitReport(2, (15,)), ASSERTED, path=None)
 
 
 class TestDecideFromOrbits:
-    """The direct path of `decide` (no chi_irreducible flag)."""
+    """The direct path of `decide` (the default path)."""
 
     def test_certifies_clean_report(self):
         cert = decide(QUARTIC_REPORT, ASSERTED)
@@ -172,24 +176,24 @@ class TestDecideFromOrbits:
 
 
 class TestDecideFromIrreducibility:
-    """The transitivity path of `decide` (chi_irreducible given)."""
+    """The transitivity path of `decide`."""
 
     def test_certifies(self):
-        cert = decide(OrbitReport(3, (63,)), ASSERTED, chi_irreducible=True)
+        cert = decide(OrbitReport(3, (63,)), ASSERTED, path=T)
         assert cert.verdict == VERDICT_RANK_AT_LEAST_ONE
         assert cert.path == PATH_TRANSITIVITY
 
     def test_genus_one_blocked(self):
-        cert = decide(OrbitReport(1, (3,)), ASSERTED, chi_irreducible=True)
+        cert = decide(OrbitReport(1, (3,)), ASSERTED, path=T)
         assert cert.verdict == VERDICT_INCONCLUSIVE
         assert cert.reason_kinds() == (GENUS_TOO_SMALL,)
 
     def test_reducible_defers(self):
-        cert = decide(OrbitReport(2, (5, 10)), ASSERTED, chi_irreducible=False)
+        cert = decide(OrbitReport(2, (5, 10)), ASSERTED, path=T)
         assert cert.reason_kinds() == (NEEDS_THETA_DATA,)
 
     def test_all_failures_listed(self):
-        cert = decide(OrbitReport(1, (1, 2)), None, chi_irreducible=False)
+        cert = decide(OrbitReport(1, (1, 2)), None, path=T)
         assert set(cert.reason_kinds()) == {NEEDS_THETA_DATA, GENUS_TOO_SMALL, NO_DEG1_CLASS}
 
 
@@ -257,7 +261,7 @@ class TestSerialization:
 
     def test_roundtrip_with_hashes_and_labeling(self):
         cert = decide(
-            OrbitReport(2, (15,)), ASSERTED, chi_irreducible=True,
+            OrbitReport(2, (15,)), ASSERTED, path=T,
             hashes=(("chi", "b" * 64),), labeling=1,
             subject=(("kind", "hyperelliptic"), ("f", "x^5 + x + 1"), ("genus", 2)),
         )
@@ -286,8 +290,8 @@ class TestVerifier:
         for cert in (
             decide(QUARTIC_REPORT, ASSERTED),
             decide(OrbitReport(3, (1, 14, 48), (4, 24), (12, 24)), None),
-            decide(OrbitReport(3, (63,)), ASSERTED, chi_irreducible=True),
-            decide(OrbitReport(2, (5, 10)), ASSERTED, chi_irreducible=False),
+            decide(OrbitReport(3, (63,)), ASSERTED, path=T),
+            decide(OrbitReport(2, (5, 10)), ASSERTED, path=T),
             decide(OrbitReport(2, (1, 2, 12)), ASSERTED),
             decide(OrbitReport(2, (5, 10)), ASSERTED, theta_witness=INFINITY_WITNESS),
         ):
@@ -316,29 +320,34 @@ class TestVerifier:
         assert not ok
 
     def test_rejects_inconsistent_irreducibility_flag(self):
-        cert = decide(OrbitReport(2, (15,)), ASSERTED, chi_irreducible=True)
+        cert = decide(OrbitReport(2, (15,)), ASSERTED, path=T)
         doc = certificate_doc(cert)
         doc["orbits"]["j2"] = [5, 10]
         ok, problems = verify_certificate(doc)
         assert not ok
-        assert problems == ["chi_irreducible flag contradicts embedded orbit data"]
+        # the reducible chi replays as NeedsThetaData; the flag stays True
+        assert problems == [
+            "verdict does not replay from embedded data",
+            "reasons does not replay from embedded data",
+            "chi_irreducible does not replay from embedded data",
+        ]
 
     def test_rejects_missing_fields(self):
         ok, problems = verify_certificate({"schema_version": 1})
         assert not ok
 
     def test_rejects_path_and_flag_forgeries(self):
-        transitive = certificate_doc(decide(OrbitReport(2, (15,)), ASSERTED, chi_irreducible=True))
+        transitive = certificate_doc(decide(OrbitReport(2, (15,)), ASSERTED, path=T))
         direct = certificate_doc(decide(OrbitReport(2, (15,), (6,), (10,)), ASSERTED))
         forgeries = [
             (dict(transitive, orbits=None), "certificate without orbit data"),
             (dict(direct, orbits=None), "certificate without orbit data"),
-            (dict(transitive, chi_irreducible=None), "transitivity path without chi_irreducible flag"),
-            (dict(direct, chi_irreducible=False), "chi_irreducible flag set on the direct path"),
-            (dict(direct, chi_irreducible=True), "chi_irreducible flag set on the direct path"),
-            (dict(transitive, path=PATH_DIRECT), "chi_irreducible flag set on the direct path"),
+            (dict(transitive, chi_irreducible=None), "chi_irreducible does not replay from embedded data"),
+            (dict(direct, chi_irreducible=False), "chi_irreducible does not replay from embedded data"),
+            (dict(direct, chi_irreducible=True), "chi_irreducible does not replay from embedded data"),
+            (dict(transitive, path=PATH_DIRECT), "chi_irreducible does not replay from embedded data"),
             (dict(direct, path="shortcut"), "path does not replay from embedded data"),
-            (dict(direct, reasons=[{"kind": RATIONAL_THETA}]), "reasons do not replay from embedded data"),
+            (dict(direct, reasons=[{"kind": RATIONAL_THETA}]), "reasons does not replay from embedded data"),
             (dict(direct, hashes=["chi"]), "hashes is not an object"),
         ]
         for doc, problem in forgeries:

@@ -76,6 +76,21 @@ class TestParsePoly:
         with pytest.raises(PolyParseError):
             parse_poly("x + t")
 
+    def test_past_the_str_digit_limit(self):
+        # digits past Python's int/str digit limit are read and written
+        # exactly, whatever the limit is set to
+        rng = random.Random(5000)
+        big = rng.randrange(10**4999, 10**5000)
+        f = RatPoly([-big, Fraction(big, big + 2), 0, 1])
+        assert parse_poly(str(f)) == f
+        assert parse_poly("x^" + "0" * 4999 + "2") == RatPoly([0, 0, 1])
+
+    def test_million_digit_literal(self):
+        start = time.perf_counter()
+        f = parse_poly("x^6+x+1" + "0" * 999_999)
+        assert time.perf_counter() - start < 2.0
+        assert f.coeffs[0] == 10**999_999
+
 
 class TestParseFamily:
     def test_basic(self):
@@ -153,6 +168,11 @@ class TestChiFixture:
         with pytest.raises(ValueError):
             load_chi_fixture(p)
 
+    def test_coefficient_past_the_str_digit_limit(self, tmp_path):
+        p = tmp_path / "big.txt"
+        p.write_text("order: ascending\n-%s 1\n" % ("7" * 5000))
+        assert load_chi_fixture(p) == RatPoly([-7 * (10**5000 - 1) // 9, 1])
+
 
 def test_quartic_orbit_fixture_certifies():
     """Shipped orbit data for a genus-3 plane quartic: regression for the
@@ -225,6 +245,55 @@ def test_library_verify_ties_subject_to_genus(capsys, argv, key, value, problem)
     report = OrbitReport.from_doc(doc["genus"], doc["orbits"])
     doc["inputs_digest"] = digest_text(inputs_text(subject, tuple(doc["hashes"].items()), report))
     assert json_verify(doc) == (False, [problem])
+
+
+def _replay(*fields):
+    return ["%s does not replay from embedded data" % field for field in fields]
+
+
+# (field, forged value or a function of the field's value, FAIL lines
+# without and with --full-criterion); the plain certificate is on the
+# transitivity path, the full one on the direct path
+FORGED_FIELDS = [
+    ("genus", 3, [["two-torsion orbit sizes sum to 15, expected 2^(2g)-1 = 63"]] * 2),
+    ("verdict", "Inconclusive", [_replay("verdict")] * 2),
+    # an unknown path replays as direct: without theta data that is NeedsThetaData
+    ("path", "shortcut",
+     [_replay("verdict", "path", "reasons", "chi_irreducible"), _replay("path")]),
+    ("reasons", [{"kind": "NoDeg1Class"}], [_replay("reasons")] * 2),
+    # the infinite place has no coordinates
+    ("evidence", lambda evidence: dict(evidence, x="0"), [_replay("evidence")] * 2),
+    # replayed sorted; on the transitivity path [5, 10] is also a reducible chi
+    ("orbits", lambda orbits: dict(orbits, j2=[10, 5]),
+     [_replay("verdict", "reasons", "orbits", "chi_irreducible"), _replay("orbits")]),
+    ("chi_irreducible", lambda flag: not flag, [_replay("chi_irreducible")] * 2),
+    ("inputs_digest", "0" * 64,
+     [["inputs_digest does not match the subject (hyperelliptic;f=x^6 + x + 1)"]] * 2),
+    ("timings", {"total_s": 1.5}, [_replay("timings")] * 2),
+    ("schema_version", 2, [["unknown schema_version 2"]] * 2),
+]
+
+
+@pytest.mark.parametrize("full", [False, True], ids=["transitivity", "direct"])
+@pytest.mark.parametrize("field,forged,lines", FORGED_FIELDS, ids=[r[0] for r in FORGED_FIELDS])
+def test_verify_rejects_each_forged_field(capsys, tmp_path, full, field, forged, lines):
+    """Each field that `certificate_doc` renders, except ``tool``, forged
+    once on the certificate of x^6+x+1: `verify` prints one FAIL line per
+    field that does not replay.  The subject is read, not replayed: the
+    inputs digest and the curve it names check it.  Without recomputing,
+    this rule cannot check ``labeling``, nor ``hashes`` on a curve
+    subject, whose digest covers only f."""
+    flags = ("--full-criterion",) if full else ()
+    _, out = run_cli(capsys, "certify", "hyperelliptic", "--f", "x^6+x+1", *flags, "--json")
+    doc = json.loads(out)
+    assert doc["path"] == ("direct" if full else "transitivity")
+    doc[field] = forged(doc[field]) if callable(forged) else forged
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(doc))
+    assert json_verify(doc) == (False, lines[full])
+    assert run_cli(capsys, "verify", "--certificate", str(path)) == (
+        1, "".join("FAIL: %s\n" % line for line in lines[full])
+    )
 
 
 class TestCommands:
@@ -404,10 +473,10 @@ class TestCommands:
         path = tmp_path / "cert.json"
         for flags, field, value, problem in (
             ((), "orbits", None, "certificate without orbit data"),
-            ((), "chi_irreducible", None, "transitivity path without chi_irreducible flag"),
-            ((), "chi_irreducible", False, "chi_irreducible flag contradicts embedded orbit data"),
+            ((), "chi_irreducible", None, "chi_irreducible does not replay from embedded data"),
+            ((), "chi_irreducible", False, "chi_irreducible does not replay from embedded data"),
             (("--full-criterion",), "chi_irreducible", False,
-             "chi_irreducible flag set on the direct path"),
+             "chi_irreducible does not replay from embedded data"),
         ):
             _, out = run_cli(capsys, "certify", "hyperelliptic", "--f", "x^6+x+1", *flags, "--json")
             doc = json.loads(out)
@@ -556,6 +625,25 @@ class TestCommands:
             assert run_cli(capsys, "verify", "--certificate", str(path)) == (
                 1, "FAIL: %s\n" % problem
             ), certified
+
+    @pytest.mark.parametrize("f_t,code", [
+        ("x^6+(10^5000*t+1)*x+1", 0),
+        # the fiber x^6+1 has rational two-torsion
+        ("x^6+10^5000*t*x+1", 2),
+        ("x^6+10^5000*t*x^2+x+1", 0),
+    ])
+    def test_scan_of_a_family_past_the_str_digit_limit(self, capsys, tmp_path, f_t, code):
+        # the family is written into each fiber's subject and read back by
+        # verify; only the fiber t = 0 is certified, which is quick
+        run = run_cli(capsys, "family", "scan", "--f-t", f_t, "--range=0..0", "--json")
+        assert run[0] == code
+        doc = json.loads(run[1])
+        assert parse_family(doc["family"]) == parse_family(f_t)
+        path = tmp_path / "scan.json"
+        path.write_text(run[1])
+        assert run_cli(capsys, "verify", "--certificate", str(path)) == (
+            0, "verified: %d fiber certificate(s) re-check\n" % (code == 0)
+        )
 
     def test_certify_eighteen_digit_coefficient(self, capsys):
         # every bit of the coefficient reaches the root approximation, so

@@ -8,6 +8,8 @@ import pytest
 from rankcert.exactpoly import (
     IntPoly,
     RatPoly,
+    _decimal,
+    _read_decimal,
     _zmul,
     discriminant,
     format_poly,
@@ -309,6 +311,17 @@ class TestFormatting:
                 sys.set_int_max_str_digits(limit)
         assert digest == hashlib.sha256(payload.encode("ascii")).hexdigest()
         assert text == expected
+
+    def test_read_decimal_inverts_decimal(self):
+        rng = random.Random(4)
+        for digits in (1, 600, 601, 1200, 4301, 9000):
+            n = rng.randrange(10 ** (digits - 1), 10**digits)
+            for v in (n, -n, 10 ** (digits - 1), 10**digits - 1):
+                assert _read_decimal(_decimal(v)) == v
+        assert _read_decimal("0" * 5000 + "12") == 12
+        for text in ("", "-", "--5", "+5", "1_000", "1e3", " 5", "5" * 700 + "x"):
+            with pytest.raises(ValueError, match="is not an integer written in decimal"):
+                _read_decimal(text)
 
     def test_intpoly_content(self):
         p = IntPoly([6, -9, 12])
