@@ -469,10 +469,6 @@ def resultant(a: RatPoly, b: RatPoly) -> Fraction:
     if a.is_zero or b.is_zero:
         raise ValueError("resultant of the zero polynomial")
     da, db = a.degree, b.degree
-    if da == 0:
-        return a.lc ** db
-    if db == 0:
-        return b.lc ** da
     ca, A = a.to_int()
     cb, B = b.to_int()
     r = _zresultant(list(A.coeffs), list(B.coeffs))

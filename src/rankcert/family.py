@@ -12,7 +12,9 @@ concludes through the transitivity shortcut, also under the full
 criterion; a reducible chi is reported as NeedsThetaData on that path, or,
 with the full criterion, decided on the direct path from the theta orbits.
 No generic resolvent over Q(t) is ever formed; per-fiber recomputation is
-both simpler and strictly verified.
+both simpler and strictly verified.  A scan spreads its fibers over forked
+processes in shares fixed before the fork, so each process certifies the
+same fibers on every run at the same CPU count.
 
 The discriminant of f_t in x is computed exactly by evaluation and
 interpolation in Newton form: disc_x specializes correctly wherever the
@@ -219,34 +221,24 @@ def _thread_count() -> int:
         return threading.active_count()
 
 
-# bytes of a block index on the task pipe
-_TASK_BYTES = 4
-
-
-def _take_blocks(fam: FamilyCurve, blocks, tasks: int, options: ScanOptions, parent=None):
-    """Certify the blocks whose indices this process reads from the task
-    pipe ``tasks``, until the pipe is empty.  Returns ({block index:
-    outcomes}, None), or (outcomes, (block index, exception)) when a block
-    raised; the pipe is then emptied, so that no process takes a later
-    block.  A worker passes the pid of its ``parent`` and exits when that
-    process is gone."""
+def _take_blocks(fam: FamilyCurve, share, options: ScanOptions, parent=None):
+    """Certify the blocks of ``share``, (block index, fibers) pairs, in
+    order.  Returns ({block index: outcomes}, None), or (outcomes,
+    (block index, exception)) when a block raised; no later block of the
+    share is then taken.  A worker passes the pid of its ``parent`` and
+    exits between blocks once that process is gone."""
     done = {}
-    while True:
-        task = os.read(tasks, _TASK_BYTES)
-        if not task:
-            return done, None
+    for i, ts in share:
         if parent is not None and os.getppid() != parent:  # the parent was killed
             os._exit(1)
-        i = int.from_bytes(task, "little")
         try:
-            done[i] = _certify_fibers(fam, blocks[i], options)
+            done[i] = _certify_fibers(fam, ts, options)
         except BaseException as exc:
-            while os.read(tasks, 1 << 12):
-                pass
             return done, (i, exc)
+    return done, None
 
 
-def _fork_worker(fam: FamilyCurve, blocks, tasks: int, options: ScanOptions):
+def _fork_worker(fam: FamilyCurve, share, options: ScanOptions):
     """A worker process that runs `_take_blocks` and writes its pickled
     result to a pipe.  Returns (pid, the pipe's read end as a binary file),
     or None when the fork fails."""
@@ -266,7 +258,7 @@ def _fork_worker(fam: FamilyCurve, blocks, tasks: int, options: ScanOptions):
         import pickle
 
         os.close(r)
-        result = _take_blocks(fam, blocks, tasks, options, os.getppid())
+        result = _take_blocks(fam, share, options, os.getppid())
         with open(w, "wb") as pipe:
             pipe.write(pickle.dumps(result))
     finally:
@@ -277,31 +269,30 @@ def _certify_blocks(fam: FamilyCurve, ts, k: int, options: ScanOptions) -> list:
     """The outcomes of the fibers ``ts``, in order, certified by this
     process and up to k - 1 forked workers.
 
-    ``ts`` is cut into contiguous blocks, about four per process and few
-    enough that their indices fill one write of at most PIPE_BUF bytes to
-    a task pipe, made before the fork.  Each process reads the next index
-    whenever it is free, so the last block to finish ends soon after the
-    others.  The exception of the earliest failing block is raised, and no
-    worker outlives the call."""
+    ``ts`` is cut into n = min(len(ts), 4k) contiguous blocks, and process
+    r certifies blocks r, r + k, r + 2k, ... in order: r = 0 is this
+    process, which also takes the share of a worker whose fork fails.
+    Every block before the earliest failing one belongs to a process that
+    got past it, so the exception of that block is raised, as the serial
+    loop would raise it.  No worker outlives the call."""
     if k == 1:
         return _certify_fibers(fam, ts, options)
     import pickle  # only a scan that forks pays for it
 
-    tasks, w = os.pipe()
-    try:
-        n = min(len(ts), 4 * k, os.fpathconf(w, "PC_PIPE_BUF") // _TASK_BYTES)
-        bounds = [len(ts) * i // n for i in range(n + 1)]
-        blocks = [ts[i:j] for i, j in zip(bounds, bounds[1:])]
-        os.write(w, b"".join(i.to_bytes(_TASK_BYTES, "little") for i in range(n)))
-    finally:
-        os.close(w)
+    n = min(len(ts), 4 * k)
+    bounds = [len(ts) * i // n for i in range(n + 1)]
+    blocks = list(enumerate(ts[i:j] for i, j in zip(bounds, bounds[1:])))
+    own = blocks[::k]
     workers = []
     try:
-        for _ in range(k - 1):
-            worker = _fork_worker(fam, blocks, tasks, options)
-            if worker is not None:
+        for r in range(1, k):
+            worker = _fork_worker(fam, blocks[r::k], options)
+            if worker is None:
+                own += blocks[r::k]
+            else:
                 workers.append(worker)
-        done, failure = _take_blocks(fam, blocks, tasks, options)
+        own.sort()  # in index order, so that a failure stops no earlier block
+        done, failure = _take_blocks(fam, own, options)
         if failure is not None and not isinstance(failure[1], Exception):
             raise failure[1]  # an interrupt of this process
         while workers:
@@ -322,7 +313,6 @@ def _certify_blocks(fam: FamilyCurve, ts, k: int, options: ScanOptions) -> list:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
             pipe.close()
-        os.close(tasks)
     if failure is not None:
         raise failure[1]
     return [outcome for i in range(n) for outcome in done[i]]
@@ -345,11 +335,12 @@ def scan(
     CPUs this process may run on, capped by the number of fibers: this one
     and k - 1 forked workers.  They are cut into small contiguous blocks,
     about four per process (fibers t and t + p in one block share their
-    Frobenius cycle types), and each process takes the next block whenever
-    it is free.  With k = 1, or with more than one thread, nothing is
-    forked: a process that runs other threads, as one does after
-    ``import numpy`` starts its BLAS threads, scans serially.  The report
-    does not depend on k.  An exception that is not a per-fiber failure is
+    Frobenius cycle types), and each process's share of them is fixed
+    before the fork: every k-th block, so that the shares interleave along
+    the range and do not change from run to run.  With k = 1, or with more
+    than one thread, nothing is forked: a process that runs other threads,
+    as one does after ``import numpy`` starts its BLAS threads, scans
+    serially.  The report does not depend on k.  An exception that is not a per-fiber failure is
     raised as the serial loop would raise it: that of the earliest failing
     fiber, with its type and message.
     """

@@ -220,6 +220,17 @@ class TestResultant:
                 resultant(a.to_rat(), c.to_rat()) * resultant(b.to_rat(), c.to_rat())
             )
 
+    def test_constant(self):
+        # Res(c, g) = c^deg g and Res(f, c) = c^deg f, whatever the signs
+        rng = random.Random(41)
+        for _ in range(10):
+            c = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 5))
+            g = RatPoly([Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(rng.randint(1, 4))]
+                        + [Fraction(rng.choice([-3, -1, 2]), rng.randint(1, 5))])
+            assert resultant(RatPoly([c]), g) == c ** g.degree
+            assert resultant(g, RatPoly([c])) == c ** g.degree
+        assert resultant(RatPoly([Fraction(-2, 3)]), RatPoly([5])) == 1
+
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             resultant(RatPoly(), RatPoly([1, 1]))

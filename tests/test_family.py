@@ -398,6 +398,25 @@ def _fail_at(monkeypatch, failures):
     monkeypatch.setattr(family, "certify_fiber", certify)
 
 
+def _fibers_by_pid(log):
+    """{pid: [t, ...]} from a log of "pid t" lines, less a last line that is
+    still being written."""
+    shares = {}
+    for line in log.read_text().split("\n")[:-1]:
+        pid, a = line.split()
+        shares.setdefault(int(pid), []).append(int(a))
+    return shares
+
+
+def _running(pid):
+    """Is process ``pid`` alive and not a zombie?"""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] not in "ZX"
+    except OSError:
+        return False
+
+
 def _assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -430,9 +449,8 @@ class TestParallelScan:
 
     def test_worker_exception_is_raised_as_the_serial_scan_raises_it(self, monkeypatch, capsys):
         # at 3 CPUs the 12 fibers (t = 0 is excluded) are 12 blocks of one,
-        # which the three processes take in order as each gets free; the
-        # serial loop stops at t = 1, before t = 4 fails, and whichever
-        # process fails first, t = 1 is the earlier block
+        # and this process's share is t = -6, -3, 1 and 4; it stops at
+        # t = 1, as the serial loop does, before t = 4 fails
         _fail_at(monkeypatch, {
             Fraction(1): RuntimeError("injected at t=1"),
             Fraction(4): ArithmeticError("injected at t=4"),
@@ -458,6 +476,22 @@ class TestParallelScan:
         _use_cpus(monkeypatch, 3)
         monkeypatch.setattr(os, "fork", refuse)
         assert scan(X6_TT, -6, 6) == expected
+
+    def test_refused_forks_keep_the_earliest_failure(self, monkeypatch):
+        # the workers' shares come back to this process, t = -5 among them,
+        # and it must still reach t = -5 before t = -3 of its own share
+        _fail_at(monkeypatch, {
+            Fraction(-5): RuntimeError("injected at t=-5"),
+            Fraction(-3): ArithmeticError("injected at t=-3"),
+        })
+
+        def refuse():
+            raise OSError("fork refused")
+
+        _use_cpus(monkeypatch, 3)
+        monkeypatch.setattr(os, "fork", refuse)
+        with pytest.raises(RuntimeError, match="injected at t=-5"):
+            scan(X6_TT, -6, 6)
 
     def test_one_fiber_and_threaded_scans_do_not_fork(self, monkeypatch):
         _use_cpus(monkeypatch, 3)
@@ -503,9 +537,10 @@ class TestParallelScan:
         _assert_no_child_left()
 
     def test_a_late_failure_reached_first_loses_to_an_earlier_one(self, monkeypatch, tmp_path):
-        # t = -6, the first block, fails only once t = 5, a late block, has
-        # failed in another process; the serial loop raises at t = -6, and
-        # so must the forked scan
+        # at 2 CPUs the first block, t = -6, is always this process's and
+        # the late block with t = 5 the worker's; t = -6 fails only once
+        # t = 5 has failed in the worker, and the serial loop raises at
+        # t = -6, so the forked scan must too
         log = tmp_path / "failures"
         log.write_text("")
         original = family.certify_fiber
@@ -527,8 +562,8 @@ class TestParallelScan:
         monkeypatch.setattr(family, "certify_fiber", certify)
         _use_cpus(monkeypatch, 2)
         fork = os.fork
-        # the side of the fork that pauses takes its first block late, so
-        # the first block goes to the worker, then to this process
+        # whichever side of the fork pauses, it starts its share late and
+        # the shares stay the same
         for pausing_side in ("parent", "worker"):
             def forking():
                 pid = fork()
@@ -543,6 +578,73 @@ class TestParallelScan:
             assert str(info.value) == "injected at t=-6"
             assert log.read_text() == "5 -6 "
             _assert_no_child_left()
+
+    def test_each_process_certifies_a_fixed_share(self, monkeypatch, tmp_path):
+        # at 3 CPUs the 12 fibers are 12 blocks of one, and process r takes
+        # blocks r, r + 3, r + 6 and r + 9, on every run
+        log = tmp_path / "fibers"
+        original = family.certify_fiber
+
+        def certify(fam, a, options=ScanOptions()):
+            with open(log, "a") as out:
+                out.write(f"{os.getpid()} {a}\n")
+            return original(fam, a, options)
+
+        monkeypatch.setattr(family, "certify_fiber", certify)
+        _use_cpus(monkeypatch, 3)
+        splits = []
+        for _ in range(2):
+            log.write_text("")
+            scan(X6_TT, -6, 6)
+            shares = _fibers_by_pid(log)
+            assert shares.pop(os.getpid()) == [-6, -3, 1, 4]
+            splits.append(sorted(shares.values()))
+        assert splits[0] == splits[1] == [[-5, -2, 2, 5], [-4, -1, 3, 6]]
+        _assert_no_child_left()
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads /proc")
+    def test_a_killed_scan_leaves_no_worker_running(self, tmp_path):
+        # a worker checks between blocks that its parent is alive: once the
+        # command is killed, each worker ends the fiber it is on and exits,
+        # where its share would last 0.8 s more
+        log = tmp_path / "fibers"
+        log.write_text("")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        code = (
+            "import os, time\n"
+            "os.sched_getaffinity = lambda pid: {0, 1, 2}\n"
+            "from rankcert import family\n"
+            "from rankcert.cli import parse_family\n"
+            "original = family.certify_fiber\n"
+            "def certify(fam, a, options=family.ScanOptions()):\n"
+            f"    with open({str(log)!r}, 'a') as out:\n"
+            "        out.write(f'{os.getpid()} {a}\\n')\n"
+            "    time.sleep(0.2)\n"
+            "    return original(fam, a, options)\n"
+            "family.certify_fiber = certify\n"
+            "family.scan(parse_family('x^6+t*x+t'), -6, 6)\n"
+        )
+        command = subprocess.Popen(
+            [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        try:
+            deadline = time.monotonic() + 60
+            while len(_fibers_by_pid(log).keys() - {command.pid}) < 2 and time.monotonic() < deadline:
+                time.sleep(0.01)
+        finally:
+            command.kill()
+            command.wait()
+        started = _fibers_by_pid(log)
+        workers = started.keys() - {command.pid}
+        assert len(workers) == 2
+        deadline = time.monotonic() + 10
+        while any(map(_running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_running, workers))
+        # a worker may have passed its check just before the kill
+        ended = _fibers_by_pid(log)
+        assert all(len(ended[pid]) <= len(started[pid]) + 1 for pid in workers)
 
     def test_forked_scans_leave_no_resource_open(self):
         # a pipe or file left to the garbage collector, in this process or a
