@@ -4,11 +4,13 @@ Coefficients are stored densely in ascending order (constant term first)
 with no trailing zeros; the zero polynomial has an empty coefficient
 sequence.  Rational scalars are `fractions.Fraction` (always reduced,
 positive denominator), integer polynomials keep plain Python ints.
-`RatPoly` is a rational coefficient vector: it evaluates, differentiates
-and splits into a content times a primitive `IntPoly`, and the polynomial
-arithmetic (products, exact division, gcd) is `IntPoly`'s.  All
-values are immutable after construction and every operation is pure, so
-everything here is safe to share across threads.
+`RatPoly` and `IntPoly` extend one private record, `_Poly`: the coefficient
+tuple with its degree, leading coefficient, derivative, text, hash and an
+equality that holds only within one class.  `RatPoly` adds evaluation and
+the split into a content times a primitive `IntPoly`; the polynomial
+arithmetic (products, exact division, gcd) is `IntPoly`'s.  All values are
+immutable after construction and every operation is pure, so everything
+here is safe to share across threads.
 
 The gcd/resultant machinery runs over Z via pseudo-division (primitive PRS
 for `IntPoly.gcd`, subresultant PRS for resultants) to keep intermediate
@@ -139,10 +141,6 @@ def _zmul(f, g):
     F = _pack(f, nbytes)
     P = F * F if f is g else F * _pack(g, nbytes)
     return _unpack(P, len(f) + len(g) - 1, nbytes)
-
-
-def _zderiv(f):
-    return _strip([i * c for i, c in enumerate(f)][1:])
 
 
 def _zcontent(f):
@@ -299,9 +297,7 @@ def _read_decimal(text: str) -> int:
 
 def format_poly(coeffs: Sequence[Scalar], var: str = "x") -> str:
     """Canonical text form, highest degree first: ``x^2 - 3/2*x + 1``."""
-    coeffs = list(coeffs)
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
+    coeffs = _strip(list(coeffs))
     if not coeffs:
         return "0"
     parts = []
@@ -325,9 +321,7 @@ def format_poly(coeffs: Sequence[Scalar], var: str = "x") -> str:
 
 def poly_digest(coeffs: Sequence[Scalar]) -> str:
     """sha256 of the canonical coefficient encoding (ascending order)."""
-    coeffs = list(coeffs)
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
+    coeffs = _strip(list(coeffs))
     payload = "deg:%d;" % (len(coeffs) - 1) + ",".join(_decimal(c) for c in coeffs)
     return hashlib.sha256(payload.encode("ascii")).hexdigest()
 
@@ -335,14 +329,14 @@ def poly_digest(coeffs: Sequence[Scalar]) -> str:
 # ---------------------------------------------------------------------------
 # polynomial classes
 
-class RatPoly:
-    """Dense univariate polynomial with Fraction coefficients."""
+class _Poly:
+    """The record `RatPoly` and `IntPoly` share: an immutable coefficient
+    tuple, ascending and stripped, with the members that only read it.
+    Each subclass converts coefficients in its constructor and sets
+    `_ZERO`, the leading coefficient of its zero polynomial."""
 
     __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-        self.coeffs = tuple(_strip(cs))
+    _ZERO: Scalar
 
     @property
     def degree(self) -> int:
@@ -354,28 +348,43 @@ class RatPoly:
         return not self.coeffs
 
     @property
-    def lc(self) -> Fraction:
-        if not self.coeffs:
-            return Fraction(0)
-        return self.coeffs[-1]
+    def lc(self) -> Scalar:
+        return self.coeffs[-1] if self.coeffs else self._ZERO
 
     def __bool__(self):
         return bool(self.coeffs)
 
     def __eq__(self, other):
-        return isinstance(other, RatPoly) and self.coeffs == other.coeffs
+        return type(other) is type(self) and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash(("RatPoly", self.coeffs))
+        return hash((type(self).__name__, self.coeffs))
+
+    def derivative(self):
+        return type(self)(i * c for i, c in enumerate(self.coeffs) if i)
+
+    def __str__(self):
+        return format_poly(self.coeffs)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({format_poly(self.coeffs)!r})"
+
+
+class RatPoly(_Poly):
+    """Dense univariate polynomial with Fraction coefficients."""
+
+    __slots__ = ()
+    _ZERO = Fraction(0)
+
+    def __init__(self, coeffs: Iterable[Scalar] = ()):
+        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
+        self.coeffs = tuple(_strip(cs))
 
     def __call__(self, x: Scalar) -> Fraction:
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def derivative(self) -> "RatPoly":
-        return RatPoly(tuple(i * c for i, c in enumerate(self.coeffs))[1:])
 
     def to_int(self) -> tuple[Fraction, "IntPoly"]:
         """Split into content * primitive integer polynomial (positive lc).
@@ -386,76 +395,37 @@ class RatPoly:
         if self.is_zero:
             return Fraction(0), IntPoly()
         den = math.lcm(*(c.denominator for c in self.coeffs))
-        ints = [int(c * den) for c in self.coeffs]
-        num = _zcontent(ints)
-        if ints[-1] < 0:
-            num = -num
-        return Fraction(num, den), IntPoly([a // num for a in ints])
-
-    def __str__(self):
-        return format_poly(self.coeffs)
-
-    def __repr__(self):
-        return f"RatPoly({format_poly(self.coeffs)!r})"
+        prim = _zprimitive([int(c * den) for c in self.coeffs])
+        return self.lc / prim[-1], IntPoly(prim)
 
 
-class IntPoly:
+class IntPoly(_Poly):
     """Dense univariate polynomial with integer coefficients."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
+    _ZERO = 0
 
     def __init__(self, coeffs: Iterable[int] = ()):
-        cs = [int(c) for c in coeffs]
-        self.coeffs = tuple(_strip(cs))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def lc(self) -> int:
-        return self.coeffs[-1] if self.coeffs else 0
+        self.coeffs = tuple(_strip([int(c) for c in coeffs]))
 
     def primitive(self) -> "IntPoly":
         """Primitive part with positive leading coefficient."""
-        return IntPoly(_zprimitive(list(self.coeffs)))
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __eq__(self, other):
-        return isinstance(other, IntPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(("IntPoly", self.coeffs))
+        return IntPoly(_zprimitive(self.coeffs))
 
     def __mul__(self, other):
         return IntPoly(_zmul(self.coeffs, other.coeffs))
 
-    def derivative(self) -> "IntPoly":
-        return IntPoly(_zderiv(list(self.coeffs)))
-
     def exact_div(self, other: "IntPoly"):
         """Exact quotient over Z, or None when ``other`` does not divide."""
-        q = _zdiv_exact(list(self.coeffs), list(other.coeffs))
+        q = _zdiv_exact(self.coeffs, other.coeffs)
         return None if q is None else IntPoly(q)
 
     def gcd(self, other: "IntPoly") -> "IntPoly":
         """Primitive gcd over Z with positive leading coefficient."""
-        return IntPoly(_zgcd(list(self.coeffs), list(other.coeffs)))
+        return IntPoly(_zgcd(self.coeffs, other.coeffs))
 
     def to_rat(self) -> RatPoly:
         return RatPoly(self.coeffs)
-
-    def __str__(self):
-        return format_poly(self.coeffs)
-
-    def __repr__(self):
-        return f"IntPoly({format_poly(self.coeffs)!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +441,7 @@ def resultant(a: RatPoly, b: RatPoly) -> Fraction:
     da, db = a.degree, b.degree
     ca, A = a.to_int()
     cb, B = b.to_int()
-    r = _zresultant(list(A.coeffs), list(B.coeffs))
+    r = _zresultant(A.coeffs, B.coeffs)
     return ca ** db * cb ** da * r
 
 
@@ -490,8 +460,10 @@ def make_integral_monic(f: RatPoly) -> tuple[IntPoly, Fraction]:
     """Monic integral model of f: returns (g, scale) with g(y) = 0 iff f(y/scale) = 0.
 
     The roots of g are ``scale`` times the roots of f, so they are algebraic
-    integers; ``scale`` is the denominator lcm times the absolute leading
-    coefficient of the cleared polynomial.
+    integers; ``scale`` is the denominator lcm ``den`` times the absolute
+    leading coefficient ``a`` of the cleared polynomial ``c = den * f``.
+    Below the top, g_i = s^(d-i) f_i / lc(f) with s = scale, which is
+    sign(c_d) * c_i * den^(d-i) * a^(d-i-1): a product of integers.
 
     >>> g, s = make_integral_monic(RatPoly([-1, 0, 4]))
     >>> (str(g), s)
@@ -503,12 +475,6 @@ def make_integral_monic(f: RatPoly) -> tuple[IntPoly, Fraction]:
     den = math.lcm(*(c.denominator for c in f.coeffs))
     cleared = [int(c * den) for c in f.coeffs]
     a = abs(cleared[-1])
-    s = den * a
-    lead = Fraction(f.lc)
-    out = []
-    for i, c in enumerate(f.coeffs):
-        v = (c / lead) * Fraction(s) ** (d - i)
-        if v.denominator != 1:
-            raise AssertionError("integral model scaling failed")
-        out.append(int(v))
-    return IntPoly(out), Fraction(s)
+    sign = 1 if cleared[-1] > 0 else -1
+    out = [sign * c * den ** (d - i) * a ** (d - i - 1) for i, c in enumerate(cleared[:-1])]
+    return IntPoly(out + [1]), Fraction(den * a)

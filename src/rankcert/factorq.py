@@ -278,7 +278,6 @@ def squarefree_by_reduction(F: IntPoly):
         seen += 1
         if seen >= _REDUCTION_TRIES:
             return None
-    return None
 
 
 def is_squarefree(F: IntPoly) -> bool:
@@ -305,7 +304,6 @@ def coprime_by_reduction(a: IntPoly, b: IntPoly):
         seen += 1
         if seen >= _REDUCTION_TRIES:
             return None
-    return None
 
 
 def _gf_frobenius_base(fm):

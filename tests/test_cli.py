@@ -1014,3 +1014,126 @@ def test_coefficients_past_the_float_range_keep_their_bytes(f, code, stdout_sha2
     out, err = capsys.readouterr()
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == stdout_sha256
     assert err == stderr
+
+
+RATIONAL_POINT_TEXT = """\
+verdict: RankAtLeastOne
+path: transitivity
+genus: 2
+degree-1 class: rational-point (1, 2)
+two-torsion orbits: 15
+two-torsion resolvent irreducible: yes
+checks:
+  [ok] rational degree-1 divisor class present
+  [ok] no rational nonzero two-torsion
+  [ok] no rational theta characteristic
+conclusion: Mordell-Weil rank of the Jacobian is at least 1
+hash chi: 8ef2804d74e23b3ee863bdf065db065d4f9fd11f02eb4b1cc3d75d2502ff80ff
+labeling index: 0
+inputs digest: 3a85201cf5e77e9c39fda0f846c6533d371d78b6ea0152f6be66c17a901d79b8
+tool: rankcert 0.1.0
+"""
+
+NO_CLASS_TEXT = """\
+verdict: Inconclusive
+path: direct
+genus: 2
+degree-1 class: none
+two-torsion orbits: 15
+odd theta orbits: 6
+even theta orbits: 10
+obstructions:
+  - NoDeg1Class: no rational degree-1 divisor class supplied or found
+inputs digest: 4e21e4b95a15d42046eceb59f22aa6385fc2e8486c8b9a70952e8a0f3455b404
+tool: rankcert 0.1.0
+"""
+
+ORACLE_TEXT = """\
+curve: y^2 = x^6 + x + 1
+chi degree: 15
+p=2: chi mod p [3, 6, 6] | subset action [3, 6, 6] | ok
+p=5: chi mod p [3, 3, 3, 3, 3] | subset action [3, 3, 3, 3, 3] | ok
+p=7: chi mod p [5, 5, 5] | subset action [5, 5, 5] | ok
+agreement: complete
+"""
+
+ORBITS = ("--j2", "15", "--theta-odd", "6", "--theta-even", "10", "--genus", "2")
+
+
+def _listing(*coeffs):
+    return "order: ascending\n%s\n" % " ".join(str(c) for c in coeffs)
+
+
+@pytest.mark.parametrize("argv, code, out", [
+    # x^6 is not a square at 2, f(0) = 3 and f(-1) = 6 are not squares:
+    # the first point found is (1, 2)
+    (("certify", "hyperelliptic", "--f", "2*x^6-x+3"), 0, RATIONAL_POINT_TEXT),
+    (("certify", "orbits") + ORBITS, 2, NO_CLASS_TEXT),
+    (("oracle", "--f", "x^6+x+1", "--primes", "3"), 0, ORACLE_TEXT),
+], ids=["rational-point", "no-degree-1-class", "oracle"])
+def test_text_output_bytes(capsys, argv, code, out):
+    assert main(list(argv)) == code
+    assert capsys.readouterr() == (out, "")
+
+
+@pytest.mark.parametrize("argv, files, message", [
+    (("certify", "orbits", "--j2", "1,x") + ORBITS[2:], {},
+     "orbit lists are comma-separated integers: '1,x'"),
+    (("certify", "orbits", "--j2", "0,15") + ORBITS[2:], {},
+     "orbit sizes must be positive integers: '0,15'"),
+    (("certify", "chi", "--file", "{chi}", "--genus", "1", "--theta-odd", "{odd}"),
+     {"chi": _listing(-2, 0, 0, 1), "odd": _listing(0, 1)},
+     "--theta-odd and --theta-even must be given together"),
+    (("certify", "chi", "--file", "{chi}", "--genus", "1", "--theta-even", "{even}"),
+     {"chi": _listing(-2, 0, 0, 1), "even": _listing(-2, 0, 0, 1)},
+     "--theta-odd and --theta-even must be given together"),
+    (("certify", "chi", "--file", "{chi}", "--genus", "1"),
+     {"chi": "# a header and no coefficient\norder: ascending\n"},
+     "no coefficients in {chi}"),
+    (("certify", "chi", "--file", "{chi}", "--genus", "1"),
+     {"chi": _listing(0, 0, 0)}, "zero polynomial in {chi}"),
+    (("family", "scan", "--f-t", "x^6+t*x+1", "--range", "1-2"), {},
+     "--range expects A..B with integers, got '1-2'"),
+    # (x - 1)^2 (x + 1)
+    (("certify", "chi", "--file", "{chi}", "--genus", "1"),
+     {"chi": _listing(1, -1, -1, 1)},
+     "chi is not squarefree (not an etale-algebra resolvent)"),
+    (("certify", "chi", "--file", "{chi}", "--genus", "1",
+      "--theta-odd", "{odd}", "--theta-even", "{even}"),
+     {"chi": _listing(-2, 0, 0, 1), "odd": _listing(0, 1), "even": _listing(1, -1, -1, 1)},
+     "theta even resolvent is not squarefree"),
+    # (x^3 - 1)^2
+    (("certify", "chi", "--file", "{chi}", "--genus", "2",
+      "--theta-odd", "{odd}", "--theta-even", "{even}"),
+     {"chi": _listing(-2, *[0] * 14, 1), "odd": _listing(1, 0, 0, -2, 0, 0, 1),
+      "even": _listing(-2, *[0] * 9, 1)},
+     "theta odd resolvent is not squarefree"),
+], ids=["orbit-list-syntax", "orbit-size-zero", "theta-odd-alone", "theta-even-alone",
+        "chi-no-coefficients", "chi-zero", "range-syntax", "chi-not-squarefree",
+        "theta-even-not-squarefree", "theta-odd-not-squarefree"])
+def test_input_errors(capsys, tmp_path, argv, files, message):
+    paths = {}
+    for name, text in files.items():
+        paths[name] = tmp_path / (name + ".txt")
+        paths[name].write_text(text)
+    assert main([a.format(**paths) for a in argv]) == 1
+    assert capsys.readouterr() == ("", "error: %s\n" % message.format(**paths))
+
+
+def test_verify_rejects_a_malformed_hash_and_unpaired_theta_orbits(capsys, tmp_path):
+    path = tmp_path / "cert.json"
+    _, out = run_cli(capsys, "certify", "hyperelliptic", "--f", "x^6+x+1", "--json")
+    doc = json.loads(out)
+    doc["hashes"]["chi"] = doc["hashes"]["chi"][:-1] + "g"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", "--certificate", str(path)]) == 1
+    assert capsys.readouterr() == ("FAIL: hash chi is not sha256 hex\n", "")
+    _, out = run_cli(capsys, "certify", "orbits", *ORBITS, "--assert-deg1-class", "--json")
+    doc = json.loads(out)
+    for odd_only in ({"j2": [15], "theta_odd": [6]}, {"j2": [15], "theta_odd": [6], "theta_even": None}):
+        doc["orbits"] = odd_only
+        path.write_text(json.dumps(doc))
+        assert main(["verify", "--certificate", str(path)]) == 1
+        assert capsys.readouterr() == (
+            "FAIL: odd and even theta orbits must be given together\n", ""
+        )

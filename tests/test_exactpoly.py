@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 import sys
 from fractions import Fraction
@@ -270,6 +271,32 @@ class TestMakeIntegralMonic:
         with pytest.raises(ValueError):
             make_integral_monic(RatPoly([5]))
 
+    def test_matches_the_fraction_formula(self):
+        def reference(f):
+            # g_i = s^(d-i) f_i / lc(f), s = den * |lc of den * f|
+            d = f.degree
+            den = math.lcm(*(c.denominator for c in f.coeffs))
+            s = den * abs(int(f.lc * den))
+            g = [c / f.lc * Fraction(s) ** (d - i) for i, c in enumerate(f.coeffs)]
+            assert all(v.denominator == 1 for v in g)
+            return IntPoly(int(v) for v in g), Fraction(s)
+
+        rng = random.Random(2501)
+        cases = [
+            RatPoly([Fraction(rng.randint(-30, 30), rng.randint(1, 12)) for _ in range(d)]
+                    + [Fraction(rng.choice([-1, 1]) * rng.randint(1, 20), rng.randint(1, 9))])
+            for d in range(1, 11)
+            for _ in range(4)
+        ]
+        cases += [
+            RatPoly([Fraction(10**1500, 7), 0, -1, Fraction(-5, 3)]),
+            RatPoly([1, Fraction(-2, 3), -(10**1500)]),
+            RatPoly([-1, Fraction(1, 10**1500)]),
+        ]
+        assert any(f.lc < 0 for f in cases) and any(f.lc.denominator > 1 for f in cases)
+        for f in cases:
+            assert make_integral_monic(f) == reference(f)
+
     def test_certified_roots_map_back(self):
         # each certified root ball beta of g satisfies f(beta/scale) ~ 0
         import mpmath
@@ -294,6 +321,72 @@ class TestMakeIntegralMonic:
                         for k, c in enumerate(f.coeffs)
                     )
                     assert abs(val) < mpmath.mpf(2) ** -90
+
+
+class TestPolyRecord:
+    """The members `RatPoly` and `IntPoly` share."""
+
+    def test_equality_holds_within_one_class(self):
+        assert RatPoly([1]) != IntPoly([1])
+        assert IntPoly([1]) != RatPoly([1])
+        assert not RatPoly([1]) == IntPoly([1])
+        assert RatPoly([1]) != (Fraction(1),)
+        assert RatPoly([1, 2, 0]) == RatPoly([Fraction(1), Fraction(2)])
+        assert IntPoly([1, 2, 0]) == IntPoly([1, 2])
+
+    def test_equal_polynomials_hash_equal(self):
+        assert hash(RatPoly([1, Fraction(1, 2), 0])) == hash(RatPoly([1, Fraction(1, 2)]))
+        assert hash(IntPoly([3, 0, -1, 0])) == hash(IntPoly((3, 0, -1)))
+        assert hash(RatPoly()) == hash(RatPoly([0, 0]))
+        assert len({RatPoly([1, 2]), RatPoly([1, 2, 0]), IntPoly([1, 2]), IntPoly([1, 2])}) == 2
+
+    def test_text(self):
+        assert repr(RatPoly([1, Fraction(-3, 2), 1])) == "RatPoly('x^2 - 3/2*x + 1')"
+        assert repr(IntPoly([-4, 0, 1])) == "IntPoly('x^2 - 4')"
+        assert repr(RatPoly()) == "RatPoly('0')"
+        assert repr(IntPoly([0, 0])) == "IntPoly('0')"
+        assert str(IntPoly([0, -1, 0, 5])) == "5*x^3 - x"
+        assert str(RatPoly([Fraction(-1, 3)])) == "-1/3"
+
+    def test_truth(self):
+        assert not RatPoly() and not RatPoly([0]) and not IntPoly() and not IntPoly([0, 0])
+        assert RatPoly([0, Fraction(1, 2)]) and IntPoly([-1])
+
+    def test_zero_polynomial(self):
+        assert RatPoly().lc == 0 and type(RatPoly().lc) is Fraction
+        assert IntPoly().lc == 0 and type(IntPoly().lc) is int
+        assert RatPoly().degree == IntPoly().degree == -1
+        assert RatPoly().is_zero and IntPoly([0]).is_zero and not IntPoly([2]).is_zero
+
+    def test_derivative_keeps_the_class(self):
+        d = RatPoly([5, Fraction(1, 2), 0, 3]).derivative()
+        assert type(d) is RatPoly
+        assert d.coeffs == (Fraction(1, 2), 0, 9)
+        assert all(type(c) is Fraction for c in d.coeffs)
+        d = IntPoly([5, 2, 0, -3]).derivative()
+        assert type(d) is IntPoly
+        assert d.coeffs == (2, 0, -9)
+        assert all(type(c) is int for c in d.coeffs)
+        assert RatPoly([7]).derivative() == RatPoly()
+        assert IntPoly([7]).derivative() == IntPoly()
+        assert IntPoly().derivative() == IntPoly()
+
+    def test_to_int_splits_off_a_signed_content(self):
+        assert RatPoly([Fraction(-6, 5), Fraction(3, 7)]).to_int() == (
+            Fraction(3, 35), IntPoly([-14, 5])
+        )
+        assert RatPoly([2, -4]).to_int() == (Fraction(-2), IntPoly([-1, 2]))
+        assert RatPoly().to_int() == (Fraction(0), IntPoly())
+        rng = random.Random(2502)
+        for _ in range(30):
+            f = RatPoly([Fraction(rng.randint(-40, 40), rng.randint(1, 15))
+                         for _ in range(rng.randint(1, 9))])
+            if f.is_zero:
+                continue
+            content, prim = f.to_int()
+            assert type(content) is Fraction
+            assert prim.lc > 0 and prim.primitive() == prim
+            assert RatPoly(content * c for c in prim.coeffs) == f
 
 
 class TestFormatting:
