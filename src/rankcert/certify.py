@@ -641,7 +641,12 @@ def inputs_text(subject: tuple, hashes: tuple, report: OrbitReport) -> str:
             return "orbits;g=%d;j2=%s;odd=%s;even=%s" % (
                 fields["genus"], report.j2_orbits, report.theta_odd, report.theta_even
             )
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
+        # the hashes are chi, chi_odd and chi_even; no subject field is named so
+        (key,) = exc.args
+        where = "certificate has no hash" if key.startswith("chi") else "subject has no field"
+        raise MalformedSubjectError("the %s %s %s" % (kind, where, key)) from None
+    except TypeError as exc:
         raise MalformedSubjectError(exc) from None
     raise MalformedSubjectError("unknown subject kind %r" % kind)
 

@@ -36,8 +36,7 @@ set, for both class sets:
   times the infinite Weierstrass point doubles to the canonical class,
   and `certify.certify_curve` passes that witness
   (`certify.INFINITY_WITNESS`);
-- `frobenius_orbit_oracle` and `frobenius_theta_oracle`: the cycle types
-  that chi, chi_odd and chi_even match mod p.
+- `frobenius_orbit_oracle`: the cycle types that chi matches mod p.
 """
 
 from __future__ import annotations
@@ -92,7 +91,6 @@ __all__ = [
     "frobenius_screen",
     "stratum_factors",
     "frobenius_orbit_oracle",
-    "frobenius_theta_oracle",
     "build_label_resolvents",
 ]
 
@@ -603,12 +601,3 @@ def frobenius_orbit_oracle(curve: HyperellipticCurve, p: int) -> tuple:
     ``degree_pattern(chi, p)``.
     """
     return frobenius_cycle_types(curve, p, [enumerate_j2_classes(curve)])[0]
-
-
-def frobenius_theta_oracle(curve: HyperellipticCurve, p: int) -> tuple[tuple, tuple]:
-    """Frobenius cycle types on (odd, even) theta classes at a good prime.
-
-    Where chi_odd and chi_even are squarefree mod p too, the result
-    matches their degree patterns mod p.
-    """
-    return frobenius_cycle_types(curve, p, enumerate_theta_classes(curve))

@@ -1,14 +1,8 @@
-import os
 import random
 from importlib import resources
 from math import prod
 
 import pytest
-
-# numpy's BLAS starts a thread per CPU when it is imported, and a family scan
-# forks no worker from a process with more than one thread: keep the test
-# process single-threaded so that the parallel-scan tests fork
-os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from rankcert.exactpoly import RatPoly
 from rankcert.factorq import is_squarefree

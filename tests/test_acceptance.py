@@ -39,8 +39,8 @@ from rankcert.weierstrass import (
     class_orbits,
     enumerate_j2_classes,
     enumerate_theta_classes,
+    frobenius_cycle_types,
     frobenius_orbit_oracle,
-    frobenius_theta_oracle,
     theta_data,
 )
 
@@ -190,6 +190,7 @@ def test_criterion_3_counting_invariants(counting_curves):
 def test_criterion_4_oracle_agreement(counting_curves):
     checked = 0
     for curve, chi, (chi_odd, chi_even) in counting_curves:
+        theta_classes = enumerate_theta_classes(curve)
         good = []
         p = 2
         while len(good) < 20:
@@ -204,7 +205,7 @@ def test_criterion_4_oracle_agreement(counting_curves):
                 continue
             good.append(p)
             assert pat_chi == frobenius_orbit_oracle(curve, p)
-            odd_cycles, even_cycles = frobenius_theta_oracle(curve, p)
+            odd_cycles, even_cycles = frobenius_cycle_types(curve, p, theta_classes)
             assert pat_odd == odd_cycles
             assert pat_even == even_cycles
             checked += 3

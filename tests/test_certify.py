@@ -160,6 +160,13 @@ class TestDecideFromOrbits:
             decide(OrbitReport(3, (3, 12, 40), (4, 24), (12, 24)), ASSERTED)
         with pytest.raises(MalformedReportError):
             decide(OrbitReport(3, (3, 12, 48), (4, 23), (12, 24)), ASSERTED)
+        with pytest.raises(MalformedReportError) as err:
+            decide(OrbitReport(3, (3, 12, 48), (4, 24), (12, 23)), ASSERTED)
+        assert str(err.value) == (
+            "even theta orbit sizes sum to 35, expected 2^(g-1)(2^g+1) = 36"
+        )
+        with pytest.raises(MalformedReportError, match="^genus must be >= 1$"):
+            OrbitReport(0, (1,)).validate()
 
     @pytest.mark.parametrize("odd,even", [((7, -1), (11, -1)), ((6, 0), (10,)), ((6,), (0, 10))])
     def test_nonpositive_theta_orbits_rejected(self, odd, even):

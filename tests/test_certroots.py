@@ -1,6 +1,5 @@
 import hashlib
 import itertools
-import math
 import random
 from fractions import Fraction
 
@@ -22,6 +21,41 @@ from rankcert.weierstrass import build_curve, enumerate_j2_classes, enumerate_th
 from conftest import random_monic_squarefree, resolvents
 from test_exactpoly import schoolbook
 from test_labeling_gate import RECORDED as LABELLING_GATE
+
+
+def durand_kerner(coeffs, steps=200):
+    """The complex roots of the monic polynomial sum coeffs[k] x^k in double
+    precision: Durand-Kerner iteration from the powers of 0.4+0.9j.  A
+    reference that shares no code with `certroots`."""
+    d = len(coeffs) - 1
+
+    def value(z):
+        acc = 0j
+        for c in reversed(coeffs):
+            acc = acc * z + c
+        return acc
+
+    zs = [(0.4 + 0.9j) ** k for k in range(d)]
+    for _ in range(steps):
+        for i, z in enumerate(zs):
+            others = 1
+            for j, w in enumerate(zs):
+                if j != i:
+                    others *= z - w
+            zs[i] = z - value(z) / others
+    return zs
+
+
+def match_roots(points, roots, tol):
+    """Whether the points and the roots pair off one to one, each point
+    within tol of its root."""
+    left = list(roots)
+    for z in points:
+        near = min(left, key=lambda r: abs(r - z))
+        if abs(near - z) >= tol:
+            return False
+        left.remove(near)
+    return not left
 
 
 def ball_sum(balls):
@@ -304,6 +338,8 @@ class TestIsolateRoots:
     def test_integer_roots_snap(self):
         iso = isolate_roots(IntPoly([-6, 11, -6, 1]), 128)
         assert [snap_to_integer(b) for b in iso.balls] == [1, 2, 3]
+        # a linear polynomial takes its one root exactly
+        assert [snap_to_integer(b) for b in isolate_roots(IntPoly([-3, 1])).balls] == [3]
 
     def test_containment(self):
         for coeffs in ([1, 0, 1], [-6, 11, -6, 1], [1, -1, 0, 0, 0, 1], [3, 0, -2, 0, 1]):
@@ -320,21 +356,17 @@ class TestIsolateRoots:
                 d2 = (balls[i].re - balls[j].re) ** 2 + (balls[i].im - balls[j].im) ** 2
                 assert d2 > (balls[i].rad + balls[j].rad) ** 2
 
-    def test_quintic_structure_against_numpy(self):
-        import numpy as np
-
+    def test_quintic_structure_against_durand_kerner(self):
         f = IntPoly([1, -1, 0, 0, 0, 1])
         iso = isolate_roots(f, 128)
-        got = sorted(
-            (round(b.re / 2 ** b.prec, 8), round(b.im / 2 ** b.prec, 8)) for b in iso.balls
-        )
-        want = sorted(
-            (round(z.real, 8), round(z.imag, 8))
-            for z in np.roots([1, 0, 0, 0, -1, 1])
-        )
-        for (gr, gi), (wr, wi) in zip(got, want):
-            assert math.isclose(gr, wr, abs_tol=1e-7)
-            assert math.isclose(gi, wi, abs_tol=1e-7)
+        mids = [complex(b.re / 2 ** b.prec, b.im / 2 ** b.prec) for b in iso.balls]
+        roots = durand_kerner(f.coeffs)
+        assert len(mids) == 5
+        assert match_roots(mids, roots, 1e-12)
+        # the reference rejects a midpoint moved by 1e-6
+        for i in range(len(mids)):
+            moved = mids[:i] + [mids[i] + 1e-6] + mids[i + 1:]
+            assert not match_roots(moved, roots, 1e-12)
 
     def test_conjugation_closure(self):
         iso = isolate_roots(IntPoly([1, -1, 0, 0, 0, 1]), 128)

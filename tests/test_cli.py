@@ -34,6 +34,17 @@ class TestParsePoly:
         with pytest.raises(PolyParseError) as err:
             parse_poly("x^^2")
         assert err.value.pos == 2
+        # the lexer's and the parser's other syntax errors, each at its offset
+        for text, pos, message in (
+            ("x # 1", 2, "unexpected character '#'"),
+            ("x+", 2, "unexpected end of input"),
+            ("(x+1", 4, "expected ')'"),
+            (")x", 0, "unexpected token ')'"),
+        ):
+            with pytest.raises(PolyParseError) as err:
+                parse_poly(text)
+            assert err.value.pos == pos
+            assert str(err.value) == "syntax error at offset %d: %s" % (pos, message)
 
     def test_unknown_variable(self):
         with pytest.raises(PolyParseError) as err:
@@ -220,6 +231,39 @@ def test_library_verify_rejects_swapped_inputs(capsys, argv, fiber, section, key
     cert[section][key] = value
     assert json_verify(cert) == (
         False, ["inputs_digest does not match the subject (%s)" % inputs]
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, fiber, section, key, problem",
+    [
+        (["certify", "hyperelliptic", "--f", "x^6+x+1"], None, "subject", "f",
+         "the hyperelliptic subject has no field f"),
+        (["family", "scan", "--f-t", "x^6+t*x+1", "--range=3..4"], 0, "subject", "family",
+         "the family-fiber subject has no field family"),
+        (["family", "scan", "--f-t", "x^6+t*x+1", "--range=3..4"], 0, "subject", "t",
+         "the family-fiber subject has no field t"),
+        (["certify", "chi", "--file", str(fixture_path("chi1.txt")), "--genus", "3",
+          "--assert-deg1-class"], None, "subject", "genus",
+         "the external-chi subject has no field genus"),
+        (["certify", "chi", "--file", str(fixture_path("chi1.txt")), "--genus", "3",
+          "--assert-deg1-class"], None, "hashes", "chi",
+         "the external-chi certificate has no hash chi"),
+        (["certify", "orbits", "--j2", "15", "--theta-odd", "6", "--theta-even", "10",
+          "--genus", "2", "--assert-deg1-class"], None, "subject", "genus",
+         "the orbit-data subject has no field genus"),
+    ],
+    ids=["curve-f", "fiber-family", "fiber-t", "chi-genus", "chi-hash", "orbit-data-genus"],
+)
+def test_verify_names_the_missing_subject_key(capsys, tmp_path, argv, fiber, section, key, problem):
+    _, out = run_cli(capsys, *argv, "--json")
+    doc = json.loads(out)
+    cert = doc if fiber is None else doc["certified"][fiber]["certificate"]
+    del cert[section][key]
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(cert))
+    assert run_cli(capsys, "verify", "--certificate", str(path)) == (
+        1, "FAIL: unreadable subject: %s\n" % problem
     )
 
 

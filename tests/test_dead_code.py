@@ -32,7 +32,6 @@ TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 KEPT = (
     ("coprime_by_reduction", "an entry point that perfbench/tracer.py wraps"),
     ("is_irreducible_over_q", "an entry point that perfbench/tracer.py wraps"),
-    ("frobenius_theta_oracle", "the reference the tests compare theta degree patterns against"),
     ("OrbitReport._make", "NamedTuple._replace builds through it, so a replaced report is sorted"),
     ("FamilyCurve._make", "NamedTuple._replace builds through it, so a replaced family is checked"),
 )

@@ -21,6 +21,15 @@ from rankcert.exactpoly import (
 from rankcert.factorq import is_squarefree
 
 
+def gaussian_abs2(coeffs, re, im):
+    """|f(re + i*im)|^2 for f = sum coeffs[k] x^k and rationals re, im, by
+    Horner's rule in exact rational arithmetic."""
+    vr = vi = Fraction(0)
+    for c in reversed(coeffs):
+        vr, vi = vr * re - vi * im + c, vr * im + vi * re
+    return vr * vr + vi * vi
+
+
 def sylvester_det(a, b):
     """Independent resultant oracle: expand the Sylvester determinant."""
     da, db = a.degree, b.degree
@@ -298,12 +307,13 @@ class TestMakeIntegralMonic:
             assert make_integral_monic(f) == reference(f)
 
     def test_certified_roots_map_back(self):
-        # each certified root ball beta of g satisfies f(beta/scale) ~ 0
-        import mpmath
-
+        # each certified root ball beta of g satisfies f(beta/scale) ~ 0:
+        # |f|^2 at the midpoint, in exact rational arithmetic
         from rankcert.certroots import isolate_roots
 
+        bound = Fraction(1, 2 ** 180)
         rng = random.Random(47)
+        tried = 0
         for _ in range(5):
             f = RatPoly(
                 [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(4)]
@@ -313,14 +323,14 @@ class TestMakeIntegralMonic:
                 continue
             g, s = make_integral_monic(f)
             iso = isolate_roots(g, 128)
-            with mpmath.workprec(200):
-                for b in iso.balls:
-                    mid = mpmath.mpc(b.re, b.im) / 2 ** b.prec / int(s)
-                    val = sum(
-                        mpmath.mpf(c.numerator) / c.denominator * mid ** k
-                        for k, c in enumerate(f.coeffs)
-                    )
-                    assert abs(val) < mpmath.mpf(2) ** -90
+            for b in iso.balls:
+                re, im = Fraction(b.re, 2 ** b.prec), Fraction(b.im, 2 ** b.prec)
+                assert gaussian_abs2(f.coeffs, re / s, im / s) < bound
+                # the bound rejects a midpoint moved by 2^-40
+                moved = re + Fraction(1, 2 ** 40)
+                assert gaussian_abs2(f.coeffs, moved / s, im / s) >= bound
+                tried += 1
+        assert tried
 
 
 class TestPolyRecord:
@@ -437,3 +447,6 @@ class TestFormatting:
         a = IntPoly([2, 3, 1])  # (x+1)(x+2)
         assert a.exact_div(IntPoly([1, 1])) == IntPoly([2, 1])
         assert a.exact_div(IntPoly([5, 1])) is None
+        # a leading coefficient that does not divide, and the zero divisor
+        assert IntPoly([1, 0, 2]).exact_div(IntPoly([1, 3])) is None
+        assert IntPoly([1, 2]).exact_div(IntPoly([])) is None

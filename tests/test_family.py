@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -216,6 +217,10 @@ class TestFibers:
         fam = FamilyCurve(tuple(nums), "t*x^6 + x + 1")
         with pytest.raises(ValueError):
             check_good_fiber(fam, Fraction(0))
+        # at t = 1 only the leading coefficient t - 1 vanishes
+        fam = parse_family("(t-1)*x^6+x^5+x+1")
+        with pytest.raises(ValueError, match=r"^t=1 is excluded \(InZ2\)$"):
+            check_good_fiber(fam, Fraction(1))
 
 
 class TestScan:
@@ -259,6 +264,28 @@ class TestScan:
         assert "skipped t=-4: Error (no injective labeling" in out
         assert "skipped t=-5: Inconclusive (NeedsThetaData)" in out
         assert "skipped t=-3: Inconclusive (NeedsThetaData)" in out
+
+    def test_z2_fiber_is_skipped(self, capsys):
+        argv = ["family", "scan", "--f-t", "(t-1)*x^6+x^5+x+1", "--range=0..3"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == (
+            "family: y^2 = (t - 1)*x^6 + x^5 + x + 1\n"
+            "range: 0..3\n"
+            "z1: 2\n"
+            "z2: 1, 2\n"
+            "certified 1 of 4 fibers: 3\n"
+            "skipped t=0: Inconclusive (NeedsThetaData)\n"
+            "skipped t=1: InZ2\n"
+            "skipped t=2: InZ1\n"
+        )
+        assert main(argv + ["--json"]) == 0
+        out = capsys.readouterr().out
+        assert [(e["t"], e["kind"]) for e in json.loads(out)["skipped"]] == [
+            ("0", "Inconclusive"), ("1", "InZ2"), ("2", "InZ1"),
+        ]
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+            "ebc0fb2a1044578dbff3d8ef1095ecbe458f53844ac68c60ddf748cd581d69e2"
+        )
 
     def test_full_theta_option(self):
         # t = 0 fiber (x^6 + 1) is reducible; with theta computed the report

@@ -11,7 +11,7 @@ from rankcert.weierstrass import (
     _h0_for_mask,
     build_curve,
     enumerate_theta_classes,
-    frobenius_theta_oracle,
+    frobenius_cycle_types,
     theta_class_counts,
     theta_data,
 )
@@ -136,8 +136,9 @@ class TestThetaOracle:
     def test_matches_degree_patterns(self, coeffs):
         curve = make_curve(coeffs)
         chi_odd, chi_even = chis = theta_chis(curve)
+        classes = enumerate_theta_classes(curve)
         for p in self.good_primes(curve, chis):
-            odd_cycles, even_cycles = frobenius_theta_oracle(curve, p)
+            odd_cycles, even_cycles = frobenius_cycle_types(curve, p, classes)
             assert odd_cycles == degree_pattern(chi_odd, p)
             assert even_cycles == degree_pattern(chi_even, p)
 
@@ -147,15 +148,17 @@ class TestThetaOracle:
             f = random_squarefree_poly(rng, rng.choice([5, 6]))
             curve = make_curve(list(f.coeffs))
             chi_odd, chi_even = chis = theta_chis(curve)
+            classes = enumerate_theta_classes(curve)
             for p in self.good_primes(curve, chis, count=5):
-                odd_cycles, even_cycles = frobenius_theta_oracle(curve, p)
+                odd_cycles, even_cycles = frobenius_cycle_types(curve, p, classes)
                 assert odd_cycles == degree_pattern(chi_odd, p)
                 assert even_cycles == degree_pattern(chi_even, p)
 
     def test_orbit_sums_match_counts(self):
         curve = build_curve(SEXTIC)
+        classes = enumerate_theta_classes(curve)
         for p in self.good_primes(curve, theta_chis(curve), count=3):
-            odd_cycles, even_cycles = frobenius_theta_oracle(curve, p)
+            odd_cycles, even_cycles = frobenius_cycle_types(curve, p, classes)
             assert sum(odd_cycles) == 6
             assert sum(even_cycles) == 10
 
