@@ -44,7 +44,7 @@ import math
 from typing import NamedTuple
 
 from .exactpoly import IntPoly, _zmul
-from .factorq import is_squarefree
+from .factorq import _root_bound_exponent, is_squarefree
 
 __all__ = [
     "ComplexBall",
@@ -223,8 +223,7 @@ def _circle(f: IntPoly):
     points of the iteration lie on the circle of radius 2**e, a Fujiwara
     bound on the moduli of the roots."""
     n = f.degree
-    # Fujiwara: every root has modulus < 2 * max |a_k|^(1/(n-k)) <= 2^e
-    e = 1 + max(-(-abs(c).bit_length() // (n - k)) for k, c in enumerate(f.coeffs[:-1]))
+    e = _root_bound_exponent(f)
     return e, [(math.cos(t), math.sin(t)) for t in ((2 * math.pi * k + 0.4) / n for k in range(n))]
 
 

@@ -12,14 +12,21 @@ reads the family discriminant, factors the squarefree part of its input.
 The pipeline is classical Zassenhaus: reduce a primitive squarefree
 polynomial modulo several primes, keep the prime with the fewest modular
 factors, Hensel-lift those factors past the Mignotte coefficient bound,
-then recombine subsets with exact trial division.  Recombination is
+then recombine subsets with exact trial division.  The distinct-degree
+split takes one gcd per block of floor(sqrt(n)) degree steps and splits
+inside a block only when that gcd is not 1.  The lift climbs the exponent
+ladder 1, ..., ceil(k/2), k, so it ends at p^k.  Recombination is
 exhaustive over subsets of size <= m/2, so the routine is complete without
-any lattice step.  A caller that already knows a good prime and bounds on
+any lattice step, but a subset is multiplied out and tried only after the
+d-1 test: its x^(d-1) coefficient, read off the sum of its factors' second
+coefficients mod p^k, must lie within the bound a Fujiwara root bound puts
+on a true factor.  A caller that already knows a good prime and bounds on
 the factor degrees passes them in and no prime is screened here: the
 curve pipelines read both off f mod p (`weierstrass.frobenius_screen`).
 The screen on the polynomial itself (`_candidate_primes`) serves
 `factor_over_q`, hence an external chi, and parts without a usable
-screened prime.
+screened prime; the chosen prime's distinct-degree split is kept for its
+equal-degree split.
 
 Modulo-p polynomials are internal: plain ascending coefficient lists with
 entries in [0, p), factored only as squarefree monic reductions
@@ -322,23 +329,50 @@ def _gf_frobenius_base(fm):
 
 
 def gf_ddf(f, p):
-    """Distinct-degree split of a monic squarefree f mod p: [(product, d)]."""
+    """Distinct-degree split of a monic squarefree f mod p: [(product, d)].
+
+    The degree steps run in blocks of floor(sqrt(n)) steps.  A block takes
+    one gcd of f* with the product of its x^(p^i) - x, and splits inside
+    that gcd, in step order, only when it is not 1 (the interval idea of
+    von zur Gathen & Shoup, 1992).  By then f* has no factor of degree
+    below the block, so a factor of degree d turns up at step d, and the
+    split is the one step-by-step gcds give.
+    """
     n = len(f) - 1
     if n == 1:
         return [(list(f), 1)]
     fm = _FixedModulus(f, p)
     base = _gf_frobenius_base(fm)
+    width = math.isqrt(n)
     h = [0, 1]
     fstar = list(f)
     out = []
     i = 1
     while 2 * i <= len(fstar) - 1:
-        h = fm.combine(0, h, base)
-        g = gf_gcd(gf_sub(gf_rem(h, fstar, p), [0, 1], p), fstar, p)
+        end = min(i + width, (len(fstar) - 1) // 2 + 1)
+        steps = []
+        for j in range(i, end):
+            h = fm.combine(0, h, base)
+            steps.append((gf_sub(h, [0, 1], p), j))
+        prod = steps[0][0]
+        for hx, _ in steps[1:]:
+            prod = fm.mulmod(prod, hx)
+        g = gf_gcd(gf_rem(prod, fstar, p), fstar, p)
         if len(g) > 1:
-            out.append((g, i))
             fstar = gf_quo(fstar, g, p)
-        i += 1
+            # g has no factor of degree below step j; below degree 2j it is
+            # one irreducible factor, and at the last step all of its
+            # factors have that step's degree
+            for hx, j in steps[:-1]:
+                if 2 * j > len(g) - 1:
+                    break
+                gj = gf_gcd(gf_rem(hx, g, p), g, p)
+                if len(gj) > 1:
+                    out.append((gj, j))
+                    g = gf_quo(g, gj, p)
+            if len(g) > 1:
+                out.append((g, min(len(g), end) - 1))
+        i = end
     if len(fstar) > 1:
         out.append((fstar, len(fstar) - 1))
     return out
@@ -378,11 +412,14 @@ def gf_edf(f, d, p, rng):
     return out
 
 
-def gf_factor_sqf_monic(f, p):
-    """Irreducible monic factors of a monic squarefree f mod p, sorted."""
+def gf_factor_sqf_monic(f, p, split=None):
+    """Irreducible monic factors of a monic squarefree f mod p, sorted.
+
+    ``split`` is ``gf_ddf(f, p)`` when the caller already has it.
+    """
     rng = random.Random(_EDF_SEED)
     out = []
-    for prod, d in gf_ddf(f, p):
+    for prod, d in gf_ddf(f, p) if split is None else split:
         out.extend(gf_edf(prod, d, p, rng))
     out.sort(key=lambda v: (len(v), v))
     return out
@@ -396,16 +433,22 @@ def degree_pattern(f: IntPoly, p: int) -> tuple:
     type); requires a squarefree reduction."""
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
+    return _split_pattern(_reduction_split(f, p))
+
+
+def _reduction_split(f: IntPoly, p: int):
+    """The distinct-degree split of f mod p, made monic; raises
+    BadPrimeError unless p is a good prime of f."""
     if f.lc % p == 0:
         raise BadPrimeError(f"p={p} divides the leading coefficient")
     fp = gf_from_int(f.coeffs, p)
     if not gf_sqf_p(fp, p):
         raise BadPrimeError(f"f mod {p} is not squarefree; choose another prime")
-    fp = gf_monic(fp, p)
-    degs = []
-    for prod, d in gf_ddf(fp, p):
-        degs.extend([d] * ((len(prod) - 1) // d))
-    return tuple(sorted(degs))
+    return gf_ddf(gf_monic(fp, p), p)
+
+
+def _split_pattern(split) -> tuple:
+    return tuple(sorted(d for prod, d in split for _ in range((len(prod) - 1) // d)))
 
 
 def possible_degrees(patterns: Iterable[tuple], d: int) -> frozenset:
@@ -441,36 +484,40 @@ def _ztrunc(f, m):
     return gf_strip(out)
 
 
-def _hensel_step(m, f, g, h, s, t):
-    """One quadratic Hensel step: from mod m to mod m**2.
+def _hensel_step(M, f, g, h, s, t):
+    """One Hensel step of the factors, to the target modulus M.
 
-    Requires f = g*h (mod m), s*g + t*h = 1 (mod m), h monic, and lc(f)
-    invertible mod m.  Returns (G, H, S, T) with the same relations mod m**2.
+    Requires f = g*h (mod m) and s*g + t*h = 1 (mod m) for some m with M
+    dividing m**2, h monic, and lc(f) invertible mod m.  Returns (G, H)
+    with f = G*H (mod M), G = g and H = h (mod m), H monic.
     """
-    M = m * m
     e = _ztrunc(_zadd(f, _zneg(_zmul(g, h))), M)
     q, r = gf_divmod(_zmul(s, e), h, M)
     q = _ztrunc(q, M)
     r = _ztrunc(r, M)
     u = _zadd(_zmul(t, e), _zmul(q, g))
-    G = _ztrunc(_zadd(g, u), M)
-    H = _ztrunc(_zadd(h, r), M)
+    return _ztrunc(_zadd(g, u), M), _ztrunc(_zadd(h, r), M)
+
+
+def _bezout_step(M, G, H, s, t):
+    """The Bezout pair s*G + t*H = 1 (mod m), lifted to modulus M as in
+    `_hensel_step`: returns (S, T) with S*G + T*H = 1 (mod M)."""
     u = _zadd(_zmul(s, G), _zmul(t, H))
     b = _ztrunc(_zadd(u, [-1]), M)
     c, d = gf_divmod(_zmul(s, b), H, M)
     c = _ztrunc(c, M)
     d = _ztrunc(d, M)
     u = _zadd(_zmul(t, b), _zmul(c, G))
-    S = _ztrunc(_zadd(s, _zneg(d)), M)
-    T = _ztrunc(_zadd(t, _zneg(u)), M)
-    return G, H, S, T
+    return _ztrunc(_zadd(s, _zneg(d)), M), _ztrunc(_zadd(t, _zneg(u)), M)
 
 
 def _hensel_lift_list(p, f, f_list, l):
     """Lift monic pairwise-coprime mod-p factors of f to factors mod p**l.
 
     f = lc(f) * prod(f_list) (mod p); the result multiplies back to f
-    modulo p**l the same way.
+    modulo p**l the same way.  Each split into two halves climbs the
+    exponent ladder 1, ..., ceil(l/2), l: a step at most doubles the
+    exponent and the last one ends at p**l.
     """
     r = len(f_list)
     lc = f[-1]
@@ -478,9 +525,10 @@ def _hensel_lift_list(p, f, f_list, l):
     if r == 1:
         inv = pow(lc % pl, -1, pl)
         return [_ztrunc([c * inv for c in f], pl)]
-    m = p
     k = r // 2
-    d = int(math.ceil(math.log2(l))) if l > 1 else 1
+    ladder = [l]
+    while ladder[-1] > 1:
+        ladder.append((ladder[-1] + 1) // 2)
     g = [lc % p]
     for fi in f_list[:k]:
         g = gf_mul(g, fi, p)
@@ -490,9 +538,11 @@ def _hensel_lift_list(p, f, f_list, l):
     s, t, one = gf_gcdex(g, h, p)
     if one != [1]:
         raise ValueError("modular factors are not pairwise coprime")
-    for _ in range(d):
-        g, h, s, t = _hensel_step(m, f, g, h, s, t)
-        m = m * m
+    for e in reversed(ladder[:-1]):
+        M = p ** e
+        g, h = _hensel_step(M, f, g, h, s, t)
+        if e < l:
+            s, t = _bezout_step(M, g, h, s, t)
     return _hensel_lift_list(p, g, f_list[:k], l) + _hensel_lift_list(
         p, h, f_list[k:], l
     )
@@ -508,11 +558,20 @@ def _mignotte_bound(F: IntPoly) -> int:
     return (1 << n) * l2 * abs(F.lc)
 
 
+def _root_bound_exponent(f: IntPoly) -> int:
+    """An e with every complex root of f of modulus below 2**e: Fujiwara's
+    bound 2 * max |a_k / a_n|^(1/(n-k)), rounded up to powers of two."""
+    n = f.degree
+    # |a_k / a_n| < 2^(bits(a_k) - top)
+    top = abs(f.lc).bit_length() - 1
+    return 1 + max(-((top - abs(c).bit_length()) // (n - k)) for k, c in enumerate(f.coeffs[:-1]))
+
+
 def _candidate_primes(F: IntPoly):
-    """Pairs (modular factor count, p) for primes p > deg F giving a
-    squarefree reduction, and the factor degrees their distinct-degree
-    patterns allow: the first `_SCREEN_WANT` primes, or fewer once the
-    patterns prove F irreducible."""
+    """Triples (modular factor count, p, distinct-degree split of F mod p)
+    for primes p > deg F giving a squarefree reduction, and the factor
+    degrees their patterns allow: the first `_SCREEN_WANT` primes, or
+    fewer once the patterns prove F irreducible."""
     out = []
     patterns = []
     scanned = 0
@@ -521,10 +580,11 @@ def _candidate_primes(F: IntPoly):
         if scanned > _SCREEN_SCAN and out:
             break
         try:
-            pattern = degree_pattern(F, p)
+            split = _reduction_split(F, p)
         except BadPrimeError:
             continue
-        out.append((len(pattern), p))
+        pattern = _split_pattern(split)
+        out.append((len(pattern), p, split))
         patterns.append(pattern)
         allowed = possible_degrees(patterns, F.degree)
         if allowed == {0, F.degree} or len(out) >= _SCREEN_WANT:
@@ -540,27 +600,43 @@ def _zassenhaus(F: IntPoly, allowed=None, p=None) -> list[IntPoly]:
     ``allowed`` bounds the factor degrees and ``p`` is a prime at which F
     is squarefree with a unit leading coefficient, both known to the
     caller (the Frobenius screen of the curve pipelines).  Without p,
-    `_candidate_primes` screens primes on F itself, and its degree
-    patterns narrow ``allowed``.
+    `_candidate_primes` screens primes on F itself, its degree patterns
+    narrow ``allowed``, and the chosen prime's distinct-degree split is
+    reused.
+
+    Subsets of the lifted factors are tried in order of size, and each
+    first meets the degree bound, then the d-1 test (Abbott, Shoup &
+    Zimmermann, ISSAC 2000): a true factor with leading coefficient
+    lc(cur) and d roots of modulus below 2**e has an x^(d-1) coefficient
+    of absolute value at most |lc(cur)| * d * 2**e, and the lift modulus
+    exceeds twice that, so the coefficient is read off the sum of the
+    lifted factors' second coefficients.  Only the subsets that pass get
+    the constant-term test and, last, a product and a trial division.
+    None of the tests rejects a true factor, so the first subset found
+    at each size is the one exhaustive trial division finds.
     """
     n = F.degree
     if n == 1:
         return [F]
+    split = None
     if p is None:
         cands, screened = _candidate_primes(F)
         allowed = screened if allowed is None else allowed & screened
-        _, p = min(cands)
+        _, p, split = min(cands, key=lambda cand: cand[:2])
     if allowed == {0, n}:
         return [F]
     fp = gf_monic(gf_from_int(F.coeffs, p), p)
-    modular = gf_factor_sqf_monic(fp, p)
-    bound = _mignotte_bound(F)
-    k = 1
-    target = 2 * bound * abs(F.lc)
-    while p ** k < target:
-        k += 1
+    modular = gf_factor_sqf_monic(fp, p, split)
+    # a larger bound is still a bound, and a shift needs e >= 0
+    e = max(_root_bound_exponent(F), 0)
+    lc = abs(F.lc)
+    # past 2 * Mignotte * |lc| for the products, and past 2 * |lc| * n * 2^e
+    # for the d-1 test
+    target = max(2 * _mignotte_bound(F) * lc, (lc * n << (e + 1)) + 1)
+    k, pl = 1, p
+    while pl < target:
+        k, pl = k + 1, pl * p
     lifted = _hensel_lift_list(p, list(F.coeffs), modular, k)
-    pl = p ** k
     degs = [len(g) - 1 for g in lifted]
     T = list(range(len(lifted)))
     factors = []
@@ -568,13 +644,21 @@ def _zassenhaus(F: IntPoly, allowed=None, p=None) -> list[IntPoly]:
     s = 1
     while 2 * s <= len(T):
         found = False
+        lc_cur = cur[-1]
+        # the x^(d-1) coefficient of lc_cur * (product of S), mod p^k, is
+        # the sum over S of lc_cur times each factor's x^(deg-1) coefficient
+        seconds = [lc_cur * g[-2] % pl for g in lifted]
+        radius = abs(lc_cur) << e
         # each subset comes paired with its factor degrees, so the degree
         # filter costs one sum per subset
         subsets = zip(itertools.combinations(T, s), itertools.combinations([degs[i] for i in T], s))
         for S, S_degs in subsets:
-            if sum(S_degs) not in allowed:
+            d = sum(S_degs)
+            if d not in allowed:
                 continue
-            lc_cur = cur[-1]
+            c = sum(map(seconds.__getitem__, S)) % pl
+            if radius * d < c < pl - radius * d:
+                continue
             # constant-term divisibility filter
             tc = lc_cur
             for i in S:

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -6,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from rankcert import factorq
-from rankcert.cli import parse_poly
+from rankcert.cli import main, parse_poly
 from rankcert.exactpoly import IntPoly, RatPoly
 from rankcert.factorq import (
     BadPrimeError,
@@ -196,9 +198,14 @@ class TestRemainders:
                 a, b = b, _gf_divmod(a, b, p)[1]
             assert gf_gcd(f, g, p) == gf_monic(a, p), (f, g, p)
 
+    # p = 2, 3, a mid prime and one above 2^16
+    SPREAD = (2, 3, 1009, 65537)
+
     def test_ddf_matches_a_schoolbook_split(self):
-        # seeded squarefree f of degree 2-12 over primes 2-1009: the packed
-        # Frobenius rows split f as plain square-and-multiply does
+        # seeded squarefree f of degree 2-12 over primes 2-1009, then one of
+        # each degree 13-70 over the spread of primes: the packed Frobenius
+        # rows and the blocks of steps split f as plain square-and-multiply
+        # and one gcd per step do
         rng = random.Random(1009)
         cases = []
         while len(cases) < 300:
@@ -206,9 +213,50 @@ class TestRemainders:
             f = [rng.randrange(p) for _ in range(rng.randint(2, 12))] + [1]
             if gf_sqf_p(f, p):
                 cases.append((f, p))
-        assert {len(f) - 1 for f, _ in cases} == set(range(2, 13))
+        for n in range(13, 71):
+            p = self.SPREAD[n % 4]
+            while True:
+                f = [rng.randrange(p) for _ in range(n)] + [1]
+                if gf_sqf_p(f, p):
+                    break
+            cases.append((f, p))
+        assert {len(f) - 1 for f, _ in cases} == set(range(2, 71))
+        assert {p for _, p in cases} >= set(self.SPREAD)
         for f, p in cases:
             assert gf_ddf(f, p) == _schoolbook_ddf(f, p), (f, p)
+
+    @staticmethod
+    def _irreducible_mod_p(rng, d, p, taken):
+        while True:
+            g = [rng.randrange(p) for _ in range(d)] + [1]
+            if _schoolbook_ddf(g, p) == [(g, d)] and g not in taken:
+                taken.append(g)
+                return g
+
+    # factor degrees; a block holds floor(sqrt(n)) steps, so a block edge
+    # lies after step 5 at n = 25-35, after step 6 at n = 36-48 and after
+    # step 7 at n = 49-63
+    BUILT = (
+        (5, 6, 7, 9),  # n = 27: 6, 7 and 9 in the block 6-10, 5 and 6 across its edge
+        (1, 1, 2, 3, 3, 5, 10),  # n = 25: five factors in the first block, two of degree 3
+        (6, 6, 7, 8, 9, 10),  # n = 46: all six in the block 7-12 or across its lower edge
+        (2, 7, 7, 8, 11, 16),  # n = 51: 7 and 8 across an edge, 16 left after the blocks
+        (4, 4, 4, 5),  # n = 17: three factors of the first block's last degree, then a 5
+    )
+
+    def test_ddf_blocks_split_as_steps_do(self):
+        # several factors inside one block, a factor on each side of a block
+        # edge: every split is the step-by-step one
+        rng = random.Random(2027)
+        for degrees in self.BUILT:
+            for p in self.SPREAD:
+                taken = []
+                f = [1]
+                for d in degrees:
+                    f = gf_mul(f, self._irreducible_mod_p(rng, d, p, taken), p)
+                got = gf_ddf(f, p)
+                assert got == _schoolbook_ddf(f, p), (degrees, p)
+                assert sorted(d for g, d in got for _ in range((len(g) - 1) // d)) == list(degrees)
 
 
 class TestFactorModP:
@@ -301,6 +349,25 @@ class TestHenselLift:
         lifted = _hensel_lift_list(5, list(f.coeffs), mods, 2)
         assert IntPoly(lifted[0]) == f
 
+    def test_ladder_ends_at_every_exponent(self):
+        # l = 1-40 takes in every 2^j and 2^j + 1 up to 33: the lifts are
+        # monic, reduce to the modular factors, multiply back to f mod p^l,
+        # and are the lifts to p^(2l) cut down to p^l
+        # lc 6; squarefree mod 5 (degrees 1, 1, 5) and mod 17 (1, 1, 2, 3)
+        f = IntPoly([5, -3, 7, 0, 2, 1, -4, 6])
+        for p in (5, 17):
+            mods = modular_factors(f, p)
+            assert len(mods) >= 3
+            for l in range(1, 41):
+                pl = p ** l
+                lifted = _hensel_lift_list(p, list(f.coeffs), mods, l)
+                assert [g[-1] for g in lifted] == [1] * len(mods)
+                assert [gf_from_int(g, p) for g in lifted] == mods
+                prod = math.prod(map(IntPoly, lifted), start=IntPoly([f.lc]))
+                assert all((a - b) % pl == 0 for a, b in zip(prod.coeffs, f.coeffs))
+                twice = _hensel_lift_list(p, list(f.coeffs), mods, 2 * l)
+                assert lifted == [factorq._ztrunc(g, pl) for g in twice], (p, l)
+
     def test_bad_factor_data_rejected(self):
         f = IntPoly([-1, 0, 1])
         with pytest.raises(ValueError):
@@ -368,6 +435,108 @@ class TestFactorOverQ:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             factor_over_q(RatPoly())
+
+
+def _swinnerton_dyer(primes) -> IntPoly:
+    """The product of x - sum(+-sqrt(q)) over all sign choices, built one
+    prime q at a time: P(x + sqrt q) = A + B sqrt q by Horner, and
+    P(x + sqrt q) P(x - sqrt q) = A^2 - q B^2."""
+    P = IntPoly([0, 1])
+    for q in primes:
+        A, B = [], []
+        for c in reversed(P.coeffs):
+            # (A + B sqrt q)(x + sqrt q) + c
+            A, B = _zsum([0] + A, [q * b for b in B], [c]), _zsum([0] + B, A)
+        P = IntPoly(_zsum(schoolbook(A, A), [-q * v for v in schoolbook(B, B)]))
+    return P
+
+
+def _zsum(*polys):
+    out = [0] * max(map(len, polys))
+    for f in polys:
+        for i, c in enumerate(f):
+            out[i] += c
+    return gf_strip(out)
+
+
+class TestRecombination:
+    """The d-1 test rejects subsets before their product is built, and never
+    a true factor."""
+
+    def test_swinnerton_dyer_comes_back_with_few_trial_divisions(self, monkeypatch):
+        # degree 32 and irreducible, while every reduction splits into
+        # factors of degree <= 2: the subset search runs to its end
+        F = _swinnerton_dyer((2, 3, 5, 7, 11))
+        assert F.degree == 32 and F.lc == 1
+        divisions = []
+        exact_div = IntPoly.exact_div
+
+        def counted(self, other):
+            divisions.append(other.degree)
+            return exact_div(self, other)
+
+        monkeypatch.setattr(IntPoly, "exact_div", counted)
+        assert factorq._zassenhaus(F) == [F]
+        assert len(divisions) <= 32
+
+    @staticmethod
+    def _irreducible_over_z(rng, d, bits):
+        """A primitive irreducible polynomial of degree d with lc >= 2 and
+        coefficients of up to ``bits`` bits: a prime at which it stays
+        irreducible proves it."""
+        while True:
+            coeffs = [rng.randrange(-(1 << bits), 1 << bits) for _ in range(d)]
+            g = IntPoly(coeffs + [rng.randrange(2, 1 << bits)]).primitive()
+            if g.degree != d or g.lc < 2:
+                continue
+            for q in itertools.islice(factorq._primes_from(d + 1), 40):
+                try:
+                    if degree_pattern(g, q) == (d,):
+                        return g
+                except BadPrimeError:
+                    continue
+
+    def test_roots_far_inside_the_unit_circle(self):
+        # a large leading coefficient makes the root bound exponent negative
+        parts = [IntPoly([-1, 1000]), IntPoly([3, 1000]), IntPoly([1, 0, 10 ** 6])]
+        F = math.prod(parts, start=IntPoly([1]))
+        assert factorq._root_bound_exponent(F) < 0
+        assert sorted(g.coeffs for g in factor_over_q(F.to_rat())) == sorted(g.coeffs for g in parts)
+
+    def test_known_factors_at_every_prime(self):
+        # seeded products of 2-4 irreducible factors with non-unit leading
+        # coefficients and 30-200-bit coefficients, factored at every usable
+        # prime up to 50
+        rng = random.Random(4099)
+        for _ in range(4):
+            parts = []
+            while len(parts) < rng.randint(2, 4):
+                g = self._irreducible_over_z(rng, rng.randint(1, 6), rng.randint(30, 200))
+                if g not in parts:
+                    parts.append(g)
+            F = math.prod(parts, start=IntPoly([1]))
+            every = frozenset(range(F.degree + 1))
+            usable = [
+                p for p in range(2, 51)
+                if factorq._is_prime(p) and F.lc % p and gf_sqf_p(gf_from_int(F.coeffs, p), p)
+            ]
+            assert len(usable) >= 5
+            for p in usable:
+                got = factorq._zassenhaus(F, every, p)
+                assert sorted(g.coeffs for g in got) == sorted(g.coeffs for g in parts), p
+
+
+# the --json stdout of a curve whose j2 orbits are 5, 10, 40, 80 and 120,
+# recorded before the d-1 test, when the command took 12-14 s
+HEAVY_RECOMBINATION = "f93fb756de1aba48583f6527763a8bd4e75c0e5f6078667c1f845203042697a5"
+
+
+def test_heavy_recombination_keeps_its_bytes(capsys):
+    code = main(["certify", "hyperelliptic", "--f", "(x^2-x)^5+(x^2-x)^2+2", "--full-criterion", "--json"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert json.loads(out)["orbits"]["j2"] == [5, 10, 40, 80, 120]
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == HEAVY_RECOMBINATION
 
 
 class TestIrreducibility:
