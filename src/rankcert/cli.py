@@ -101,11 +101,16 @@ def load_chi_fixture(path) -> RatPoly:
 
 
 # ---------------------------------------------------------------------------
-# command handlers: each returns (exit_code, text)
+# command handlers: each returns (exit_code, document, text), and `main`
+# prints the document as canonical JSON under --json, else the text
 
-def _emit_certificate(cert, as_json: bool):
-    text = canonical_json(certificate_doc(cert)) + "\n" if as_json else render_certificate(cert)
-    return (0 if cert.certified else 2), text
+def _document(command: str, **fields) -> dict:
+    tool = {"name": "rankcert", "version": __version__}
+    return {"schema_version": 1, "tool": tool, "command": command, **fields}
+
+
+def _certificate_output(cert):
+    return (0 if cert.certified else 2), certificate_doc(cert), render_certificate(cert)
 
 
 def _check_height_bound(args):
@@ -123,7 +128,7 @@ def _cmd_certify_hyperelliptic(args):
         height_bound=args.height_bound,
         assert_deg1=args.assert_deg1_class,
     )
-    return _emit_certificate(cert, args.json)
+    return _certificate_output(cert)
 
 
 def _cmd_certify_chi(args):
@@ -134,7 +139,7 @@ def _cmd_certify_chi(args):
     if (theta_odd is None) != (theta_even is None):
         raise ValueError("--theta-odd and --theta-even must be given together")
     cert = _pipeline_chi(chi, args.genus, evidence, theta_odd, theta_even)
-    return _emit_certificate(cert, args.json)
+    return _certificate_output(cert)
 
 
 def _parse_orbit_list(text: str) -> tuple:
@@ -156,7 +161,7 @@ def _cmd_certify_orbits(args):
     )
     evidence = deg1_evidence(None, 0, args.assert_deg1_class)
     cert = decide(report, evidence, subject=(("kind", "orbit-data"), ("genus", args.genus)))
-    return _emit_certificate(cert, args.json)
+    return _certificate_output(cert)
 
 
 def _cmd_orbits_hyperelliptic(args):
@@ -167,20 +172,16 @@ def _cmd_orbits_hyperelliptic(args):
     if args.theta:
         theta_odd, theta_even, theta_hashes = theta_data(curve)
         hashes += theta_hashes
-    doc = {
-        "schema_version": 1,
-        "tool": {"name": "rankcert", "version": __version__},
-        "command": "orbits",
-        "f": str(f),
-        "genus": curve.genus,
-        "labeling": labeling,
-        "j2": list(j2),
-        "theta_odd": list(theta_odd) if args.theta else None,
-        "theta_even": list(theta_even) if args.theta else None,
-        "hashes": dict(hashes),
-    }
-    if args.json:
-        return 0, canonical_json(doc) + "\n"
+    doc = _document(
+        "orbits",
+        f=str(f),
+        genus=curve.genus,
+        labeling=labeling,
+        j2=list(j2),
+        theta_odd=list(theta_odd) if args.theta else None,
+        theta_even=list(theta_even) if args.theta else None,
+        hashes=dict(hashes),
+    )
     lines = [
         "curve: y^2 = %s" % doc["f"],
         "genus: %d" % doc["genus"],
@@ -189,7 +190,7 @@ def _cmd_orbits_hyperelliptic(args):
     if doc["theta_odd"] is not None:
         lines.append("odd theta orbits: %s" % " ".join(str(v) for v in doc["theta_odd"]))
         lines.append("even theta orbits: %s" % " ".join(str(v) for v in doc["theta_even"]))
-    return 0, "\n".join(lines) + "\n"
+    return 0, doc, "\n".join(lines) + "\n"
 
 
 def _cmd_family_scan(args):
@@ -224,34 +225,29 @@ def _cmd_family_scan(args):
             "j2": list(rep.j2_orbits),
         }
     report = scan(fam, lo, hi, options, exclusions)
-    doc = {
-        "schema_version": 1,
-        "tool": {"name": "rankcert", "version": __version__},
-        "command": "family-scan",
-        "family": report.family,
-        "range": [lo, hi],
-        "fiber_check": fiber_check,
-        "exclusions": {
+    doc = _document(
+        "family-scan",
+        family=report.family,
+        range=[lo, hi],
+        fiber_check=fiber_check,
+        exclusions={
             "z1": sorted(str(v) for v in report.exclusions.z1),
             "z2": sorted(str(v) for v in report.exclusions.z2),
         },
-        "counts": {
+        counts={
             "scanned": hi - lo + 1,
             "certified": len(report.certified),
             "skipped": len(report.skipped),
         },
-        "certified": [
+        certified=[
             {"t": str(a), "certificate": certificate_doc(c)}
             for a, c in report.certified
         ],
-        "skipped": [
+        skipped=[
             {"t": str(a), "kind": kind, "details": list(details)}
             for a, kind, details in report.skipped
         ],
-    }
-    code = 0 if report.certified else 2
-    if args.json:
-        return code, canonical_json(doc) + "\n"
+    )
     lines = [
         "family: y^2 = %s" % report.family,
         "range: %d..%d" % (lo, hi),
@@ -278,7 +274,7 @@ def _cmd_family_scan(args):
     for a, kind, details in report.skipped:
         det = " (%s)" % ", ".join(str(d) for d in details) if details else ""
         lines.append("skipped t=%s: %s%s" % (a, kind, det))
-    return code, "\n".join(lines) + "\n"
+    return (0 if report.certified else 2), doc, "\n".join(lines) + "\n"
 
 
 def _cmd_oracle(args):
@@ -303,25 +299,16 @@ def _cmd_oracle(args):
         match = pat == oracle
         all_match = all_match and match
         rows.append((p, pat, oracle, match))
-    doc = {
-        "schema_version": 1,
-        "tool": {"name": "rankcert", "version": __version__},
-        "command": "oracle",
-        "f": str(f),
-        "chi_degree": chi.degree,
-        "rows": [
-            {
-                "p": p,
-                "chi_pattern": list(pat),
-                "subset_action": list(orc),
-                "match": match,
-            }
+    doc = _document(
+        "oracle",
+        f=str(f),
+        chi_degree=chi.degree,
+        rows=[
+            {"p": p, "chi_pattern": list(pat), "subset_action": list(orc), "match": match}
             for p, pat, orc, match in rows
         ],
-        "all_match": all_match,
-    }
-    if args.json:
-        return (0 if all_match else 2), canonical_json(doc) + "\n"
+        all_match=all_match,
+    )
     lines = ["curve: y^2 = %s" % doc["f"], "chi degree: %d" % chi.degree]
     for p, pat, orc, match in rows:
         lines.append(
@@ -329,7 +316,7 @@ def _cmd_oracle(args):
             % (p, list(pat), list(orc), "ok" if match else "MISMATCH")
         )
     lines.append("agreement: %s" % ("complete" if all_match else "FAILED"))
-    return (0 if all_match else 2), "\n".join(lines) + "\n"
+    return (0 if all_match else 2), doc, "\n".join(lines) + "\n"
 
 
 def _cmd_verify(args):
@@ -337,10 +324,10 @@ def _cmd_verify(args):
         doc = json.load(fh)
     problems = document_problems(doc)
     if problems:
-        return 1, "".join("FAIL: %s\n" % p for p in problems)
+        return 1, None, "".join("FAIL: %s\n" % p for p in problems)
     if doc.get("command") == "family-scan":
-        return 0, "verified: %d fiber certificate(s) re-check\n" % len(doc.get("certified", []))
-    return 0, "verified: certificate re-checks\n"
+        return 0, None, "verified: %d fiber certificate(s) re-check\n" % len(doc.get("certified", []))
+    return 0, None, "verified: certificate re-checks\n"
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +339,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Certify positive Mordell-Weil rank of hyperelliptic Jacobians",
     )
     top.add_argument("--version", action="version", version="rankcert " + __version__)
+    top.set_defaults(json=False)  # `verify` has no --json
     sub = top.add_subparsers(dest="command", required=True)
 
     certify = sub.add_parser("certify", help="produce a rank certificate")
@@ -363,7 +351,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ch.add_argument("--height-bound", type=int, default=DEFAULT_HEIGHT_BOUND)
     ch.add_argument("--full-criterion", action="store_true",
                     help="always compute theta resolvents for the direct criterion")
-    ch.add_argument("--json", action="store_true")
     ch.set_defaults(func=_cmd_certify_hyperelliptic)
 
     cc = csub.add_parser("chi", help="certify from an externally computed resolvent")
@@ -372,7 +359,6 @@ def _build_parser() -> argparse.ArgumentParser:
     cc.add_argument("--assert-deg1-class", action="store_true")
     cc.add_argument("--theta-odd", default=None)
     cc.add_argument("--theta-even", default=None)
-    cc.add_argument("--json", action="store_true")
     cc.set_defaults(func=_cmd_certify_chi)
 
     co = csub.add_parser("orbits", help="certify from orbit-size multisets")
@@ -381,7 +367,6 @@ def _build_parser() -> argparse.ArgumentParser:
     co.add_argument("--theta-even", required=True)
     co.add_argument("--genus", type=int, required=True)
     co.add_argument("--assert-deg1-class", action="store_true")
-    co.add_argument("--json", action="store_true")
     co.set_defaults(func=_cmd_certify_orbits)
 
     orbits = sub.add_parser("orbits", help="report Galois orbit decompositions")
@@ -389,7 +374,6 @@ def _build_parser() -> argparse.ArgumentParser:
     oh = osub.add_parser("hyperelliptic")
     oh.add_argument("--f", required=True)
     oh.add_argument("--theta", action="store_true")
-    oh.add_argument("--json", action="store_true")
     oh.set_defaults(func=_cmd_orbits_hyperelliptic)
 
     family = sub.add_parser("family", help="one-parameter family tools")
@@ -406,19 +390,19 @@ def _build_parser() -> argparse.ArgumentParser:
                     "fibers keep the transitivity shortcut")
     fs.add_argument("--assert-deg1-class", action="store_true")
     fs.add_argument("--height-bound", type=int, default=DEFAULT_HEIGHT_BOUND)
-    fs.add_argument("--json", action="store_true")
     fs.set_defaults(func=_cmd_family_scan)
 
     oracle = sub.add_parser("oracle", help="Frobenius cross-check report")
     oracle.add_argument("--f", required=True)
     oracle.add_argument("--primes", type=int, default=10)
-    oracle.add_argument("--json", action="store_true")
     oracle.set_defaults(func=_cmd_oracle)
 
     verify = sub.add_parser("verify", help="re-check an emitted certificate")
     verify.add_argument("--certificate", required=True)
     verify.set_defaults(func=_cmd_verify)
 
+    for leaf in (ch, cc, co, oh, fs, oracle):
+        leaf.add_argument("--json", action="store_true")
     return top
 
 
@@ -431,7 +415,9 @@ def main(argv=None) -> int:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            code, text = args.func(args)
+            code, doc, text = args.func(args)
+            if args.json:
+                text = canonical_json(doc) + "\n"
             stream = sys.stdout
         except (ValueError, RuntimeError, OSError, ZeroDivisionError) as exc:
             code, text, stream = 1, "error: %s\n" % exc, sys.stderr

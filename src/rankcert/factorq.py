@@ -265,6 +265,15 @@ def gf_sqf_p(f, p) -> bool:
     return len(gf_gcd(f, d, p)) == 1
 
 
+def _by_reduction(polys, holds):
+    """True when ``holds(q)`` for one of the first `_REDUCTION_TRIES`
+    primes q above every degree of ``polys`` that divide no leading
+    coefficient, else None."""
+    usable = (q for q in _primes_from(max(g.degree for g in polys) + 1)
+              if all(g.lc % q for g in polys))
+    return True if any(map(holds, itertools.islice(usable, _REDUCTION_TRIES))) else None
+
+
 def squarefree_by_reduction(F: IntPoly):
     """True when a modular reduction certifies that F is squarefree over Z.
 
@@ -273,18 +282,9 @@ def squarefree_by_reduction(F: IntPoly):
     `_REDUCTION_TRIES` usable reductions all have repeated factors (the
     caller must then decide exactly); never claims squarefreeness wrongly.
     """
-    d = F.degree
-    if d <= 0:
+    if F.degree <= 0:
         return None
-    seen = 0
-    for q in _primes_from(d + 1):
-        if F.lc % q == 0:
-            continue
-        if gf_sqf_p(gf_from_int(F.coeffs, q), q):
-            return True
-        seen += 1
-        if seen >= _REDUCTION_TRIES:
-            return None
+    return _by_reduction((F,), lambda q: gf_sqf_p(gf_from_int(F.coeffs, q), q))
 
 
 def is_squarefree(F: IntPoly) -> bool:
@@ -302,15 +302,9 @@ def coprime_by_reduction(a: IntPoly, b: IntPoly):
     """
     if a.is_zero or b.is_zero:
         return None
-    seen = 0
-    for q in _primes_from(max(a.degree, b.degree) + 1):
-        if a.lc % q == 0 or b.lc % q == 0:
-            continue
-        if gf_gcd(gf_from_int(a.coeffs, q), gf_from_int(b.coeffs, q), q) == [1]:
-            return True
-        seen += 1
-        if seen >= _REDUCTION_TRIES:
-            return None
+    return _by_reduction(
+        (a, b), lambda q: gf_gcd(gf_from_int(a.coeffs, q), gf_from_int(b.coeffs, q), q) == [1]
+    )
 
 
 def _gf_frobenius_base(fm):
@@ -589,8 +583,6 @@ def _candidate_primes(F: IntPoly):
         allowed = possible_degrees(patterns, F.degree)
         if allowed == {0, F.degree} or len(out) >= _SCREEN_WANT:
             break
-    if not out:
-        raise RuntimeError("no usable prime found (is the input squarefree?)")
     return out, possible_degrees(patterns, F.degree)
 
 

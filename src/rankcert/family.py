@@ -337,17 +337,18 @@ def scan(
     about four per process (fibers t and t + p in one block share their
     Frobenius cycle types), and each process's share of them is fixed
     before the fork: every k-th block, so that the shares interleave along
-    the range and do not change from run to run.  With k = 1, or with more
-    than one thread, nothing is forked: a process that runs other threads,
-    as one does after ``import numpy`` starts its BLAS threads, scans
-    serially.  The report does not depend on k.  An exception that is not a per-fiber failure is
+    the range and do not change from run to run.  With k = 1, with more
+    than one thread, or on a platform without ``os.fork``, nothing is
+    forked: a process that runs other threads, as one does after ``import
+    numpy`` starts its BLAS threads, scans serially.  The report does not
+    depend on k.  An exception that is not a per-fiber failure is
     raised as the serial loop would raise it: that of the earliest failing
     fiber, with its type and message.
     """
     excl = exclusion_sets(fam) if exclusions is None else exclusions
     ts = [a for a in map(Fraction, range(lo, hi + 1)) if excl.excluded(a) is None]
     k = max(1, min(_usable_cpus(), len(ts)))
-    if k > 1 and _thread_count() > 1:
+    if k > 1 and (not hasattr(os, "fork") or _thread_count() > 1):
         k = 1
     outcomes = iter(_certify_blocks(fam, ts, k, options))
     certified = []

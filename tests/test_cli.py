@@ -11,7 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from rankcert.certify import OrbitReport, digest_text, document_problems, inputs_text
+from rankcert.certify import (
+    OrbitReport, canonical_json, digest_text, document_problems, inputs_text,
+)
 from rankcert.certify import verify_certificate as json_verify
 from rankcert.cli import load_chi_fixture, main, parse_family, parse_poly
 from rankcert.grammar import PolyParseError, format_family
@@ -1181,3 +1183,41 @@ def test_verify_rejects_a_malformed_hash_and_unpaired_theta_orbits(capsys, tmp_p
         assert capsys.readouterr() == (
             "FAIL: odd and even theta orbits must be given together\n", ""
         )
+
+
+# one good and one failing input for each command that takes --json
+JSON_COMMANDS = {
+    "certify hyperelliptic": (["--f=x^6+x+1"], ["--f=x^2"]),
+    "certify chi": (
+        ["--file", str(fixture_path("chi1.txt")), "--genus", "3", "--assert-deg1-class"],
+        ["--file", str(fixture_path("chi1.txt")), "--genus", "2", "--assert-deg1-class"],
+    ),
+    "certify orbits": (
+        ["--j2", "15", "--theta-odd", "6", "--theta-even", "10", "--genus", "2"],
+        ["--j2", "1,x", "--theta-odd", "6", "--theta-even", "10", "--genus", "2"],
+    ),
+    "orbits hyperelliptic": (["--f=x^6+x+1", "--theta"], ["--f=x^2"]),
+    "family scan": (
+        ["--f-t=x^6+t*x+1", "--range=1..3"], ["--f-t=x^6+t*x+1", "--range=3..1"],
+    ),
+    "oracle": (["--f=x^6+x+1", "--primes", "3"], ["--f=x^6+x+1", "--primes", "0"]),
+}
+
+
+@pytest.mark.parametrize("command", JSON_COMMANDS)
+def test_json_changes_only_the_stdout_format(capsys, command):
+    good, bad = JSON_COMMANDS[command]
+    for args, codes in ((good, (0, 2)), (bad, (1,))):
+        argv = command.split() + args
+        text_code = main(argv)
+        text = capsys.readouterr()
+        json_code = main(argv + ["--json"])
+        out, err = capsys.readouterr()
+        assert text_code == json_code and text_code in codes
+        assert err == text.err
+        if text_code == 1:
+            assert out == text.out == ""
+            assert err.startswith("error: ")
+        else:
+            assert out == canonical_json(json.loads(out)) + "\n"
+            assert out != text.out

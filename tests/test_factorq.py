@@ -574,3 +574,14 @@ def test_rational_roots_of_the_squarefree_part():
     assert rational_roots(f) == (Fraction(-1, 3), Fraction(1))
     assert rational_roots(RatPoly([0, 0, 0, 2])) == (Fraction(0),)
     assert rational_roots(RatPoly([7])) == ()
+
+
+def test_reductions_skip_primes_dividing_a_leading_coefficient():
+    # mod 5 the lc of (5x - 1)^2 (x + 2) vanishes and leaves the squarefree
+    # x + 2, and 5x - 1 becomes a unit: 5 is the one prime whose reduction
+    # passes either check, so both must skip it and stay inconclusive
+    a = IntPoly([-1, 5])
+    assert factorq.squarefree_by_reduction(a * a * IntPoly([2, 1])) is None
+    assert factorq.coprime_by_reduction(a, a * IntPoly([3, 1])) is None
+    assert factorq.squarefree_by_reduction(a * IntPoly([2, 1])) is True
+    assert factorq.coprime_by_reduction(a, IntPoly([2, 1])) is True

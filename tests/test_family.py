@@ -520,6 +520,18 @@ class TestParallelScan:
         with pytest.raises(RuntimeError, match="injected at t=-5"):
             scan(X6_TT, -6, 6)
 
+    def test_a_platform_without_fork_scans_in_one_process(self, monkeypatch, capsys):
+        argv = ["family", "scan", "--f-t=x^6+t*x+t", "--range=-6..6"]
+        _use_cpus(monkeypatch, 1)
+        expected = scan(X6_TT, -6, 6)
+        assert main(argv) == 0
+        serial = capsys.readouterr()
+        _use_cpus(monkeypatch, 3)
+        monkeypatch.delattr(os, "fork")
+        assert scan(X6_TT, -6, 6) == expected
+        assert main(argv) == 0
+        assert capsys.readouterr() == serial
+
     def test_one_fiber_and_threaded_scans_do_not_fork(self, monkeypatch):
         _use_cpus(monkeypatch, 3)
         forks = _count_forks(monkeypatch)
