@@ -36,7 +36,7 @@ from .factorq import (
     is_irreducible_over_q,
     possible_degrees,
 )
-from .family import ScanOptions, check_good_fiber, exclusion_sets, scan
+from .family import ScanOptions, exclusion_sets, scan
 from .grammar import FamilyCurve
 from .weierstrass import (
     HyperellipticCurve,
@@ -63,7 +63,6 @@ __all__ = [
     "ScanOptions",
     "build_curve",
     "certify_curve",
-    "check_good_fiber",
     "class_orbits",
     "decide",
     "degree_pattern",

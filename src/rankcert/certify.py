@@ -8,10 +8,10 @@ applies the rule on one of two paths.  The "direct" path reads all three
 conditions off the Galois orbit data of the resolvents.  The
 "transitivity" path uses the shortcut that a transitive action on the
 nonzero two-torsion of a genus > 1 curve already excludes both
-obstructions.  `certify_curve` is
-the one pipeline for a curve and for a fiber of a family: it gathers the
-data (`deg1_evidence`, the orbit steps in `weierstrass`) and calls
-`decide`; `_pipeline_chi` does the same from external resolvents.
+obstructions.  `certify_curve` is the pipeline for a curve and a fiber:
+it gathers the data (`deg1_evidence`, the orbit steps in `weierstrass`)
+and calls `decide`, as `certify_chi` and `certify_orbits` do from
+external resolvents and orbit data.  Each writes its certificate's subject.
 
 The degree-1 class of an even model with a non-square leading
 coefficient comes from a rational point.  `find_deg1_class` finds the
@@ -70,6 +70,8 @@ __all__ = [
     "deg1_evidence",
     "decide",
     "certify_curve",
+    "certify_chi",
+    "certify_orbits",
     "inputs_text",
     "render_certificate",
     "certificate_doc",
@@ -530,14 +532,15 @@ def decide(
 
 def certify_curve(
     f: RatPoly,
-    subject: tuple,
     *,
+    fiber: tuple | None = None,
     full_theta: bool = False,
     height_bound: int = DEFAULT_HEIGHT_BOUND,
     assert_deg1: bool = False,
 ) -> Certificate:
-    """The certificate of y^2 = f(x) on ``subject``: a curve (kind
-    "hyperelliptic") or a fiber of a family (kind "family-fiber").
+    """The certificate of y^2 = f(x): of the curve, or, with ``fiber`` =
+    (family, a), of the fiber ``f = family.specialize(a)`` of a
+    `grammar.FamilyCurve`.  The subject is written from f or from ``fiber``.
 
     A transitive two-torsion action concludes on the transitivity path
     unless ``full_theta`` asks for the direct criterion on theta data; a
@@ -549,7 +552,11 @@ def certify_curve(
     j2, hashes, labeling = two_torsion_data(curve)
     report = OrbitReport(curve.genus, j2)
     path = PATH_TRANSITIVITY if report.transitive else PATH_DIRECT
-    if dict(subject).get("kind") == "family-fiber":
+    if fiber is None:
+        subject = (("kind", "hyperelliptic"), ("f", str(f)), ("genus", curve.genus))
+    else:
+        family, a = fiber
+        subject = (("kind", "family-fiber"), ("family", family.description), ("t", str(a)))
         # A fiber computes theta data only when its chi is reducible, so a
         # transitive fiber keeps the transitivity path under full_theta
         # (a); without full_theta a reducible fiber stays on that path
@@ -576,7 +583,9 @@ def _factor_degrees(poly: RatPoly) -> tuple:
     return tuple(g.degree for g in factor_over_q(poly))
 
 
-def _pipeline_chi(chi: RatPoly, genus: int, evidence, theta_odd=None, theta_even=None):
+def certify_chi(
+    chi: RatPoly, genus: int, *, assert_deg1: bool = False, theta_odd=None, theta_even=None
+) -> Certificate:
     """Certification from an external chi.  Given theta resolvents are
     checked before any decision and factored only when chi is reducible."""
     if genus < 1:
@@ -614,11 +623,17 @@ def _pipeline_chi(chi: RatPoly, genus: int, evidence, theta_odd=None, theta_even
         )
     return decide(
         report,
-        evidence,
+        deg1_evidence(None, 0, assert_deg1),
         path=PATH_TRANSITIVITY if report.transitive else PATH_DIRECT,
         hashes=hashes,
         subject=(("kind", "external-chi"), ("chi_degree", chi.degree), ("genus", genus)),
     )
+
+
+def certify_orbits(report: OrbitReport, *, assert_deg1: bool = False) -> Certificate:
+    """Certification from orbit data, on the direct path."""
+    subject = (("kind", "orbit-data"), ("genus", report.genus))
+    return decide(report, deg1_evidence(None, 0, assert_deg1), subject=subject)
 
 
 def inputs_text(subject: tuple, hashes: tuple, report: OrbitReport) -> str:
@@ -846,19 +861,25 @@ def _subject_problems(subject: dict, genus: int, evidence) -> list:
         return problems
     point = evidence is not None and evidence.kind == "rational-point"
     try:
-        if kind == "hyperelliptic":
-            f = parse_poly(subject["f"])
-        elif kind == "family-fiber":
-            f = parse_family(subject["family"]).specialize(parse_rational(subject["t"]))
-        else:
-            return ["rational point given, but the subject names no curve"] if point else []
+        f = _subject_curve(subject)
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         return ["unreadable subject: %s" % exc]
+    if f is None:
+        return ["rational point given, but the subject names no curve"] if point else []
     if point and f(evidence.x) != evidence.y * evidence.y:
         return ["(%s, %s) is not a point of y^2 = %s" % (evidence.x, evidence.y, f)]
     if (f.degree - 1) // 2 != genus:
         return ["y^2 = %s has genus %d, not %s" % (f, (f.degree - 1) // 2, genus)]
     return []
+
+
+def _subject_curve(subject: dict) -> RatPoly | None:
+    """The f of y^2 = f(x) that a subject names (a curve, a fiber), or None."""
+    if subject.get("kind") == "hyperelliptic":
+        return parse_poly(subject["f"])
+    if subject.get("kind") == "family-fiber":
+        return parse_family(subject["family"]).specialize(parse_rational(subject["t"]))
+    return None
 
 
 def document_problems(doc) -> list:

@@ -36,18 +36,17 @@ from . import __version__
 from .certify import (
     DEFAULT_HEIGHT_BOUND,
     OrbitReport,
-    _pipeline_chi,
     canonical_json,
     certificate_doc,
+    certify_chi,
     certify_curve,
-    decide,
-    deg1_evidence,
+    certify_orbits,
     document_problems,
     render_certificate,
 )
 from .exactpoly import RatPoly, _read_decimal
 from .factorq import BadPrimeError, _primes_from, degree_pattern
-from .family import ScanOptions, check_good_fiber, exclusion_sets, scan
+from .family import ScanOptions, certify_fiber, exclusion_sets, scan
 from .grammar import parse_family, parse_poly, parse_rational
 from .weierstrass import (
     build_curve,
@@ -121,24 +120,19 @@ def _check_height_bound(args):
 def _cmd_certify_hyperelliptic(args):
     _check_height_bound(args)
     f = parse_poly(args.f)
-    cert = certify_curve(
-        f,
-        (("kind", "hyperelliptic"), ("f", str(f)), ("genus", (f.degree - 1) // 2)),
-        full_theta=args.full_criterion,
-        height_bound=args.height_bound,
-        assert_deg1=args.assert_deg1_class,
-    )
+    cert = certify_curve(f, full_theta=args.full_criterion, height_bound=args.height_bound,
+                         assert_deg1=args.assert_deg1_class)
     return _certificate_output(cert)
 
 
 def _cmd_certify_chi(args):
     chi = load_chi_fixture(args.file)
-    evidence = deg1_evidence(None, 0, args.assert_deg1_class)
     theta_odd = load_chi_fixture(args.theta_odd) if args.theta_odd else None
     theta_even = load_chi_fixture(args.theta_even) if args.theta_even else None
     if (theta_odd is None) != (theta_even is None):
         raise ValueError("--theta-odd and --theta-even must be given together")
-    cert = _pipeline_chi(chi, args.genus, evidence, theta_odd, theta_even)
+    cert = certify_chi(chi, args.genus, assert_deg1=args.assert_deg1_class,
+                       theta_odd=theta_odd, theta_even=theta_even)
     return _certificate_output(cert)
 
 
@@ -153,15 +147,9 @@ def _parse_orbit_list(text: str) -> tuple:
 
 
 def _cmd_certify_orbits(args):
-    report = OrbitReport(
-        genus=args.genus,
-        j2_orbits=_parse_orbit_list(args.j2),
-        theta_odd=_parse_orbit_list(args.theta_odd),
-        theta_even=_parse_orbit_list(args.theta_even),
-    )
-    evidence = deg1_evidence(None, 0, args.assert_deg1_class)
-    cert = decide(report, evidence, subject=(("kind", "orbit-data"), ("genus", args.genus)))
-    return _certificate_output(cert)
+    orbits = [_parse_orbit_list(text) for text in (args.j2, args.theta_odd, args.theta_even)]
+    report = OrbitReport(args.genus, *orbits)
+    return _certificate_output(certify_orbits(report, assert_deg1=args.assert_deg1_class))
 
 
 def _cmd_orbits_hyperelliptic(args):
@@ -218,12 +206,11 @@ def _cmd_family_scan(args):
             ) from None
         # computed once, for the check and the scan
         exclusions = exclusion_sets(fam)
-        transitive, rep = check_good_fiber(fam, b, exclusions)
-        fiber_check = {
-            "t": str(b),
-            "transitive": transitive,
-            "j2": list(rep.j2_orbits),
-        }
+        kind = exclusions.excluded(b)
+        if kind is not None:
+            raise ValueError("t=%s is excluded (%s)" % (b, kind))
+        rep = certify_fiber(fam, b).report
+        fiber_check = {"t": str(b), "transitive": rep.transitive, "j2": list(rep.j2_orbits)}
     report = scan(fam, lo, hi, options, exclusions)
     doc = _document(
         "family-scan",
@@ -280,6 +267,9 @@ def _cmd_family_scan(args):
 def _cmd_oracle(args):
     if args.primes < 1:
         raise ValueError("--primes must be at least 1; got %d" % args.primes)
+    if args.primes > 9592:  # bad primes are skipped, so even 9592 may run out
+        raise ValueError("--primes must be at most 9592, the number of primes below 100000; "
+                         "got %d" % args.primes)
     f = parse_poly(args.f)
     curve = build_curve(f)
     _strata, (parts,), _labeling = stratified_parts(curve, [enumerate_j2_classes(curve)])

@@ -228,19 +228,17 @@ class _FixedModulus:
         return gf_strip([v % self.p for v in _unpack(acc, self.n, self.nbytes)])
 
     def rem(self, h):
-        """h mod f, for h with entries in [0, p)."""
+        """h mod f, for h of length < 2n with entries in [0, p)."""
         n = self.n
         if len(h) <= n:
             return h
-        if len(h) >= 2 * n:
-            return gf_rem(h, self.f, self.p)
         return self.combine(_pack(h[:n], self.nbytes), h[n:], self.rows)
 
     def mulmod(self, a, b):
         return self.rem(gf_mul(a, b, self.p))
 
     def pow(self, h, e):
-        """h^e mod f, by left-to-right binary powering."""
+        """h^e mod f, for h as `rem` takes it, by left-to-right binary powering."""
         if not e:
             return [1]
         base = self.rem(h)

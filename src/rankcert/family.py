@@ -5,8 +5,8 @@ Finitely many parameter values are excluded: z1 collects the rational
 roots of the discriminant, z2 those of the discriminant and of the
 leading coefficient (degenerate or bad-reduction fibers).  Away from them each
 integer fiber is certified independently by the curve pipeline,
-`certify.certify_curve`, with the fiber's subject, the family and t, from
-which it computes the inputs digest: build the curve, find a degree-1
+`certify.certify_curve`, given the family and t, from which it writes the
+fiber's subject and its inputs digest: build the curve, find a degree-1
 class, read the two-torsion orbits, and decide.  A transitive action
 concludes through the transitivity shortcut, also under the full
 criterion; a reducible chi is reported as NeedsThetaData on that path, or,
@@ -31,12 +31,12 @@ import threading
 from fractions import Fraction
 from typing import NamedTuple
 
-from .certify import DEFAULT_HEIGHT_BOUND, Certificate, OrbitReport, certify_curve
+from .certify import DEFAULT_HEIGHT_BOUND, Certificate, certify_curve
 from .certroots import PrecisionExhausted
 from .exactpoly import IntPoly, RatPoly, discriminant
 from .factorq import rational_roots
 from .grammar import FamilyCurve, check_t_degree_cap
-from .weierstrass import NoInjectiveLabelingError, build_curve, check_curve_degree, two_torsion_data
+from .weierstrass import NoInjectiveLabelingError, check_curve_degree
 
 __all__ = [
     "FamilyCurve",
@@ -44,7 +44,6 @@ __all__ = [
     "ScanOptions",
     "ScanReport",
     "exclusion_sets",
-    "check_good_fiber",
     "scan",
 ]
 
@@ -159,36 +158,15 @@ def certify_fiber(
     options: ScanOptions = ScanOptions(),
 ) -> Certificate:
     """`certify.certify_curve` on the fiber at t = a (caller screens
-    exclusions), whose subject names the family and t."""
+    exclusions)."""
     a = Fraction(a)
-    subject = (("kind", "family-fiber"), ("family", fam.description), ("t", str(a)))
     return certify_curve(
         fam.specialize(a),
-        subject,
+        fiber=(fam, a),
         full_theta=options.full_theta,
         height_bound=options.height_bound,
         assert_deg1=options.assert_deg1,
     )
-
-
-def check_good_fiber(
-    fam: FamilyCurve, b: Fraction, exclusions: ExclusionSet | None = None
-) -> tuple[bool, OrbitReport]:
-    """Is the Galois action on the fiber's nonzero two-torsion transitive?
-
-    b must avoid the exclusion sets, computed here unless the caller
-    passes them.  Returns the flag together with the fiber's two-torsion
-    orbit report.
-    """
-    b = Fraction(b)
-    excl = exclusion_sets(fam) if exclusions is None else exclusions
-    kind = excl.excluded(b)
-    if kind is not None:
-        raise ValueError(f"t={b} is excluded ({kind})")
-    curve = build_curve(fam.specialize(b))
-    j2, _hashes, _labeling = two_torsion_data(curve)
-    report = OrbitReport(genus=curve.genus, j2_orbits=j2)
-    return report.transitive, report
 
 
 def _certify_fibers(fam: FamilyCurve, ts, options: ScanOptions) -> list:

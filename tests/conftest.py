@@ -35,11 +35,6 @@ def resolvents(curve, pieces):
     return tuple(prod(ps[1:], start=ps[0]) for ps in parts), labeling.c
 
 
-def curve_subject(f: RatPoly) -> tuple:
-    """The subject `certify hyperelliptic` gives the curve y^2 = f(x)."""
-    return (("kind", "hyperelliptic"), ("f", str(f)), ("genus", (f.degree - 1) // 2))
-
-
 def fixture_path(name: str):
     """Filesystem path of a shipped fixture (chi1.txt, quartic_orbits.json)."""
     return resources.files("rankcert.fixtures") / name

@@ -44,7 +44,7 @@ from rankcert.weierstrass import (
     theta_data,
 )
 
-from conftest import curve_subject, fixture_path, resolvents
+from conftest import fixture_path, resolvents
 
 SEED = 20260809
 FROZEN_SCAN_CERTIFIED = 98          # derived by running the pipeline, then pinned
@@ -222,7 +222,7 @@ def test_criterion_5_odd_model_fast_path():
         degrees = [5] * 7 + [7] * 3
         for d in degrees:
             f = _random_squarefree(rng, d)
-            cert = certify_curve(f, curve_subject(f))
+            cert = certify_curve(f)
             curve = build_curve(f)
             assert cert.verdict == VERDICT_INCONCLUSIVE
             theta_reasons = [r for r in cert.reasons if r.kind == RATIONAL_THETA]
@@ -258,7 +258,7 @@ def test_criterion_6_rational_two_torsion():
             (orbits,), (chi,), _c = class_orbits(curve, [enumerate_j2_classes(curve)])
             assert 1 in orbits
             assert any(g.degree == 1 for g in factor_over_q(chi.to_rat()))
-            cert = certify_curve(f, curve_subject(f))
+            cert = certify_curve(f)
             assert cert.verdict == VERDICT_INCONCLUSIVE
             assert RATIONAL_TWO_TORSION in cert.reason_kinds()
     _report(

@@ -1,3 +1,4 @@
+import json
 import warnings
 from fractions import Fraction
 from math import gcd, isqrt
@@ -18,18 +19,25 @@ from rankcert.certify import (
     RATIONAL_TWO_TORSION,
     VERDICT_INCONCLUSIVE,
     VERDICT_RANK_AT_LEAST_ONE,
+    _subject_curve,
+    canonical_json,
     certificate_doc,
     certificate_from_doc,
+    certify_chi,
     certify_curve,
+    certify_orbits,
     decide,
     find_deg1_class,
     render_certificate,
     verify_certificate,
 )
+from rankcert.cli import load_chi_fixture
 from rankcert.exactpoly import RatPoly
+from rankcert.family import certify_fiber
+from rankcert.grammar import parse_family
 from rankcert.weierstrass import build_curve
 
-from conftest import curve_subject
+from conftest import fixture_path
 
 ASSERTED = Deg1Evidence("user-assertion", note="asserted")
 QUARTIC_REPORT = OrbitReport(genus=3, j2_orbits=(3, 12, 48), theta_odd=(4, 24), theta_even=(12, 24))
@@ -279,7 +287,7 @@ class TestSerialization:
         from rankcert.family import ScanOptions, certify_fiber
 
         f = parse_poly("x^6+x+1")
-        curve_cert = certify_curve(f, curve_subject(f), full_theta=True)
+        curve_cert = certify_curve(f, full_theta=True)
         # a fiber with a reducible chi, so the full criterion adds theta hashes
         fiber_cert = certify_fiber(parse_family("x^6+t*x+1"), 2, ScanOptions(full_theta=True))
         for cert in (curve_cert, fiber_cert):
@@ -369,9 +377,44 @@ def test_transitivity_implies_direct_on_real_data():
     f = RatPoly([1, 1, 0, 0, 0, 0, 1])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        short = certify_curve(f, curve_subject(f))
-        full = certify_curve(f, curve_subject(f), full_theta=True)
+        short = certify_curve(f)
+        full = certify_curve(f, full_theta=True)
     assert short.verdict == VERDICT_RANK_AT_LEAST_ONE
     assert short.path == PATH_TRANSITIVITY
     assert full.verdict == VERDICT_RANK_AT_LEAST_ONE
     assert full.path == PATH_DIRECT
+
+
+X6_T = parse_family("x^6+t*x+1")
+
+
+def _emitted(cert) -> dict:
+    """The certificate as `rankcert verify` reads it from a file."""
+    return json.loads(canonical_json(certificate_doc(cert)))
+
+
+@pytest.mark.parametrize("f,fiber", [
+    (RatPoly([Fraction(5, 2), Fraction(-2, 7), 0, 0, 0, 0, Fraction(1, 3)]), None),
+    (RatPoly([10**1500, 1, 0, 0, 0, 1]), None),
+    (X6_T.specialize(Fraction(2)), Fraction(2)),
+    (X6_T.specialize(Fraction(1, 2)), Fraction(1, 2)),
+], ids=["rational", "10^1500", "fiber-t=2", "fiber-t=1/2"])
+def test_subject_reads_back_as_the_certified_curve(f, fiber):
+    # the subject certify writes, parsed by the verify side, is y^2 = f(x)
+    cert = certify_curve(f) if fiber is None else certify_fiber(X6_T, fiber)
+    doc = _emitted(cert)
+    assert doc["subject"]["kind"] == ("hyperelliptic" if fiber is None else "family-fiber")
+    assert _subject_curve(doc["subject"]) == f
+    assert verify_certificate(doc) == (True, [])
+
+
+def test_chi_and_orbit_subjects_name_their_genus_and_no_curve():
+    chi = load_chi_fixture(fixture_path("chi1.txt"))
+    for cert, kind in (
+        (certify_chi(chi, 3, assert_deg1=True), "external-chi"),
+        (certify_orbits(QUARTIC_REPORT, assert_deg1=True), "orbit-data"),
+    ):
+        doc = _emitted(cert)
+        assert (doc["subject"]["kind"], doc["subject"]["genus"]) == (kind, 3)
+        assert _subject_curve(doc["subject"]) is None
+        assert verify_certificate(doc) == (True, [])

@@ -827,6 +827,20 @@ class TestCommands:
         assert captured.out == ""
         assert captured.err == "error: --primes must be at least 1; got %s\n" % count
 
+    def test_oracle_rejects_more_primes_than_lie_below_its_bound(self, capsys):
+        # 9592 primes lie below 100000: more are refused before any work,
+        # which on x^9+x+1 takes seconds for 80 primes
+        start = time.perf_counter()
+        code = main(["oracle", "--f", "x^9+x+1", "--primes", "9593"])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (
+            "error: --primes must be at most 9592, the number of primes below 100000; got 9593\n"
+        )
+        assert elapsed < 1
+
     @pytest.mark.parametrize("genus", ["0", "-1"])
     def test_certify_chi_rejects_genus_below_one(self, capsys, genus):
         code = main([

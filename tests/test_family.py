@@ -20,14 +20,11 @@ from rankcert.family import (
     FamilyCurve,
     ScanOptions,
     certify_fiber,
-    check_good_fiber,
     exclusion_sets,
     family_discriminant_numerator,
     scan,
 )
 from rankcert.weierstrass import NoInjectiveLabelingError
-
-from conftest import curve_subject
 
 X6_T = FamilyCurve(
     (RatPoly([1]), RatPoly([0, 1]), RatPoly(), RatPoly(), RatPoly(), RatPoly(), RatPoly([1])),
@@ -200,27 +197,43 @@ class TestFamilyShape:
 
 
 class TestFibers:
-    def test_good_fiber(self):
-        ok, rep = check_good_fiber(X6_T, Fraction(1))
-        assert ok
-        assert rep.j2_orbits == (15,)
+    """The fiber that `--fiber-check` names: screened against the exclusion
+    sets, then read off the two-torsion report of `certify_fiber`."""
 
-    def test_fiber_with_rational_root_not_transitive(self):
+    @staticmethod
+    def check(capsys, f_t, t):
+        code = main(["family", "scan", "--f-t", f_t, "--range=1..1", "--fiber-check", t])
+        return code, capsys.readouterr()
+
+    def test_good_fiber(self, capsys):
+        rep = certify_fiber(X6_T, Fraction(1)).report
+        assert rep.transitive
+        assert rep.j2_orbits == (15,)
+        code, captured = self.check(capsys, "x^6+t*x+1", "1")
+        assert code == 0
+        assert "\nfiber check t=1: transitive (orbits 15)\n" in captured.out
+
+    def test_fiber_with_rational_root_not_transitive(self, capsys):
         # t = -2: f = x^6 - 2x + 1 has the root x = 1
         assert X6_T.specialize(Fraction(-2))(Fraction(1)) == 0
-        ok, rep = check_good_fiber(X6_T, Fraction(-2))
-        assert not ok
+        rep = certify_fiber(X6_T, Fraction(-2)).report
+        assert not rep.transitive
         assert 1 <= min(rep.j2_orbits) and rep.j2_orbits != (15,)
+        code, captured = self.check(capsys, "x^6+t*x+1", "-2")
+        assert code == 0
+        orbits = " ".join(map(str, rep.j2_orbits))
+        assert "\nfiber check t=-2: not transitive (orbits %s)\n" % orbits in captured.out
 
-    def test_excluded_fiber_rejected(self):
-        nums = [RatPoly([1]), RatPoly([1])] + [RatPoly()] * 4 + [RatPoly([0, 1])]
-        fam = FamilyCurve(tuple(nums), "t*x^6 + x + 1")
-        with pytest.raises(ValueError):
-            check_good_fiber(fam, Fraction(0))
+    def test_excluded_fiber_rejected(self, capsys):
+        code, captured = self.check(capsys, "t*x^6+x+1", "0")
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: t=0 is excluded (InZ1)\n"
         # at t = 1 only the leading coefficient t - 1 vanishes
-        fam = parse_family("(t-1)*x^6+x^5+x+1")
-        with pytest.raises(ValueError, match=r"^t=1 is excluded \(InZ2\)$"):
-            check_good_fiber(fam, Fraction(1))
+        code, captured = self.check(capsys, "(t-1)*x^6+x^5+x+1", "1")
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: t=1 is excluded (InZ2)\n"
 
 
 class TestScan:
@@ -346,7 +359,7 @@ def _seeded_fibers(seed=20, per_family=13):
 def test_fiber_and_curve_pipelines_agree(f_t, t, f, full_theta):
     fiber = certify_fiber(parse_family(f_t), Fraction(t), ScanOptions(full_theta=full_theta))
     f = parse_poly(f)
-    curve_cert = certify_curve(f, curve_subject(f), full_theta=full_theta)
+    curve_cert = certify_curve(f, full_theta=full_theta)
     assert fiber.inputs_digest != curve_cert.inputs_digest
     blank = {"subject": (), "inputs_digest": ""}
     if full_theta != fiber.report.transitive:
@@ -357,7 +370,7 @@ def test_fiber_and_curve_pipelines_agree(f_t, t, f, full_theta):
     # without it, stays on the transitivity path with the two-torsion data
     assert fiber.path == "transitivity"
     assert fiber.chi_irreducible == fiber.report.transitive
-    two_torsion = certify_curve(f, curve_subject(f))
+    two_torsion = certify_curve(f)
     same = ("evidence", "report", "hashes", "labeling")
     assert [getattr(fiber, k) for k in same] == [getattr(two_torsion, k) for k in same]
 

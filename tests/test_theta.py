@@ -16,7 +16,7 @@ from rankcert.weierstrass import (
     theta_data,
 )
 
-from conftest import curve_subject, random_squarefree_poly, resolvents
+from conftest import random_squarefree_poly, resolvents
 
 SEXTIC = RatPoly([1, 1, 0, 0, 0, 0, 1])
 QUINTIC = RatPoly([1, -1, 0, 0, 0, 1])
@@ -89,7 +89,7 @@ class TestRationalTheta:
     of (g-1)*infinity instead."""
 
     def test_odd_model_fast_path(self):
-        cert = certify_curve(QUINTIC, curve_subject(QUINTIC))
+        cert = certify_curve(QUINTIC)
         theta = [r for r in cert.reasons if r.kind == RATIONAL_THETA]
         assert [r.witness for r in theta] == [INFINITY_WITNESS]
         assert "chi_odd" not in dict(cert.hashes)
